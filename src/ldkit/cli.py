@@ -3,7 +3,9 @@
 Subcommands: landscape, map, bmap, temporal, rates, models. Exit codes:
 0 success, 1 usage error, 2 numeric failure (unconverged quadrature without
 --best-effort). Identical argument vectors produce byte-identical output
-files; worker counts never change results.
+files. ``--threads`` sets the worker count of ell maps and never changes
+their bytes; temporal maps and lines are one batched run and take no
+worker count.
 """
 
 import argparse
@@ -76,7 +78,8 @@ def _build_parser():
                    help="horizon for temporal maps")
     p.add_argument("--table-mode", action="store_true",
                    help="interpolate ell from a dense 1-D energy table")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads for ell maps")
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None, help="optional 16-bit PGM preview")
 
@@ -92,7 +95,6 @@ def _build_parser():
                    metavar="fixed=q|p:VALUE,range=LO:HI:N")
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("rates", help="power-law fits of |d ell/dE| divergence")
@@ -208,7 +210,7 @@ def _cmd_map(args):
     if args.quantity == "energy":
         grid = maps.energy_map(model, spec)
     elif args.quantity == "temporal":
-        grid = maps.temporal_map(model, spec, args.t, threads=args.threads)
+        grid = maps.temporal_map(model, spec, args.t)
     else:
         grid = maps.ell_map(model, spec, trunc=_trunc(args), cfg=_quad_cfg(args),
                             table=args.table_mode, threads=args.threads)
@@ -236,7 +238,7 @@ def _cmd_temporal(args):
     model = _get_model(args)
     line = _parse_line(args.line)
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-    res = ld_landscape_line(model, line, args.t, cfg=cfg, threads=args.threads)
+    res = ld_landscape_line(model, line, args.t, cfg=cfg)
     varying = "p" if line.fixed == "q" else "q"
     with open(args.out, "w", newline="\n") as fh:
         fh.write(f"{varying},ld,ld_plus,ld_minus,flag\n")

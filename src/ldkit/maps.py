@@ -1,8 +1,9 @@
 """Phase-space grids of energy, ell(E), gradient norm B, and temporal LD.
 
 Grids are row-major with the momentum index outermost (p outer, q inner),
-matching the CSV layout. Node computations are independent and produce
-bitwise-identical results regardless of the worker count.
+matching the CSV layout. Node computations are independent: ell maps give
+bitwise-identical results whatever the worker count, and temporal maps, one
+batched run over all nodes, whatever other nodes share the grid.
 
 Output formats:
 
@@ -18,10 +19,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
+from ._kernels import STATUS_OK
 from .errors import LdkitError
 from .geometric import ell
 from .quadrature import QuadratureConfig
-from .temporal import IntegratorConfig, temporal_ld
+from .temporal import _ld_lanes
 
 _FMT = "{:.17g}"
 
@@ -141,29 +143,14 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
     return values, np.isfinite(values)
 
 
-def temporal_map(model, spec, t, cfg=None, threads=None):
-    """Per-node temporal LD total over the grid; failed nodes keep their
-    partial value but are masked."""
-    if cfg is None:
-        cfg = IntegratorConfig()
-    qs = spec.q_nodes()
-    ps = spec.p_nodes()
-    values = np.empty((spec.np, spec.nq))
-    mask = np.ones((spec.np, spec.nq), dtype=bool)
-
-    def row(jp):
-        p = float(ps[jp])
-        for iq in range(spec.nq):
-            r = temporal_ld(model, (float(qs[iq]), p), t, cfg)
-            values[jp, iq] = r.total
-            mask[jp, iq] = r.ok
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(row, range(spec.np)))
-    else:
-        for jp in range(spec.np):
-            row(jp)
+def temporal_map(model, spec, t, cfg=None):
+    """Per-node temporal LD total over the grid, as one batched run over all
+    nodes; failed nodes keep their partial value but are masked."""
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    plus, minus, st_p, st_m, _, _ = _ld_lanes(model, Q.ravel(), P.ravel(), t, cfg)
+    shape = (spec.np, spec.nq)
+    values = (plus + minus).reshape(shape)
+    mask = ((st_p == STATUS_OK) & (st_m == STATUS_OK)).reshape(shape)
     return GridMap(spec, values, "temporal", mask)
 
 

@@ -112,7 +112,7 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def vector_field(self, q, p):
-        """Hamiltonian vector field (dH/dp, -dH/dq)."""
+        """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays."""
         raise NotImplementedError
 
     # -- derived quantities --------------------------------------------
@@ -193,7 +193,8 @@ class _CodedModel(HamiltonianModel):
         return out if np.ndim(out) else float(out)
 
     def vector_field(self, q, p):
-        return K._vf_pair(self.kernel_code, q, p)
+        fq, fp = K.np_vector_field(self.kernel_code, q, p)
+        return (fq if fq.ndim else float(fq)), (fp if fp.ndim else float(fp))
 
 
 class Pendulum(_CodedModel):
@@ -472,7 +473,13 @@ class MechanicalModel(HamiltonianModel):
         return out if np.ndim(out) else float(out)
 
     def vector_field(self, q, p):
-        return float(p), -float(self.system.potential_slope(q))
+        slope = self.system.potential_slope(q)
+        if isinstance(q, float):  # the scalar stepper's calls, kept cheap
+            return float(p), -float(slope)
+        fp = -np.broadcast_to(np.asarray(slope, dtype=np.float64), np.shape(q))
+        if fp.ndim:
+            return np.asarray(p, dtype=np.float64), fp
+        return float(p), float(fp)
 
     def domain(self, E, trunc=None):
         if E < self.e_min:
@@ -536,7 +543,13 @@ def harmonic_repulsor(t_star=1.0):
 
 def mechanical(potential, potential_slope, search_interval,
                name="custom-mechanical", e_sx=None):
-    """Build a custom conservative model from a potential and its slope."""
+    """Build a custom conservative model from a potential and its slope.
+
+    Both callables must be vectorized: given an array of coordinates they
+    return an array of the same shape. Energies, domains and batched
+    temporal descriptors (``temporal_map``, ``ld_landscape_line``) evaluate
+    them on arrays.
+    """
     return MechanicalModel(MechanicalSystem(potential, potential_slope),
                            search_interval, name=name, e_sx=e_sx)
 

@@ -6,9 +6,15 @@ bounds the error of the descriptor itself. The forward piece integrates the
 vector field from the initial condition over [0, t]; the backward piece
 integrates the time-reversed field over the same window. No deviation
 vectors are involved anywhere: the descriptor is orbit-based only.
+
+A single initial condition (:func:`temporal_ld`) runs the scalar stepper.
+Lines (:func:`ld_landscape_line`) and grids (``maps.temporal_map``) run one
+batched stepper over all their initial conditions, forward and backward
+lanes together. Each lane does the scalar stepper's arithmetic on its own
+values only, so its result does not depend on which other initial
+conditions share the batch.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +56,8 @@ class LdResult:
     minus: float
     status_plus: int = K.STATUS_OK
     status_minus: int = K.STATUS_OK
+    steps_plus: int = 0  # attempted DP5(4) steps of each piece
+    steps_minus: int = 0
 
     @property
     def ok(self):
@@ -81,6 +89,7 @@ class LdLine:
     plus: np.ndarray
     minus: np.ndarray
     status: np.ndarray
+    steps: np.ndarray  # attempted DP5(4) steps, both pieces together
 
 
 def vector_field(model, q, p):
@@ -91,65 +100,76 @@ def vector_field(model, q, p):
 def _one_sided(model, q0, p0, t, cfg, reverse):
     code = model.kernel_code
     if code is not None:
-        s, _, _, status, _ = K.dp45_arclength(
+        s, _, _, status, nsteps = K.dp45_arclength(
             code, float(q0), float(p0), float(t),
             cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps, reverse,
         )
-        return s, status
+        return s, status, nsteps
     sgn = -1.0 if reverse else 1.0
 
     def f(q, p):
         fq, fp = model.vector_field(q, p)
         return sgn * fq, sgn * fp
 
-    s, _, _, status, _ = K.dp45_callable(
+    s, _, _, status, nsteps = K.dp45_callable(
         f, float(q0), float(p0), float(t),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
     )
-    return s, status
+    return s, status, nsteps
 
 
 def temporal_ld(model, x0, t, cfg=None):
     """Arc length of the trajectory through ``x0`` over the window [-t, t].
 
     Returns an :class:`LdResult` with the forward piece (over [0, t]), the
-    backward piece (time-reversed field over [0, t]) and their sum. Blow-up
-    (unbounded models) and step-limit conditions are flagged, not raised,
-    and leave partial values in place.
+    backward piece (time-reversed field over [0, t]), their sum and the
+    attempted steps of each piece. Blow-up (unbounded models) and
+    step-limit conditions are flagged, not raised, and leave partial values
+    in place.
     """
     if t <= 0.0:
         raise ValueError("horizon t must be positive")
     if cfg is None:
         cfg = IntegratorConfig()
     q0, p0 = float(x0[0]), float(x0[1])
-    plus, st_p = _one_sided(model, q0, p0, t, cfg, reverse=False)
-    minus, st_m = _one_sided(model, q0, p0, t, cfg, reverse=True)
-    return LdResult(plus + minus, plus, minus, st_p, st_m)
+    plus, st_p, n_p = _one_sided(model, q0, p0, t, cfg, reverse=False)
+    minus, st_m, n_m = _one_sided(model, q0, p0, t, cfg, reverse=True)
+    return LdResult(plus + minus, plus, minus, st_p, st_m, n_p, n_m)
 
 
-def ld_landscape_line(model, line, t, cfg=None, threads=None):
-    """Temporal LD swept along a coordinate line; deterministic point order."""
+def _ld_lanes(model, q0, p0, t, cfg):
+    """Forward and backward pieces of every ``(q0[i], p0[i])`` as one batched run.
+
+    Returns arrays (plus, minus, status_plus, status_minus, steps_plus,
+    steps_minus). A lane that runs the whole window matches
+    :func:`temporal_ld` to ~1e-12 relative or better. A lane stopped early
+    (blow-up, step limit) stops where its step sizes add up to, which last-bit
+    differences between numpy and ``math`` can move (see
+    :func:`_kernels.dp45_lanes`); such lanes are few, so they are run again on
+    the scalar stepper and then equal :func:`temporal_ld` bit for bit.
+    """
+    if t <= 0.0:
+        raise ValueError("horizon t must be positive")
     if cfg is None:
         cfg = IntegratorConfig()
+    n = q0.size
+    sgn = np.repeat([1.0, -1.0], n)
+    s, _, _, status, nsteps = K.dp45_lanes(
+        model.vector_field, np.tile(q0, 2), np.tile(p0, 2), sgn, float(t),
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
+    )
+    for i in np.flatnonzero(status != K.STATUS_OK):
+        j = i % n
+        s[i], status[i], nsteps[i] = _one_sided(model, q0[j], p0[j], t, cfg,
+                                                reverse=i >= n)
+    return s[:n], s[n:], status[:n], status[n:], nsteps[:n], nsteps[n:]
+
+
+def ld_landscape_line(model, line, t, cfg=None):
+    """Temporal LD swept along a coordinate line, as one batched run."""
     coords = np.linspace(line.lo, line.hi, line.n)
-    total = np.empty(line.n)
-    plus = np.empty(line.n)
-    minus = np.empty(line.n)
-    status = np.zeros(line.n, dtype=np.int64)
-
-    def work(i):
-        c = float(coords[i])
-        x0 = (line.value, c) if line.fixed == "q" else (c, line.value)
-        r = temporal_ld(model, x0, t, cfg)
-        total[i] = r.total
-        plus[i] = r.plus
-        minus[i] = r.minus
-        status[i] = max(r.status_plus, r.status_minus)
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(work, range(line.n)))
-    else:
-        for i in range(line.n):
-            work(i)
-    return LdLine(coords, total, plus, minus, status)
+    fixed = np.full(line.n, float(line.value))
+    q0, p0 = (fixed, coords) if line.fixed == "q" else (coords, fixed)
+    plus, minus, st_p, st_m, n_p, n_m = _ld_lanes(model, q0, p0, t, cfg)
+    return LdLine(coords, plus + minus, plus, minus, np.maximum(st_p, st_m),
+                  n_p + n_m)

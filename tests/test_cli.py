@@ -148,9 +148,21 @@ def test_bounded_librations_flag(tmp_path):
 
 
 def test_threads_flag_identical_output(tmp_path):
+    # temporal maps are one batched run: --threads is accepted and changes
+    # nothing
     base = ["map", "--model", "pendulum", "--bounds", "-2,2,-2,2",
             "--grid", "8x8", "--quantity", "temporal", "--t", "3"]
     a, b = tmp_path / "t1.csv", tmp_path / "t4.csv"
+    assert run(base + ["--out", str(a)]) == 0
+    assert run(base + ["--threads", "4", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_threads_flag_identical_output_ell(tmp_path):
+    # --threads sets the worker count of ell maps and never changes bytes
+    base = ["map", "--model", "pendulum", "--bounds", "-2,2,-2,2",
+            "--grid", "8x8", "--quantity", "ell"]
+    a, b = tmp_path / "e1.csv", tmp_path / "e4.csv"
     assert run(base + ["--out", str(a)]) == 0
     assert run(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -300,3 +300,39 @@ def test_mechanical_domain_flags(mech_pendulum):
     assert dom.flags[0] == (TURNING, TURNING)
     dom = mech_pendulum.domain(0.5)
     assert dom.flags[0] == (TRUNCATION, TRUNCATION)
+
+
+def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
+    # the batched stepper evaluates the field on arrays; every model must
+    # give the elementwise scalar field, and coded models the formulas of
+    # the scalar stepper's _vf_pair
+    from ldkit._kernels import _vf_pair
+
+    qs = rng.uniform(-3.0, 3.0, 37)
+    ps = rng.uniform(-2.0, 2.0, 37)
+    for m in (pend, duff, fish, ho, rep, mech_pendulum):
+        fq, fp = lk.vector_field(m, qs, ps)
+        assert fq.shape == fp.shape == qs.shape
+        for q, p, aq, ap in zip(qs, ps, fq, fp):
+            sq, sp = lk.vector_field(m, float(q), float(p))
+            assert type(sq) is float and type(sp) is float
+            assert (aq, ap) == (sq, sp)
+            if m.kernel_code is not None:
+                vq, vp = _vf_pair(m.kernel_code, float(q), float(p))
+                assert sq == vq
+                assert sp == pytest.approx(vp, rel=1e-15, abs=1e-300)
+
+
+def test_mechanical_vector_field_array_shapes():
+    # a slope that returns a scalar or a list for array input still gives
+    # one array per component, shaped like q
+    qs = np.array([0.25, 0.5, 1.5])
+    ps = np.array([1.0, -1.0, 2.0])
+    const = lk.mechanical(lambda q: np.asarray(q), lambda q: 1.0, (-4.0, 4.0))
+    fq, fp = lk.vector_field(const, qs, ps)
+    assert np.array_equal(fq, ps) and np.array_equal(fp, [-1.0, -1.0, -1.0])
+    assert lk.vector_field(const, 1, 2) == (2.0, -1.0)
+    listy = lk.mechanical(lambda q: np.asarray(q) ** 2,
+                          lambda q: [2.0 * x for x in q], (-4.0, 4.0))
+    fq, fp = lk.vector_field(listy, qs, ps)
+    assert np.array_equal(fp, -2.0 * qs)

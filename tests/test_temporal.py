@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ldkit as lk
+from ldkit._kernels import dp45_lanes
 from ldkit.temporal import IntegratorConfig
 
 
@@ -133,11 +134,17 @@ def test_line_oscillator_monotone(ho):
     assert res.total == pytest.approx(expected, rel=1e-6)
 
 
-def test_line_threads_deterministic(pend):
-    line = lk.LineSpec("q", 0.0, 1.0, 2.2, 25)
-    serial = lk.ld_landscape_line(pend, line, 10.0)
-    threaded = lk.ld_landscape_line(pend, line, 10.0, threads=4)
-    assert np.array_equal(serial.total, threaded.total)
+def test_line_batch_composition(pend):
+    # a line is one batched run; each point must not depend on which other
+    # points share the batch (coordinates step by 1/16, exact in binary)
+    line = lk.LineSpec("q", 0.0, 1.0, 2.5, 25)
+    full = lk.ld_landscape_line(pend, line, 10.0)
+    a = lk.ld_landscape_line(pend, lk.LineSpec("q", 0.0, 1.0, 1.75, 13), 10.0)
+    b = lk.ld_landscape_line(pend, lk.LineSpec("q", 0.0, 1.8125, 2.5, 12), 10.0)
+    assert np.array_equal(full.coords, np.concatenate([a.coords, b.coords]))
+    for name in ("total", "plus", "minus", "status", "steps"):
+        halves = np.concatenate([getattr(a, name), getattr(b, name)])
+        assert np.array_equal(getattr(full, name), halves)
 
 
 def test_line_spec_validation():
@@ -152,3 +159,112 @@ def test_mechanical_model_flow():
                          lambda q: np.asarray(q), (-4.0, 4.0))
     r = lk.temporal_ld(mech, (0.6, 0.8), 10.0)
     assert r.total == pytest.approx(2.0 * 10.0 * 1.0, rel=1e-6)
+
+
+# -- batched lines and grids against the scalar stepper ------------------------
+
+# 5 x 11 pendulum nodes: the centre (0, 0), the saddles (+-pi, 0), the
+# separatrix through (0, +-2), librations and circulations (p = +-2.5)
+PARITY_SPEC = lk.GridSpec(-math.pi, math.pi, -2.5, 2.5, 5, 11)
+
+
+def _per_node(model, q0, p0, t, cfg=None):
+    return [lk.temporal_ld(model, (float(q), float(p)), t, cfg)
+            for q, p in zip(np.ravel(q0), np.ravel(p0))]
+
+
+def _close(batched, scalar, stopped):
+    # a lane that runs to t matches the scalar stepper to 1e-11; one stopped
+    # early (blow-up, step limit) is run again on the scalar stepper and
+    # matches it bit for bit
+    scalar = np.asarray(scalar)
+    if not np.array_equal(batched[stopped], scalar[stopped]):
+        return False
+    return np.all(np.abs(batched - scalar) <= 1e-11 * np.abs(scalar))
+
+
+def _assert_line_parity(model, line, t, cfg=None):
+    res = lk.ld_landscape_line(model, line, t, cfg)
+    fixed = np.full(line.n, line.value)
+    q0, p0 = (fixed, res.coords) if line.fixed == "q" else (res.coords, fixed)
+    refs = _per_node(model, q0, p0, t, cfg)
+    st_p = np.array([r.status_plus for r in refs])
+    st_m = np.array([r.status_minus for r in refs])
+    assert np.array_equal(res.status, np.maximum(st_p, st_m))
+    assert _close(res.plus, [r.plus for r in refs], st_p != 0)
+    assert _close(res.minus, [r.minus for r in refs], st_m != 0)
+    assert _close(res.total, [r.total for r in refs], res.status != 0)
+    return res, refs
+
+
+def _assert_map_parity(model, spec, t, cfg=None):
+    g = lk.temporal_map(model, spec, t, cfg)
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    refs = _per_node(model, Q, P, t, cfg)
+    ok = np.array([r.ok for r in refs])
+    assert np.array_equal(g.mask.ravel(), ok)
+    assert _close(g.values.ravel(), [r.total for r in refs], ~ok)
+    return g, refs
+
+
+def test_batched_map_matches_scalar(pend):
+    g, _ = _assert_map_parity(pend, PARITY_SPEC, 10.0)
+    assert g.mask.all()
+    assert g.values[5, 2] == 0.0  # the centre does not move
+
+
+def test_batched_lines_match_scalar(pend):
+    _assert_line_parity(pend, lk.LineSpec("q", 0.0, -2.5, 2.5, 11), 10.0)
+    res, _ = _assert_line_parity(pend, lk.LineSpec("p", 0.0, -math.pi, math.pi, 5),
+                                 10.0)
+    assert np.all(res.status == 0)
+
+
+def test_batched_blowup_matches_scalar(fish):
+    g, _ = _assert_map_parity(fish, lk.GridSpec(-6.0, -4.5, 0.5, 1.5, 3, 3), 20.0)
+    assert not g.mask.all()
+    res, _ = _assert_line_parity(fish, lk.LineSpec("p", 1.0, -6.0, -4.5, 4), 20.0)
+    assert np.any(res.status == 1)
+
+
+def test_batched_step_limit_matches_scalar(pend):
+    cfg = IntegratorConfig(max_steps=5)
+    g, refs = _assert_map_parity(pend, PARITY_SPEC, 10.0, cfg)
+    assert not g.mask.any()
+    for r in refs:
+        assert (r.status_plus, r.status_minus) == (2, 2)
+        assert r.steps_plus == r.steps_minus == cfg.max_steps
+    res, _ = _assert_line_parity(pend, lk.LineSpec("q", 0.0, -2.5, 2.5, 11), 10.0,
+                                 cfg)
+    assert np.all(res.status == 2)
+    assert np.all(res.steps == 2 * cfg.max_steps)
+    # the batched stepper stops these lanes on its own count too
+    Q, P = np.meshgrid(PARITY_SPEC.q_nodes(), PARITY_SPEC.p_nodes())
+    _, _, _, status, nsteps = dp45_lanes(
+        pend.vector_field, Q.ravel(), P.ravel(), 1.0, 10.0,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    assert np.all(status == 2)
+    assert np.all(nsteps == cfg.max_steps)
+
+
+def test_nan_field_stops_with_step_limit():
+    # the slope turns NaN once a trajectory passes q = 1; the scalar stepper
+    # shrinks h on the NaN error until it underflows (status 2 after 88
+    # steps forward); a batched lane must stop the same way, not run on to
+    # max_steps (lowered here from 10**7 so that a regression fails fast)
+    mech = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2,
+                         lambda q: np.where(np.asarray(q) > 1.0, np.nan, q),
+                         (-4.0, 4.0))
+    cfg = IntegratorConfig(max_steps=10_000)
+    r = lk.temporal_ld(mech, (0.5, 1.0), 10.0, cfg)
+    assert r.status_plus == 2 and r.steps_plus < 200
+    # the batched stepper itself, before a stopped lane is run again on the
+    # scalar one
+    _, _, _, status, nsteps = dp45_lanes(
+        mech.vector_field, [0.5, 0.5], [1.0, 1.2], 1.0, 10.0,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    assert np.all(status == 2)
+    assert np.all(nsteps < 200)
+    res = lk.ld_landscape_line(mech, lk.LineSpec("q", 0.5, 1.0, 1.2, 2), 10.0, cfg)
+    assert np.all(res.status == 2)
+    assert np.all(res.steps < 1000)
