@@ -42,7 +42,6 @@ from .models import (
     HamiltonianModel,
     MechanicalSystem,
     Truncation,
-    critical_energies,
     duffing,
     fishtail,
     get_model,
@@ -75,7 +74,6 @@ from .temporal import (
     LineSpec,
     ld_landscape_line,
     temporal_ld,
-    vector_field,
 )
 
 __version__ = "0.1.0"

@@ -1,19 +1,16 @@
-"""Hot numeric kernels: branch/integrand evaluation and the arc-length ODE stepper.
+"""Hot numeric kernels: integrand evaluation and the arc-length ODE steppers.
 
-Every kernel exists on two paths. The default path compiles scalar loops
-with numba's ``@njit``; the fallback path is vectorized numpy (or plain
-Python for the stepper). The fallback is selected automatically when numba
-is not importable, or explicitly by setting ``LDKIT_NO_NUMBA=1`` in the
-environment before import. Both paths evaluate the same formulas; results
-agree to floating-point noise (libm differences only). The stepper batched
-over many initial conditions, :func:`dp45_lanes`, exists in numpy only.
+Each kernel has one definition. The model formulas and the quadrature
+integrand are vectorized numpy. A single trajectory runs the scalar
+Dormand-Prince 5(4) stepper on floats (:func:`dp45_callable`, with
+:func:`dp45_arclength` for built-ins on ``math``); lines and grids run the
+same stepper batched over many initial conditions (:func:`dp45_lanes`).
 
-Built-in models are addressed by small integer codes so the jitted code
-can dispatch without Python callables.
+Built-in models are addressed by small integer codes that select their
+formulas.
 """
 
 import math
-import os
 
 import numpy as np
 
@@ -33,25 +30,12 @@ STATUS_OK = 0
 STATUS_BLOWUP = 1
 STATUS_STEP_LIMIT = 2
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via LDKIT_NO_NUMBA instead
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get("LDKIT_NO_NUMBA", "").lower() not in (
-    "1",
-    "true",
-    "yes",
-)
+# Kernels have no compiled path; ``ldbench/run.py`` still records these two
+# flags in every run, so they stay as constants.
+HAVE_NUMBA = USE_NUMBA = False
 
 
-# ----------------------------------------------------------------------
-# numpy path (always defined; doubles as the reference implementation)
-# ----------------------------------------------------------------------
-
-def np_radicand(code, q, E):
+def radicand(code, q, E):
     """Squared nonnegative momentum branch p^2(q; E) for a coded model.
 
     The formulas are algebraically factored so that the inevitable
@@ -72,7 +56,7 @@ def np_radicand(code, q, E):
     raise ValueError(f"unknown model code {code}")
 
 
-def np_radicand_dq(code, q):
+def radicand_dq(code, q):
     """d/dq of the branch radicand."""
     q = np.asarray(q, dtype=np.float64)
     if code == PENDULUM:
@@ -88,7 +72,7 @@ def np_radicand_dq(code, q):
     raise ValueError(f"unknown model code {code}")
 
 
-def np_energy(code, q, p):
+def energy(code, q, p):
     q = np.asarray(q, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if code == PENDULUM:
@@ -104,7 +88,7 @@ def np_energy(code, q, p):
     raise ValueError(f"unknown model code {code}")
 
 
-def np_vector_field(code, q, p):
+def vector_field(code, q, p):
     """Hamiltonian vector field (dq/dt, dp/dt) for a coded model, on arrays.
 
     The same formulas as :func:`_vf_pair`, which stays on ``math`` because the
@@ -125,34 +109,17 @@ def np_vector_field(code, q, p):
     raise ValueError(f"unknown model code {code}")
 
 
-def np_branch_values(code, qs, E):
-    """Nonnegative branch sqrt(radicand); NaN marks out-of-domain points."""
-    rad = np_radicand(code, qs, E)
-    out = np.sqrt(np.clip(rad, 0.0, None))
-    return np.where(rad < -CLAMP_TOL, np.nan, out)
-
-
-def np_integrand_values(code, qs, E):
+def integrand_values(code, qs, E):
     """Arc-length integrand sqrt(1 + (dp/dq)^2); zero where the radicand is <= 0.
 
     Nodes at or past a turning point have negligible quadrature weight by
     construction, so a zero contribution there is safe.
     """
-    rad = np_radicand(code, qs, E)
-    g = 0.5 * np_radicand_dq(code, qs)
+    rad = radicand(code, qs, E)
+    g = 0.5 * radicand_dq(code, qs)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.hypot(1.0, g / np.sqrt(rad))
     return np.where(rad > 0.0, f, 0.0)
-
-
-def np_polyline_length(code, lo, hi, E, n):
-    """Chord-sum arc length over ``n`` cosine-graded segments of [lo, hi]."""
-    i = np.arange(n + 1, dtype=np.float64)
-    qs = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * i / n))
-    ps = np_branch_values(code, qs, E)
-    if np.isnan(ps).any():
-        return math.nan
-    return float(np.hypot(np.diff(qs), np.diff(ps)).sum())
 
 
 def _vf_pair(code, q, p):
@@ -318,14 +285,16 @@ def dp45_callable(f, q0, p0, t_end, rtol, atol, max_step, max_steps):
         else:
             fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
         h *= fac
-        if h < 1e-14 * max(1.0, t_end) and t < t_end:
+        # ``not >=`` also stops a NaN h (a field NaN at the start point)
+        if not h >= 1e-14 * max(1.0, t_end) and t < t_end:
             status = STATUS_STEP_LIMIT
             break
 
     return s, q, p, status, nsteps
 
 
-def np_dp45_arclength(code, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse):
+def dp45_arclength(code, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse):
+    """:func:`dp45_callable` on a coded model's field, time-reversed if ``reverse``."""
     sgn = -1.0 if reverse else 1.0
 
     def f(q, p):
@@ -356,7 +325,10 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
 
     Python's ``max(0.2, x)`` drops a NaN ``x``; ``np.fmax`` does the same,
     where ``np.maximum`` would pass a NaN error on into ``h`` and keep the
-    lane running to ``max_steps``.
+    lane running to ``max_steps``. A field that is NaN at the start point
+    makes the first ``h`` NaN; the step-size floor is tested as
+    ``~(h >= h_min)`` so that such a lane stops after one step, as the
+    scalar stepper does.
     """
     q0 = np.asarray(q0, dtype=np.float64)
     n = q0.size
@@ -435,274 +407,6 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
             fac = np.where(err == 0.0, 5.0,
                            np.fmin(5.0, np.fmax(0.2, 0.9 * err ** -0.2)))
             h = h * fac
-            status[(status < 0) & (h < h_min) & (t < t_end)] = STATUS_STEP_LIMIT
+            status[(status < 0) & ~(h >= h_min) & (t < t_end)] = STATUS_STEP_LIMIT
 
     return y_out[2], y_out[0], y_out[1], status_out, nsteps_out
-
-
-# ----------------------------------------------------------------------
-# numba path
-# ----------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, nogil=True)
-    def _rad(code, q, E):
-        if code == 0:
-            return 2.0 * E + 4.0 * math.cos(0.5 * q) ** 2
-        elif code == 1:
-            return 2.0 * E + 0.5 * q * q * (2.0 - q * q)
-        elif code == 2:
-            return E - (q - 2.0) * (q + 4.0) ** 2
-        elif code == 3:
-            return 2.0 * E - q * q
-        else:
-            return 2.0 * E + q * q
-
-    @njit(cache=True, nogil=True)
-    def _rad_dq(code, q):
-        if code == 0:
-            return -2.0 * math.sin(q)
-        elif code == 1:
-            return 2.0 * q - 2.0 * q ** 3
-        elif code == 2:
-            return -3.0 * q * (q + 4.0)
-        elif code == 3:
-            return -2.0 * q
-        else:
-            return 2.0 * q
-
-    @njit(cache=True, nogil=True)
-    def nb_branch_values(code, qs, E):
-        out = np.empty(qs.shape[0])
-        for i in range(qs.shape[0]):
-            r = _rad(code, qs[i], E)
-            if r < -CLAMP_TOL:
-                out[i] = np.nan
-            elif r <= 0.0:
-                out[i] = 0.0
-            else:
-                out[i] = math.sqrt(r)
-        return out
-
-    @njit(cache=True, nogil=True)
-    def nb_integrand_values(code, qs, E):
-        out = np.empty(qs.shape[0])
-        for i in range(qs.shape[0]):
-            r = _rad(code, qs[i], E)
-            if r > 0.0:
-                g = 0.5 * _rad_dq(code, qs[i])
-                out[i] = math.hypot(1.0, g / math.sqrt(r))
-            else:
-                out[i] = 0.0
-        return out
-
-    @njit(cache=True, nogil=True)
-    def nb_polyline_length(code, lo, hi, E, n):
-        half = 0.5 * (hi - lo)
-        q_prev = lo
-        r = _rad(code, lo, E)
-        if r < -CLAMP_TOL:
-            return np.nan
-        p_prev = math.sqrt(r) if r > 0.0 else 0.0
-        total = 0.0
-        for i in range(1, n + 1):
-            q = lo + half * (1.0 - math.cos(math.pi * i / n))
-            r = _rad(code, q, E)
-            if r < -CLAMP_TOL:
-                return np.nan
-            p = math.sqrt(r) if r > 0.0 else 0.0
-            total += math.hypot(q - q_prev, p - p_prev)
-            q_prev = q
-            p_prev = p
-        return total
-
-    @njit(cache=True, nogil=True)
-    def nb_dp45_arclength(code, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse):
-        sgn = -1.0 if reverse else 1.0
-
-        def f(q, p):
-            if code == 0:
-                fq = p
-                fp = -math.sin(q)
-            elif code == 1:
-                fq = p
-                fp = q - q ** 3
-            elif code == 2:
-                fq = 2.0 * p
-                fp = -(3.0 * q * q + 12.0 * q)
-            elif code == 3:
-                fq = p
-                fp = -q
-            else:
-                fq = p
-                fp = q
-            return sgn * fq, sgn * fp
-
-        q = q0
-        p = p0
-        s = 0.0
-        t = 0.0
-        status = 0
-        nsteps = 0
-
-        k1q, k1p = f(q, p)
-        k1s = math.hypot(k1q, k1p)
-        h = min(1e-3 * (1.0 + math.hypot(q, p)) / (1.0 + k1s), t_end, max_step)
-
-        while t < t_end:
-            if nsteps >= max_steps:
-                status = 2
-                break
-            nsteps += 1
-            if h > t_end - t:
-                h = t_end - t
-            if h > max_step:
-                h = max_step
-
-            k2q, k2p = f(q + h * 0.2 * k1q, p + h * 0.2 * k1p)
-            k2s = math.hypot(k2q, k2p)
-            k3q, k3p = f(
-                q + h * (3.0 / 40.0 * k1q + 9.0 / 40.0 * k2q),
-                p + h * (3.0 / 40.0 * k1p + 9.0 / 40.0 * k2p),
-            )
-            k3s = math.hypot(k3q, k3p)
-            k4q, k4p = f(
-                q + h * (44.0 / 45.0 * k1q - 56.0 / 15.0 * k2q + 32.0 / 9.0 * k3q),
-                p + h * (44.0 / 45.0 * k1p - 56.0 / 15.0 * k2p + 32.0 / 9.0 * k3p),
-            )
-            k4s = math.hypot(k4q, k4p)
-            k5q, k5p = f(
-                q
-                + h
-                * (
-                    19372.0 / 6561.0 * k1q
-                    - 25360.0 / 2187.0 * k2q
-                    + 64448.0 / 6561.0 * k3q
-                    - 212.0 / 729.0 * k4q
-                ),
-                p
-                + h
-                * (
-                    19372.0 / 6561.0 * k1p
-                    - 25360.0 / 2187.0 * k2p
-                    + 64448.0 / 6561.0 * k3p
-                    - 212.0 / 729.0 * k4p
-                ),
-            )
-            k5s = math.hypot(k5q, k5p)
-            k6q, k6p = f(
-                q
-                + h
-                * (
-                    9017.0 / 3168.0 * k1q
-                    - 355.0 / 33.0 * k2q
-                    + 46732.0 / 5247.0 * k3q
-                    + 49.0 / 176.0 * k4q
-                    - 5103.0 / 18656.0 * k5q
-                ),
-                p
-                + h
-                * (
-                    9017.0 / 3168.0 * k1p
-                    - 355.0 / 33.0 * k2p
-                    + 46732.0 / 5247.0 * k3p
-                    + 49.0 / 176.0 * k4p
-                    - 5103.0 / 18656.0 * k5p
-                ),
-            )
-            k6s = math.hypot(k6q, k6p)
-
-            qn = q + h * (
-                35.0 / 384.0 * k1q
-                + 500.0 / 1113.0 * k3q
-                + 125.0 / 192.0 * k4q
-                - 2187.0 / 6784.0 * k5q
-                + 11.0 / 84.0 * k6q
-            )
-            pn = p + h * (
-                35.0 / 384.0 * k1p
-                + 500.0 / 1113.0 * k3p
-                + 125.0 / 192.0 * k4p
-                - 2187.0 / 6784.0 * k5p
-                + 11.0 / 84.0 * k6p
-            )
-            sn = s + h * (
-                35.0 / 384.0 * k1s
-                + 500.0 / 1113.0 * k3s
-                + 125.0 / 192.0 * k4s
-                - 2187.0 / 6784.0 * k5s
-                + 11.0 / 84.0 * k6s
-            )
-
-            k7q, k7p = f(qn, pn)
-            k7s = math.hypot(k7q, k7p)
-
-            eq = h * (
-                71.0 / 57600.0 * k1q
-                - 71.0 / 16695.0 * k3q
-                + 71.0 / 1920.0 * k4q
-                - 17253.0 / 339200.0 * k5q
-                + 22.0 / 525.0 * k6q
-                - 1.0 / 40.0 * k7q
-            )
-            ep = h * (
-                71.0 / 57600.0 * k1p
-                - 71.0 / 16695.0 * k3p
-                + 71.0 / 1920.0 * k4p
-                - 17253.0 / 339200.0 * k5p
-                + 22.0 / 525.0 * k6p
-                - 1.0 / 40.0 * k7p
-            )
-            es = h * (
-                71.0 / 57600.0 * k1s
-                - 71.0 / 16695.0 * k3s
-                + 71.0 / 1920.0 * k4s
-                - 17253.0 / 339200.0 * k5s
-                + 22.0 / 525.0 * k6s
-                - 1.0 / 40.0 * k7s
-            )
-
-            scq = atol + rtol * max(abs(q), abs(qn))
-            scp = atol + rtol * max(abs(p), abs(pn))
-            scs = atol + rtol * max(abs(s), abs(sn))
-            err = math.sqrt(
-                ((eq / scq) ** 2 + (ep / scp) ** 2 + (es / scs) ** 2) / 3.0
-            )
-
-            if err <= 1.0:
-                t += h
-                q = qn
-                p = pn
-                s = sn
-                k1q = k7q
-                k1p = k7p
-                k1s = k7s
-                if abs(q) > BLOWUP_LIMIT or abs(p) > BLOWUP_LIMIT:
-                    status = 1
-                    break
-
-            if err == 0.0:
-                fac = 5.0
-            else:
-                fac = min(5.0, max(0.2, 0.9 * err ** -0.2))
-            h *= fac
-            if h < 1e-14 * max(1.0, t_end) and t < t_end:
-                status = 2
-                break
-
-        return s, q, p, status, nsteps
-
-
-# public bindings -------------------------------------------------------
-
-if USE_NUMBA:
-    branch_values = nb_branch_values
-    integrand_values = nb_integrand_values
-    polyline_length = nb_polyline_length
-    dp45_arclength = nb_dp45_arclength
-else:
-    branch_values = np_branch_values
-    integrand_values = np_integrand_values
-    polyline_length = np_polyline_length
-    dp45_arclength = np_dp45_arclength

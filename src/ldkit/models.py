@@ -181,19 +181,19 @@ class _CodedModel(HamiltonianModel):
     """Built-in whose formulas live in the kernel module under an int code."""
 
     def energy(self, q, p):
-        out = K.np_energy(self.kernel_code, q, p)
+        out = K.energy(self.kernel_code, q, p)
         return out if np.ndim(out) else float(out)
 
     def radicand(self, q, E):
-        out = K.np_radicand(self.kernel_code, q, E)
+        out = K.radicand(self.kernel_code, q, E)
         return out if np.ndim(out) else float(out)
 
     def radicand_dq(self, q):
-        out = K.np_radicand_dq(self.kernel_code, q)
+        out = K.radicand_dq(self.kernel_code, q)
         return out if np.ndim(out) else float(out)
 
     def vector_field(self, q, p):
-        fq, fp = K.np_vector_field(self.kernel_code, q, p)
+        fq, fp = K.vector_field(self.kernel_code, q, p)
         return (fq if fq.ndim else float(fq)), (fp if fp.ndim else float(fp))
 
 
@@ -579,8 +579,3 @@ def get_model(name, **options):
             f"unknown model {name!r}; built-ins: {', '.join(MODEL_NAMES)}"
         ) from None
     return cls(**options)
-
-
-def critical_energies(model):
-    """(elliptic minimum energy, separatrix energy) of a model."""
-    return model.critical_energies()

@@ -10,8 +10,8 @@ Two schemes back ``arclength_interval``:
 * globally adaptive Gauss-Kronrod 7/15 for intervals with regular or
   truncation endpoints.
 
-``polyline_oracle`` is an independent brute-force check: chord sums over
-cosine-graded branch samples.
+``polyline_oracle`` is an independent brute-force check for the tests, not
+a scheme: chord sums over cosine-graded samples of ``model.branch``.
 """
 
 import heapq
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-from .errors import InvalidInterval, OutsideDomain
+from .errors import InvalidInterval
 from .models import REGULAR, TURNING
 
 _TS_TMAX = 4.5  # |t| range of the double-exponential variable
@@ -58,7 +58,7 @@ class QuadratureConfig:
             raise ValueError("tolerances must be positive")
         if self.max_levels < 4:
             raise ValueError("max_levels must be at least 4")
-        if self.scheme not in ("auto", "tanh-sinh", "adaptive-gk", "polyline"):
+        if self.scheme not in ("auto", "tanh-sinh", "adaptive-gk"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
@@ -245,17 +245,10 @@ def arclength_interval(model, E, interval, flags=(REGULAR, REGULAR), cfg=None):
             feval, lo, hi, cfg.rel_tol, cfg.abs_tol, cfg.max_levels,
             c_lo=c_lo, c_hi=c_hi, noise_scale=scale,
         )
-    elif scheme == "adaptive-gk":
+    else:
         value, est, evals, conv = _gk_adaptive(
             feval, lo, hi, cfg.rel_tol, cfg.abs_tol
         )
-    else:  # polyline
-        n = 1_000_000
-        value = polyline_oracle(model, E, (lo, hi), n)
-        coarse = polyline_oracle(model, E, (lo, hi), n // 2)
-        est = abs(value - coarse)
-        evals = n + n // 2 + 2
-        conv = est <= cfg.rel_tol * abs(value) + cfg.abs_tol
     return IntervalLength(value, est, evals, conv)
 
 
@@ -263,7 +256,8 @@ def polyline_oracle(model, E, interval, n_segments):
     """Chord-sum length over cosine-graded branch samples (monotone lower bound).
 
     The cosine grading clusters nodes near the interval ends so vertical
-    tangents at turning points are resolved.
+    tangents at turning points are resolved. Raises :class:`OutsideDomain`
+    when a sample falls outside the level curve.
     """
     if n_segments < 2:
         raise ValueError("n_segments must be at least 2")
@@ -272,15 +266,6 @@ def polyline_oracle(model, E, interval, n_segments):
         return 0.0
     if lo > hi:
         raise InvalidInterval(f"interval [{lo}, {hi}] has lo > hi")
-    code = model.kernel_code
-    if code is not None:
-        length = K.polyline_length(code, lo, hi, E, int(n_segments))
-        if math.isnan(length):
-            raise OutsideDomain(
-                f"{model.name}: polyline sample fell outside the level curve "
-                f"(interval [{lo}, {hi}], E={E})"
-            )
-        return length
     i = np.arange(n_segments + 1, dtype=np.float64)
     qs = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * i / n_segments))
     ps = np.asarray(model.branch(qs, E), dtype=np.float64)

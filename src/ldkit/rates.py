@@ -69,10 +69,6 @@ _CORRECTIONS = {
 }
 
 
-def _rate_config():
-    return QuadratureConfig()
-
-
 def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
                  pts_per_decade=25, trunc=None, cfg=None):
     """|d ell/dE| on a geometric eps ladder approaching a critical energy.
@@ -103,7 +99,7 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     sign = -1.0 if side == "below" else 1.0
 
     if cfg is None:
-        cfg = _rate_config()
+        cfg = QuadratureConfig()
 
     decades = math.log10(eps_hi / eps_lo)
     n = int(round(pts_per_decade * decades)) + 1

@@ -92,11 +92,6 @@ class LdLine:
     steps: np.ndarray  # attempted DP5(4) steps, both pieces together
 
 
-def vector_field(model, q, p):
-    """(dq/dt, dp/dt) of the model at (q, p)."""
-    return model.vector_field(q, p)
-
-
 def _one_sided(model, q0, p0, t, cfg, reverse):
     code = model.kernel_code
     if code is not None:

@@ -1,80 +1,9 @@
-import math
-
 import numpy as np
-import pytest
 
 from ldkit import _kernels as K
-
-CODES = (K.PENDULUM, K.DUFFING, K.FISHTAIL, K.OSCILLATOR, K.REPULSOR)
-
-needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
-
-
-def nodes_for(code, E):
-    if code == K.PENDULUM:
-        return np.linspace(-3.0, 3.0, 257)
-    if code == K.DUFFING:
-        return np.linspace(0.05, 1.3, 257)
-    if code == K.FISHTAIL:
-        return np.linspace(-4.9, 1.9, 257)
-    if code == K.OSCILLATOR:
-        return np.linspace(-1.3, 1.3, 257)
-    return np.linspace(0.0, 2.0, 257)
-
-
-@needs_numba
-def test_branch_values_paths_agree():
-    for code in CODES:
-        qs = nodes_for(code, 1.0)
-        a = K.nb_branch_values(code, qs, 1.0)
-        b = K.np_branch_values(code, qs, 1.0)
-        assert a == pytest.approx(b, rel=1e-14, abs=1e-300)
-
-
-@needs_numba
-def test_integrand_values_paths_agree():
-    for code in CODES:
-        qs = nodes_for(code, 1.0)
-        a = K.nb_integrand_values(code, qs, 1.0)
-        b = K.np_integrand_values(code, qs, 1.0)
-        assert a == pytest.approx(b, rel=1e-13)
-
-
-@needs_numba
-def test_polyline_paths_agree():
-    for code, E, lo, hi in ((K.PENDULUM, -1.0, -1.5, 1.5),
-                            (K.OSCILLATOR, 0.5, -0.9, 0.9)):
-        a = K.nb_polyline_length(code, lo, hi, E, 20000)
-        b = K.np_polyline_length(code, lo, hi, E, 20000)
-        assert a == pytest.approx(b, rel=1e-12)
-
-
-@needs_numba
-def test_stepper_paths_agree():
-    for code, q0, p0 in ((K.PENDULUM, 0.3, 1.1), (K.DUFFING, 0.9, 0.2),
-                         (K.OSCILLATOR, 0.5, 0.5)):
-        a = K.nb_dp45_arclength(code, q0, p0, 10.0, 1e-10, 1e-12, math.inf,
-                                10_000_000, False)
-        b = K.np_dp45_arclength(code, q0, p0, 10.0, 1e-10, 1e-12, math.inf,
-                                10_000_000, False)
-        assert a[3] == b[3] == 0
-        assert a[0] == pytest.approx(b[0], rel=1e-8)
-
-
-def test_branch_marks_outside_with_nan():
-    out = K.branch_values(K.OSCILLATOR, np.array([0.0, 5.0]), 0.5)
-    assert out[0] == 1.0
-    assert math.isnan(out[1])
 
 
 def test_integrand_guards_past_turning():
     out = K.integrand_values(K.OSCILLATOR, np.array([0.5, 5.0]), 0.5)
     assert out[0] >= 1.0
     assert out[1] == 0.0
-
-
-def test_flag_selects_binding():
-    if K.USE_NUMBA:
-        assert K.branch_values is K.nb_branch_values
-    else:
-        assert K.branch_values is K.np_branch_values

@@ -208,9 +208,9 @@ def test_pendulum_aperture_monotone(pend):
 
 
 def test_critical_energies():
-    assert lk.critical_energies(lk.pendulum()) == (-2.0, 0.0)
-    assert lk.critical_energies(lk.duffing()) == (-0.25, 0.0)
-    assert lk.critical_energies(lk.fishtail()) == (-32.0, 0.0)
+    assert lk.pendulum().critical_energies() == (-2.0, 0.0)
+    assert lk.duffing().critical_energies() == (-0.25, 0.0)
+    assert lk.fishtail().critical_energies() == (-32.0, 0.0)
 
 
 def test_energy_domain_validation():
@@ -311,10 +311,10 @@ def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     qs = rng.uniform(-3.0, 3.0, 37)
     ps = rng.uniform(-2.0, 2.0, 37)
     for m in (pend, duff, fish, ho, rep, mech_pendulum):
-        fq, fp = lk.vector_field(m, qs, ps)
+        fq, fp = m.vector_field(qs, ps)
         assert fq.shape == fp.shape == qs.shape
         for q, p, aq, ap in zip(qs, ps, fq, fp):
-            sq, sp = lk.vector_field(m, float(q), float(p))
+            sq, sp = m.vector_field(float(q), float(p))
             assert type(sq) is float and type(sp) is float
             assert (aq, ap) == (sq, sp)
             if m.kernel_code is not None:
@@ -329,10 +329,10 @@ def test_mechanical_vector_field_array_shapes():
     qs = np.array([0.25, 0.5, 1.5])
     ps = np.array([1.0, -1.0, 2.0])
     const = lk.mechanical(lambda q: np.asarray(q), lambda q: 1.0, (-4.0, 4.0))
-    fq, fp = lk.vector_field(const, qs, ps)
+    fq, fp = const.vector_field(qs, ps)
     assert np.array_equal(fq, ps) and np.array_equal(fp, [-1.0, -1.0, -1.0])
-    assert lk.vector_field(const, 1, 2) == (2.0, -1.0)
+    assert const.vector_field(1, 2) == (2.0, -1.0)
     listy = lk.mechanical(lambda q: np.asarray(q) ** 2,
                           lambda q: [2.0 * x for x in q], (-4.0, 4.0))
-    fq, fp = lk.vector_field(listy, qs, ps)
+    fq, fp = listy.vector_field(qs, ps)
     assert np.array_equal(fp, -2.0 * qs)

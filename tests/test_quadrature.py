@@ -118,12 +118,6 @@ def test_invalid_interval(pend):
         lk.arclength_interval(pend, -1.0, (1.0, -1.0), (REGULAR, REGULAR))
 
 
-def test_polyline_scheme(ho):
-    cfg = QuadratureConfig(scheme="polyline")
-    r = lk.arclength_interval(ho, 0.5, (0.0, 1.0), (REGULAR, TURNING), cfg)
-    assert r.value == pytest.approx(math.pi / 2, rel=1e-8)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
@@ -131,6 +125,8 @@ def test_config_validation():
         QuadratureConfig(max_levels=3)
     with pytest.raises(ValueError):
         QuadratureConfig(scheme="simpson")
+    with pytest.raises(ValueError):
+        QuadratureConfig(scheme="polyline")  # polyline_oracle is no scheme
 
 
 def test_against_external_integrator(pend, duff):

@@ -10,11 +10,11 @@ from ldkit.temporal import IntegratorConfig
 
 
 def test_vector_field_examples(pend, duff):
-    fq, fp = lk.vector_field(pend, math.pi, 0.0)
+    fq, fp = pend.vector_field(math.pi, 0.0)
     assert fq == 0.0
     assert fp == pytest.approx(0.0, abs=1e-12)
-    assert lk.vector_field(pend, 0.0, 2.0) == (2.0, pytest.approx(0.0, abs=1e-15))
-    fq, fp = lk.vector_field(duff, 1.0, 0.0)
+    assert pend.vector_field(0.0, 2.0) == (2.0, pytest.approx(0.0, abs=1e-15))
+    fq, fp = duff.vector_field(1.0, 0.0)
     assert (fq, fp) == (0.0, 0.0)
 
 
@@ -268,3 +268,25 @@ def test_nan_field_stops_with_step_limit():
     res = lk.ld_landscape_line(mech, lk.LineSpec("q", 0.5, 1.0, 1.2, 2), 10.0, cfg)
     assert np.all(res.status == 2)
     assert np.all(res.steps < 1000)
+
+
+def test_nan_field_at_start_stops_at_once():
+    # the field is NaN at the initial condition, so the first step size is
+    # NaN; every path must stop on the step-size floor with status 2 after
+    # one step, not run on to max_steps (10**7 at the default config)
+    mech = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2,
+                         lambda q: np.where(np.asarray(q) > 1.0, np.nan, q),
+                         (-4.0, 4.0))
+    r = lk.temporal_ld(mech, (1.5, 0.0), 10.0)
+    assert (r.status_plus, r.status_minus) == (2, 2)
+    assert r.steps_plus <= 2 and r.steps_minus <= 2
+    res = lk.ld_landscape_line(mech, lk.LineSpec("p", 0.0, 1.5, 2.0, 2), 10.0)
+    assert np.all(res.status == 2)
+    assert np.all(res.steps <= 4)  # both directions together
+    cfg = IntegratorConfig()
+    _, _, _, status, nsteps = dp45_lanes(
+        mech.vector_field, [1.5, 1.5, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0],
+        [1.0, -1.0, 1.0, -1.0], 10.0,
+        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    assert np.all(status == 2)
+    assert np.all(nsteps <= 2)
