@@ -20,7 +20,7 @@ from .errors import (
     TruncationRequired,
     TurningPoint,
 )
-from .geometric import Landscape, dell_dE, ell, landscape, ray_arc_factor
+from .geometric import Landscape, dell_dE, ell, ell_batch, landscape, ray_arc_factor
 from .maps import (
     GridMap,
     GridSpec,

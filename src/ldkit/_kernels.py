@@ -109,17 +109,23 @@ def vector_field(code, q, p):
     raise ValueError(f"unknown model code {code}")
 
 
-def integrand_values(code, qs, E):
-    """Arc-length integrand sqrt(1 + (dp/dq)^2); zero where the radicand is <= 0.
+def arc_integrand(rad, rad_dq):
+    """Arc-length integrand sqrt(1 + (dp/dq)^2) from the radicand p^2 and its
+    q-derivative, elementwise; zero where the radicand is <= 0.
 
     Nodes at or past a turning point have negligible quadrature weight by
     construction, so a zero contribution there is safe.
     """
-    rad = radicand(code, qs, E)
-    g = 0.5 * radicand_dq(code, qs)
+    rad = np.asarray(rad, dtype=np.float64)
+    g = 0.5 * np.asarray(rad_dq, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.hypot(1.0, g / np.sqrt(rad))
     return np.where(rad > 0.0, f, 0.0)
+
+
+def integrand_values(code, qs, E):
+    """:func:`arc_integrand` of a coded model at the nodes ``qs``."""
+    return arc_integrand(radicand(code, qs, E), radicand_dq(code, qs))
 
 
 def _vf_pair(code, q, p):

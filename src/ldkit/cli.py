@@ -3,9 +3,9 @@
 Subcommands: landscape, map, bmap, temporal, rates, models. Exit codes:
 0 success, 1 usage error, 2 numeric failure (unconverged quadrature without
 --best-effort). Identical argument vectors produce byte-identical output
-files. ``--threads`` sets the worker count of ell maps and never changes
-their bytes; temporal maps and lines are one batched run and take no
-worker count.
+files. Maps, landscapes, rate ladders and lines are each one batched run
+in one thread; ``map --threads`` is accepted for compatibility and does
+nothing.
 """
 
 import argparse
@@ -79,7 +79,8 @@ def _build_parser():
     p.add_argument("--table-mode", action="store_true",
                    help="interpolate ell from a dense 1-D energy table")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads for ell maps")
+                   help="accepted and ignored: every map is one batched "
+                        "run in one thread")
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None, help="optional 16-bit PGM preview")
 

@@ -1,9 +1,14 @@
 """Level-curve arc length ell(E), its energy derivative, and landscapes.
 
-``ell`` assembles the full level-curve length from per-interval quadrature,
-applying the model's symmetry multiplier. ``dell_dE`` central-differences it
-with a step that shrinks with the distance to the separatrix energy, so the
-divergence of the derivative near critical energies can be sampled without
+``ell_batch`` assembles the full level-curve lengths of many energies from
+one batched quadrature run (:func:`quadrature.arclength_rows`) over every
+domain panel of every energy, applying the model's symmetry multiplier.
+Each energy's result depends on that energy alone, so a batch equals its
+parts bit for bit. ``ell`` and ``dell_dE`` are batches of one and two
+energies; ``landscape`` evaluates all its samples and their difference
+points E +/- h in one batch. ``dell_dE`` central-differences ell with a step
+that shrinks with the distance to the separatrix energy, so the divergence
+of the derivative near critical energies can be sampled without
 differencing across the cusp.
 """
 
@@ -13,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import StraddlesCritical
-from .quadrature import QuadratureConfig, arclength_interval
+from .errors import InvalidInterval, LdkitError, StraddlesCritical
+from .quadrature import arclength_rows
 
 
 @dataclass
@@ -22,6 +27,28 @@ class EllInfo:
     est_error: float
     evaluations: int
     converged: bool
+
+
+@dataclass
+class EllBatch:
+    """Per-energy results of :func:`ell_batch`.
+
+    ``errors[i]`` is the :class:`LdkitError` energy i raised, else None; an
+    energy that raised has NaN value and error, 0 evaluations and is not
+    converged.
+    """
+
+    values: np.ndarray
+    est_error: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+    errors: list
+
+    def raise_first(self):
+        """Raise the first energy's error, in batch order, if any."""
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
 
 
 @dataclass
@@ -49,30 +76,62 @@ def _panels(model, E, dom):
             yield (a, b), (fa, fb)
 
 
+def ell_batch(model, energies, trunc=None, cfg=None):
+    """Total arc lengths of the level curves H = E for many energies at once.
+
+    Domain errors are caught per energy and returned in ``errors``;
+    unconverged quadrature is reported through ``converged``, never raised.
+    """
+    energies = np.asarray(energies, dtype=np.float64).reshape(-1)
+    n = energies.size
+    errors = [None] * n
+    owner, los, his, flags = [], [], [], []
+    for i, E in enumerate(energies.tolist()):
+        try:
+            panels = list(_panels(model, E, model.domain(E, trunc)))
+            for (lo, hi), _ in panels:
+                if lo >= hi:
+                    raise InvalidInterval(f"interval [{lo}, {hi}] has lo >= hi")
+        except LdkitError as exc:
+            errors[i] = exc
+            continue
+        for (lo, hi), fl in panels:
+            owner.append(i)
+            los.append(lo)
+            his.append(hi)
+            flags.append(fl)
+    owner = np.array(owner, dtype=np.intp)
+    value, est, evals, conv = arclength_rows(model, energies[owner], los, his,
+                                             flags, cfg)
+    # per-energy sums in panel order, as a running total from 0.0
+    total = np.zeros(n)
+    err = np.zeros(n)
+    np.add.at(total, owner, value)
+    np.add.at(err, owner, est)
+    evaluations = np.zeros(n, dtype=np.int64)
+    np.add.at(evaluations, owner, evals)
+    converged = np.ones(n, dtype=bool)
+    converged[owner[~conv]] = False
+    failed = np.array([e is not None for e in errors], dtype=bool)
+    total[failed] = err[failed] = math.nan
+    converged[failed] = False
+    return EllBatch(total * model.multiplier, err * model.multiplier,
+                    evaluations, converged, errors)
+
+
 def ell(model, E, trunc=None, cfg=None, full_output=False):
     """Total arc length of the level curve H = E.
 
     Returns the length alone, or ``(length, EllInfo)`` with
     ``full_output=True``. Unconverged quadrature is reported through the
-    info flag, never raised.
+    info flag, never raised. A batch of one energy of :func:`ell_batch`.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
-    dom = model.domain(E, trunc)
-    total = 0.0
-    err = 0.0
-    evals = 0
-    ok = True
-    for interval, flags in _panels(model, E, dom):
-        r = arclength_interval(model, E, interval, flags, cfg)
-        total += r.value
-        err += r.est_error
-        evals += r.evaluations
-        ok = ok and r.converged
-    total *= model.multiplier
-    err *= model.multiplier
+    b = ell_batch(model, [E], trunc, cfg)
+    b.raise_first()
+    total = float(b.values[0])
     if full_output:
-        return total, EllInfo(err, evals, ok)
+        return total, EllInfo(float(b.est_error[0]), int(b.evaluations[0]),
+                              bool(b.converged[0]))
     return total
 
 
@@ -86,8 +145,8 @@ def _default_step(model, E):
     return max(1e-3 * d, 1e-12)
 
 
-def dell_dE(model, E, trunc=None, h=None, cfg=None):
-    """Central difference d(ell)/dE with a proximity-scaled step.
+def _dell_step(model, E, h=None):
+    """The central-difference step of :func:`dell_dE` at E.
 
     Raises :class:`StraddlesCritical` if E +/- h would cross the separatrix
     energy or fall below the elliptic minimum.
@@ -103,14 +162,29 @@ def dell_dE(model, E, trunc=None, h=None, cfg=None):
         raise StraddlesCritical("step straddles the separatrix energy")
     if math.isfinite(e_sx) and (E - e_sx) * (E - h - e_sx) <= 0.0:
         raise StraddlesCritical("step straddles the separatrix energy")
-    hi = ell(model, E + h, trunc, cfg)
-    lo = ell(model, E - h, trunc, cfg)
-    return (hi - lo) / (2.0 * h)
+    return h
+
+
+def dell_dE(model, E, trunc=None, h=None, cfg=None):
+    """Central difference d(ell)/dE with a proximity-scaled step.
+
+    Raises :class:`StraddlesCritical` if E +/- h would cross the separatrix
+    energy or fall below the elliptic minimum.
+    """
+    h = _dell_step(model, E, h)
+    b = ell_batch(model, [E + h, E - h], trunc, cfg)
+    b.raise_first()
+    return (float(b.values[0]) - float(b.values[1])) / (2.0 * h)
 
 
 def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     """Uniform ell(E) samples on [e_lo, e_hi]; the separatrix energy is
-    inserted as an explicit sample when it falls strictly inside the range."""
+    inserted as an explicit sample when it falls strictly inside the range.
+
+    All samples and, with ``with_derivs``, their difference points E +/- h
+    are one :func:`ell_batch`; a derivative whose step would straddle a
+    critical energy stays NaN.
+    """
     e_min, e_sx = model.critical_energies()
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
@@ -124,19 +198,33 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(energies == e_sx):
         energies = np.sort(np.append(energies, e_sx))
 
-    lengths = np.empty(energies.shape)
-    converged = np.ones(energies.shape, dtype=bool)
-    derivs = np.full(energies.shape, math.nan) if with_derivs else None
-    for i, E in enumerate(energies):
-        val, info = ell(model, float(E), trunc, cfg, full_output=True)
-        lengths[i] = val
-        converged[i] = info.converged
+    # batch order: each sample, then its E + h and E - h if it has a derivative
+    batch = []
+    at_sample = []
+    at_plus = []
+    with_deriv = []
+    steps = []
+    for i, E in enumerate(energies.tolist()):
+        at_sample.append(len(batch))
+        batch.append(E)
         if with_derivs and E != e_sx:
             try:
-                derivs[i] = dell_dE(model, float(E), trunc, cfg=cfg)
+                h = _dell_step(model, E)
             except StraddlesCritical:
-                pass
-    return Landscape(energies, lengths, derivs, converged)
+                continue
+            with_deriv.append(i)
+            steps.append(h)
+            at_plus.append(len(batch))
+            batch += [E + h, E - h]
+    b = ell_batch(model, batch, trunc, cfg)
+    b.raise_first()
+    derivs = None
+    if with_derivs:
+        derivs = np.full(energies.shape, math.nan)
+        plus = np.array(at_plus, dtype=np.intp)
+        derivs[with_deriv] = ((b.values[plus] - b.values[plus + 1])
+                              / (2.0 * np.array(steps)))
+    return Landscape(energies, b.values[at_sample], derivs, b.converged[at_sample])
 
 
 def ray_arc_factor(lam, q):

@@ -1,9 +1,13 @@
 """Phase-space grids of energy, ell(E), gradient norm B, and temporal LD.
 
 Grids are row-major with the momentum index outermost (p outer, q inner),
-matching the CSV layout. Node computations are independent: ell maps give
-bitwise-identical results whatever the worker count, and temporal maps, one
-batched run over all nodes, whatever other nodes share the grid.
+matching the CSV layout. Node computations are independent, and each map is
+one batched run: a direct ell map is one ``ell_batch`` over the grid's
+unique node energies, a table ell map one over its knots, and a temporal
+map one stepper run over all nodes. A node's value does not depend on which
+other nodes share the batch (the quadrature's sums are row-local and its
+temporaries are chunked by rows), so a sub-grid reproduces the grid's nodes
+bit for bit.
 
 Output formats:
 
@@ -15,14 +19,11 @@ Output formats:
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import STATUS_OK
-from .errors import LdkitError
-from .geometric import ell
-from .quadrature import QuadratureConfig
+from .geometric import ell, ell_batch
 from .temporal import _ld_lanes
 
 _FMT = "{:.17g}"
@@ -80,39 +81,21 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, table_size=4096,
 
     ``table=True`` precomputes ell on a dense 1-D energy grid (the separatrix
     energy inserted as a knot) and interpolates monotone-cubically per node;
-    nodes at equal energy get equal values in either mode. Per-node failures
-    are masked, not raised.
+    otherwise ell is evaluated once per unique node energy. Either way the
+    ell values come from one ``ell_batch``, and nodes at equal energy get
+    equal values. Per-node failures are masked, not raised. ``threads`` is
+    accepted for compatibility and ignored: the batch runs in one thread.
     """
-    if cfg is None:
-        cfg = QuadratureConfig()
     E = _energy_grid(model, spec)
-    values = np.full(E.shape, math.nan)
-    mask = np.zeros(E.shape, dtype=bool)
-
     if table:
         values, mask = _ell_by_table(model, E, trunc, cfg, table_size)
         return GridMap(spec, values, "ell", mask)
 
-    cache = {}
-
-    def row(jp):
-        for iq in range(spec.nq):
-            e = float(E[jp, iq])
-            hit = cache.get(e)
-            if hit is None:
-                try:
-                    hit = (ell(model, e, trunc, cfg), True)
-                except LdkitError:
-                    hit = (math.nan, False)
-                cache[e] = hit
-            values[jp, iq], mask[jp, iq] = hit
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            list(ex.map(row, range(spec.np)))
-    else:
-        for jp in range(spec.np):
-            row(jp)
+    energies, inverse = np.unique(E.ravel(), return_inverse=True)
+    b = ell_batch(model, energies, trunc, cfg)
+    ok = np.array([exc is None for exc in b.errors], dtype=bool)
+    values = b.values[inverse].reshape(E.shape)
+    mask = ok[inverse].reshape(E.shape)
     return GridMap(spec, values, "ell", mask)
 
 
@@ -128,17 +111,9 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
     knots = np.linspace(e_lo, e_hi, int(table_size))
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(knots == e_sx):
         knots = np.sort(np.append(knots, e_sx))
-    table = np.empty(knots.shape)
-    ok = np.ones(knots.shape, dtype=bool)
-    for i, e in enumerate(knots):
-        try:
-            table[i] = ell(model, float(e), trunc, cfg)
-        except LdkitError:
-            table[i] = math.nan
-            ok[i] = False
-    if not ok.all():
-        knots, table = knots[ok], table[ok]
-    interp = PchipInterpolator(knots, table, extrapolate=True)
+    b = ell_batch(model, knots, trunc, cfg)
+    ok = np.array([exc is None for exc in b.errors], dtype=bool)
+    interp = PchipInterpolator(knots[ok], b.values[ok], extrapolate=True)
     values = interp(E)
     return values, np.isfinite(values)
 

@@ -485,12 +485,12 @@ class MechanicalModel(HamiltonianModel):
         if E < self.e_min:
             raise BelowMinimum(f"{self.name}: E={E} below potential minimum")
         g = E - self._vs
+        g0, g1 = g[:-1], g[1:]
         roots = []
-        for i in range(self.scan_points):
-            g0, g1 = g[i], g[i + 1]
-            if g0 == 0.0:
+        for i in np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0)).tolist():
+            if g0[i] == 0.0:
                 roots.append(self._qs[i])
-            elif g0 * g1 < 0.0:
+            else:
                 roots.append(
                     brentq(lambda x: E - float(self.system.potential(x)),
                            self._qs[i], self._qs[i + 1], xtol=1e-12, rtol=9e-16)

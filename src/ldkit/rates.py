@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, EmptyLadder, LdkitError
-from .geometric import dell_dE
-from .quadrature import QuadratureConfig
+from .errors import DegenerateFit, EmptyLadder, LdkitError, StraddlesCritical
+from .geometric import _dell_step, ell_batch
 
 CRITICALS = ("separatrix", "elliptic")
 SIDES = ("below", "above")
@@ -43,8 +42,12 @@ class RateSample:
 
 @dataclass
 class RateLadder:
+    """Kept samples; ``n_failed`` counts omitted ones, ``n_unconverged`` the
+    kept samples whose E + h or E - h quadrature did not converge."""
+
     samples: list
     n_failed: int
+    n_unconverged: int = 0
 
 
 @dataclass
@@ -73,8 +76,10 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
                  pts_per_decade=25, trunc=None, cfg=None):
     """|d ell/dE| on a geometric eps ladder approaching a critical energy.
 
+    The E +/- h points of the whole ladder are one batched ell evaluation.
     Failed differences (straddles, domain errors, non-finite values) are
-    omitted and counted in ``n_failed``.
+    omitted and counted in ``n_failed``; unconverged ones are kept and
+    counted in ``n_unconverged``.
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
@@ -98,30 +103,41 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
         e_c = e_min
     sign = -1.0 if side == "below" else 1.0
 
-    if cfg is None:
-        cfg = QuadratureConfig()
-
     decades = math.log10(eps_hi / eps_lo)
     n = int(round(pts_per_decade * decades)) + 1
     eps = np.geomspace(eps_hi, eps_lo, n)
 
-    samples = []
     n_failed = 0
-    for e in eps:
-        E = e_c + sign * float(e)
-        h = max(1e-3 * float(e), 1e-12)
+    kept = []  # (eps, h) of the samples whose step is valid
+    energies = []  # their E + h and E - h, in that order
+    for e in eps.tolist():
+        E = e_c + sign * e
+        h = max(1e-3 * e, 1e-12)
         try:
-            d = abs(dell_dE(model, E, trunc, h=h, cfg=cfg))
-        except LdkitError:
+            _dell_step(model, E, h)
+        except StraddlesCritical:
             n_failed += 1
             continue
+        kept.append((e, h))
+        energies += [E + h, E - h]
+    b = ell_batch(model, energies, trunc, cfg)
+
+    samples = []
+    n_unconverged = 0
+    for k, (e, h) in enumerate(kept):
+        plus, minus = 2 * k, 2 * k + 1
+        if b.errors[plus] is not None or b.errors[minus] is not None:
+            n_failed += 1
+            continue
+        d = abs((float(b.values[plus]) - float(b.values[minus])) / (2.0 * h))
         if not math.isfinite(d) or d <= 0.0:
             n_failed += 1
             continue
-        samples.append(RateSample(float(e), d))
+        samples.append(RateSample(e, d))
+        n_unconverged += not (b.converged[plus] and b.converged[minus])
     if not samples:
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")
-    return RateLadder(samples, n_failed)
+    return RateLadder(samples, n_failed, n_unconverged)
 
 
 def _r_squared(y, resid):

@@ -1,0 +1,135 @@
+"""Energy-batched ell: a batch equals its parts bit for bit.
+
+Every consumer (landscapes, rate ladders, maps) evaluates its energies in one
+``ell_batch``; these tests pin that a row's result never depends on which
+other rows share the batch, how it is split into chunks, or whether it is
+evaluated alone.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import ldkit as lk
+from ldkit import quadrature
+
+
+def double_well():
+    return lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                         lambda q: -q + q ** 3, (-2.0, 2.0),
+                         name="double-well", e_sx=0.0)
+
+
+def _cases():
+    rng = np.random.default_rng(7)
+    return {
+        # model, truncation, energies (the first one raises, except for the
+        # repulsor, which has no minimum)
+        "pendulum": (lk.pendulum(), None,
+                     [-3.0, -2.0, -1.0, -1e-8, 0.0, 1e-8, 0.5,
+                      *rng.uniform(-2.0, 2.0, 9)]),
+        "duffing": (lk.duffing(), None,
+                    [-1.0, -0.25, -0.1, -1e-6, 0.0, 1e-6, 0.7,
+                     *rng.uniform(-0.25, 1.0, 9)]),
+        "fishtail": (lk.fishtail(), lk.Truncation(-5.0),
+                     [-40.0, -32.0, -10.0, -1e-7, 0.0, 1e-7, 9.6,
+                      *rng.uniform(-32.0, 10.0, 9)]),
+        "harmonic-oscillator": (lk.harmonic_oscillator(), None,
+                                [-1.0, 0.0, 1e-9, 0.5, *rng.uniform(0.0, 3.0, 9)]),
+        "harmonic-repulsor": (lk.harmonic_repulsor(), None,
+                              [-1.0, 0.0, 1e-9, 0.5, *rng.uniform(-3.0, 3.0, 9)]),
+        "double-well": (double_well(), None,
+                        [-1.0, -0.25, -0.1, -1e-6, 0.0, 1e-6, 0.7,
+                         *rng.uniform(-0.25, 1.0, 9)]),
+    }
+
+
+def _rows(b):
+    """Per-energy tuples: value bits, error bits, evaluations, flag, error type."""
+    return [(float(v).hex(), float(e).hex(), int(n), bool(c),
+             type(x).__name__ if x is not None else None)
+            for v, e, n, c, x in zip(b.values, b.est_error, b.evaluations,
+                                     b.converged, b.errors)]
+
+
+@pytest.mark.parametrize("cfg", [None, lk.QuadratureConfig(max_levels=4)],
+                         ids=["default", "max_levels=4"])
+@pytest.mark.parametrize("name", list(_cases()))
+def test_batch_equals_halves_and_singletons(name, cfg):
+    model, trunc, energies = _cases()[name]
+    whole = _rows(lk.ell_batch(model, energies, trunc, cfg))
+    k = len(energies) // 2
+    halves = (_rows(lk.ell_batch(model, energies[:k], trunc, cfg))
+              + _rows(lk.ell_batch(model, energies[k:], trunc, cfg)))
+    singles = [r for E in energies for r in _rows(lk.ell_batch(model, [E], trunc, cfg))]
+    assert whole == halves
+    assert whole == singles
+    if name != "harmonic-repulsor":
+        assert whole[0][4] == "BelowMinimum"
+    if cfg is not None and not name.startswith("harmonic"):
+        # four levels cannot reach 1e-10 near a separatrix
+        assert not all(r[3] for r in whole[1:])
+
+
+def test_ell_is_a_batch_of_one():
+    model, trunc, energies = _cases()["fishtail"]
+    b = lk.ell_batch(model, energies, trunc)
+    with pytest.raises(lk.BelowMinimum):
+        lk.ell(model, energies[0], trunc)
+    for i, E in enumerate(energies[1:], start=1):
+        v, info = lk.ell(model, E, trunc, full_output=True)
+        assert (v, info.est_error, info.evaluations, info.converged) == (
+            b.values[i], b.est_error[i], b.evaluations[i], b.converged[i])
+
+
+def test_batch_larger_than_chunk_budget(pend):
+    # at rel_tol 1e-15 the rows run to the last level, whose nodes per side
+    # times the rows exceed the element budget, so that level is chunked
+    cfg = lk.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-15)
+    energies = np.linspace(-1.9, -0.1, 40)
+    h = 0.5 ** cfg.max_levels
+    nodes = np.arange(h, quadrature._TS_TMAX, 2.0 * h).size
+    assert energies.size * nodes > quadrature._CHUNK_ELEMS
+    b = lk.ell_batch(pend, energies, cfg=cfg)
+    assert np.count_nonzero(~b.converged) > quadrature._CHUNK_ELEMS // nodes
+    singles = [r for E in energies for r in _rows(lk.ell_batch(pend, [E], cfg=cfg))]
+    assert _rows(b) == singles
+
+
+@pytest.mark.parametrize("name", ["pendulum", "fishtail", "double-well"])
+def test_landscape_matches_scalar_calls(name):
+    model, trunc, _ = _cases()[name]
+    e_min, e_sx = model.critical_energies()
+    ls = lk.landscape(model, e_min, 1.0, 41, trunc, with_derivs=True)
+    for E, length, d, conv in zip(ls.energies, ls.lengths, ls.derivs, ls.converged):
+        v, info = lk.ell(model, float(E), trunc, full_output=True)
+        assert (length, conv) == (v, info.converged)
+        try:
+            ref = lk.dell_dE(model, float(E), trunc)
+        except lk.StraddlesCritical:
+            assert math.isnan(d)
+        else:
+            assert d == ref
+
+
+@pytest.mark.parametrize("critical,side", [("separatrix", "below"),
+                                           ("separatrix", "above"),
+                                           ("elliptic", "above")])
+def test_sample_rates_match_scalar_calls(pend, critical, side):
+    ladder = lk.sample_rates(pend, critical, side, eps_hi=1e-2, eps_lo=1e-5,
+                             pts_per_decade=4)
+    e_min, e_sx = pend.critical_energies()
+    e_c = e_sx if critical == "separatrix" else e_min
+    sign = -1.0 if side == "below" else 1.0
+    unconverged = 0
+    for s in ladder.samples:
+        E = e_c + sign * s.eps
+        h = max(1e-3 * s.eps, 1e-12)
+        assert s.deriv_abs == abs(lk.dell_dE(pend, E, h=h))
+        flags = [lk.ell(pend, x, full_output=True)[1].converged for x in (E + h, E - h)]
+        unconverged += not all(flags)
+    assert ladder.n_unconverged == unconverged
+    if critical == "elliptic":
+        # just above the elliptic minimum some E +/- h stop short of rel_tol
+        assert unconverged > 0

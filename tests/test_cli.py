@@ -159,7 +159,8 @@ def test_threads_flag_identical_output(tmp_path):
 
 
 def test_threads_flag_identical_output_ell(tmp_path):
-    # --threads sets the worker count of ell maps and never changes bytes
+    # an ell map is one batched run too: --threads is accepted and changes
+    # nothing
     base = ["map", "--model", "pendulum", "--bounds", "-2,2,-2,2",
             "--grid", "8x8", "--quantity", "ell"]
     a, b = tmp_path / "e1.csv", tmp_path / "e4.csv"

@@ -46,14 +46,17 @@ def test_map_determinism(pend):
     spec = lk.GridSpec(-2.0, 2.0, -2.0, 2.0, 9, 8)
     a = lk.ell_map(pend, spec)
     b = lk.ell_map(pend, spec)
-    c = lk.ell_map(pend, spec, threads=3)
+    c = lk.ell_map(pend, spec, threads=3)  # accepted and ignored
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
-    # a temporal map is one batched run: a node must not depend on which
-    # other nodes share it (q nodes step by 1/2, exact in binary)
-    ta = lk.temporal_map(pend, spec, 3.0)
+    # ell and temporal maps are each one batched run: a node must not depend
+    # on which other nodes share it (q nodes step by 1/2, exact in binary)
     sub = lk.GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 8)
     assert np.array_equal(sub.q_nodes(), spec.q_nodes()[2:7])
+    eb = lk.ell_map(pend, sub)
+    assert np.array_equal(a.values[:, 2:7], eb.values)
+    assert np.array_equal(a.mask[:, 2:7], eb.mask)
+    ta = lk.temporal_map(pend, spec, 3.0)
     tb = lk.temporal_map(pend, sub, 3.0)
     assert np.array_equal(ta.values[:, 2:7], tb.values)
     assert np.array_equal(ta.mask[:, 2:7], tb.mask)

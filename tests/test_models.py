@@ -302,6 +302,23 @@ def test_mechanical_domain_flags(mech_pendulum):
     assert dom.flags[0] == (TRUNCATION, TRUNCATION)
 
 
+def test_mechanical_domain_roots_on_scan_nodes():
+    # V = q^2 on [-2, 2] with 4096 scan cells puts nodes on multiples of
+    # 2^-10, so E = 0.25 vanishes exactly at the nodes q = +-0.5 (no bracket
+    # there) while E = 0.3 brackets its roots inside cells
+    m = lk.mechanical(lambda q: np.asarray(q) ** 2, lambda q: 2.0 * np.asarray(q),
+                      (-2.0, 2.0))
+    dom = m.domain(0.25)
+    assert dom.intervals == ((-0.5, 0.5),)
+    assert dom.flags == ((TURNING, TURNING),)
+    (lo, hi), = m.domain(0.3).intervals
+    assert lo == pytest.approx(-math.sqrt(0.3), abs=1e-12)
+    assert hi == pytest.approx(math.sqrt(0.3), abs=1e-12)
+    dom = m.domain(5.0)  # no root inside the scan: cut at the search interval
+    assert dom.intervals == ((-2.0, 2.0),)
+    assert dom.flags == ((TRUNCATION, TRUNCATION),)
+
+
 def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     # the batched stepper evaluates the field on arrays; every model must
     # give the elementwise scalar field, and coded models the formulas of

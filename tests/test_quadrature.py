@@ -6,7 +6,7 @@ from scipy.special import ellipe
 
 import ldkit as lk
 from ldkit import REGULAR, TURNING
-from ldkit.quadrature import QuadratureConfig, _make_feval, _tanh_sinh
+from ldkit.quadrature import QuadratureConfig, _ts_rows
 from conftest import random_energies
 
 
@@ -95,12 +95,11 @@ def test_turning_point_tail_negligible(pend):
     # the endpoint singularity is integrable and extracted in closed form
     E = -1.0
     (lo, hi), fl = next(iter(pend.domain(E).pairs()))
-    feval = _make_feval(pend, E)
     c = 0.5 * math.sqrt(abs(float(pend.radicand_dq(hi))))
-    v1, _, _, _ = _tanh_sinh(feval, lo, hi, 1e-12, 1e-13, 12, c_lo=c, c_hi=c,
-                             t_max=4.5)
-    v2, _, _, _ = _tanh_sinh(feval, lo, hi, 1e-12, 1e-13, 12, c_lo=c, c_hi=c,
-                             t_max=5.5)
+    # one row: E, lo, hi, c_lo, c_hi and noise scale 0 (no noise cut)
+    row = [np.array([x]) for x in (E, lo, hi, c, c, 0.0)]
+    v1 = _ts_rows(pend, *row, 1e-12, 1e-13, 12, t_max=4.5)[0][0]
+    v2 = _ts_rows(pend, *row, 1e-12, 1e-13, 12, t_max=5.5)[0][0]
     assert abs(v1 - v2) < 1e-12
 
 
