@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: landscape, map, bmap, temporal, rates, models. Exit codes:
-0 success, 1 usage error, 2 numeric failure (unconverged quadrature without
---best-effort). Identical argument vectors produce byte-identical output
-files. Maps, landscapes, rate ladders and lines are each one batched run
+0 success, 1 usage error, 2 numeric failure (unconverged quadrature, or an
+ell map node masked by it or by a domain error, without --best-effort).
+Identical argument vectors produce byte-identical output files. Maps, landscapes, rate ladders and lines are each one batched run
 in one thread; ``map --threads`` is accepted for compatibility and does
 nothing.
 """
@@ -54,7 +54,8 @@ def _build_parser():
     def add_quad_opts(p):
         p.add_argument("--quad-rel-tol", type=float, default=1e-10)
         p.add_argument("--quad-abs-tol", type=float, default=1e-12)
-        p.add_argument("--quad-max-levels", type=int, default=12)
+        p.add_argument("--quad-max-levels", type=int, default=12,
+                       help="bisection depth allowed below a seed panel (>= 4)")
         p.add_argument("--best-effort", action="store_true",
                        help="keep going on unconverged quadrature")
 

@@ -83,8 +83,10 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, table_size=4096,
     energy inserted as a knot) and interpolates monotone-cubically per node;
     otherwise ell is evaluated once per unique node energy. Either way the
     ell values come from one ``ell_batch``, and nodes at equal energy get
-    equal values. Per-node failures are masked, not raised. ``threads`` is
-    accepted for compatibility and ignored: the batch runs in one thread.
+    equal values. Per-node failures are masked, not raised: a node is
+    masked where its energy raised or its quadrature did not converge (in
+    table mode, where a knot bracketing it did). ``threads`` is accepted for
+    compatibility and ignored: the batch runs in one thread.
     """
     E = _energy_grid(model, spec)
     if table:
@@ -93,9 +95,8 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, table_size=4096,
 
     energies, inverse = np.unique(E.ravel(), return_inverse=True)
     b = ell_batch(model, energies, trunc, cfg)
-    ok = np.array([exc is None for exc in b.errors], dtype=bool)
     values = b.values[inverse].reshape(E.shape)
-    mask = ok[inverse].reshape(E.shape)
+    mask = b.converged[inverse].reshape(E.shape)
     return GridMap(spec, values, "ell", mask)
 
 
@@ -106,8 +107,8 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
     e_hi = float(np.nanmax(E))
     _, e_sx = model.critical_energies()
     if e_hi - e_lo < 1e-15:
-        val = ell(model, e_lo, trunc, cfg)
-        return np.full(E.shape, val), np.ones(E.shape, dtype=bool)
+        val, info = ell(model, e_lo, trunc, cfg, full_output=True)
+        return np.full(E.shape, val), np.full(E.shape, info.converged)
     knots = np.linspace(e_lo, e_hi, int(table_size))
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(knots == e_sx):
         knots = np.sort(np.append(knots, e_sx))
@@ -115,7 +116,11 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
     ok = np.array([exc is None for exc in b.errors], dtype=bool)
     interp = PchipInterpolator(knots[ok], b.values[ok], extrapolate=True)
     values = interp(E)
-    return values, np.isfinite(values)
+    # the knots [k_i, k_i+1] that bracket each node must both have converged
+    i = np.clip(np.searchsorted(knots, E, side="right") - 1, 0, knots.size - 2)
+    bracketed = b.converged[i] | ~ok[i]
+    bracketed &= b.converged[i + 1] | ~ok[i + 1]
+    return values, np.isfinite(values) & bracketed
 
 
 def temporal_map(model, spec, t, cfg=None):
@@ -187,18 +192,16 @@ def read_landscape_csv(path):
 
 
 def write_grid_csv(grid, path):
-    qs = grid.spec.q_nodes()
-    ps = grid.spec.p_nodes()
+    # each q and p is formatted once; one joined string per p row
+    q_strs = [_FMT.format(q) for q in grid.spec.q_nodes().tolist()]
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,value,mask\n")
-        for jp in range(grid.spec.np):
-            p_str = _FMT.format(ps[jp])
-            for iq in range(grid.spec.nq):
-                if grid.mask[jp, iq]:
-                    fh.write(f"{_FMT.format(qs[iq])},{p_str},"
-                             f"{_FMT.format(grid.values[jp, iq])},1\n")
-                else:
-                    fh.write(f"{_FMT.format(qs[iq])},{p_str},,0\n")
+        for p, vals, oks in zip(grid.spec.p_nodes().tolist(), grid.values.tolist(),
+                                grid.mask.tolist()):
+            p_str = _FMT.format(p)
+            fh.write("".join(f"{q},{p_str},{_FMT.format(v)},1\n" if ok
+                             else f"{q},{p_str},,0\n"
+                             for q, v, ok in zip(q_strs, vals, oks)))
 
 
 def read_grid_csv(path, quantity="ell"):

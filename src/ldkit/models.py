@@ -2,9 +2,11 @@
 
 Each model knows its energy function H(q, p), the squared nonnegative
 momentum branch (the "radicand" p^2(q; E)) and its q-derivative, the
-integration domain of the branch for a given energy, a symmetry multiplier
-relating the single-branch arc length to the full level-curve length, and
-its critical energies (elliptic minimum and separatrix).
+radicand with its turning-point roots divided out (the "deflated radicand"
+the quadrature integrates with), the integration domain of the branch for a
+given energy, a symmetry multiplier relating the single-branch arc length to
+the full level-curve length, its critical energies (elliptic minimum and
+separatrix) and the abscissae of its saddles.
 
 Built-ins:
 
@@ -45,6 +47,9 @@ TRUNCATION = "truncation"
 # branch < 1e-9 at an endpoint marks it as a turning point (radicand < 1e-18)
 _TURNING_RAD = 1e-18
 _MERGE_TOL = 1e-9
+# within this fraction of the row width from a turning end, the generic
+# deflated radicand switches from p^2 / distance to its trapezoid limit
+_LIMIT_FRAC = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,7 @@ class HamiltonianModel:
     e_min = -math.inf
     e_sx = math.inf
     bounded = True
+    saddles = ()  # abscissae of the hyperbolic points (p = 0)
 
     # -- formulas ------------------------------------------------------
 
@@ -114,6 +120,29 @@ class HamiltonianModel:
     def vector_field(self, q, p):
         """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays."""
         raise NotImplementedError
+
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        """p^2(q; E) divided by the distances to the turning ends of a row.
+
+        The row is the domain interval [lo, hi] at energy E with at least
+        one turning-point end; ``t_lo`` / ``t_hi`` mark them, and
+        ``d_lo = q - lo``, ``d_hi = hi - q`` come from the quadrature
+        variable, exact to relative roundoff near the ends. The result g
+        satisfies p^2 = g * (d_lo if t_lo) * (d_hi if t_hi). All arguments
+        broadcast elementwise.
+
+        This generic form divides p^2 by the root factors. Within
+        ``_LIMIT_FRAC`` of the row width from a turning end x, where p^2
+        would cancel, it uses the trapezoid p^2 ~ (q - x) (p^2'(x) +
+        p^2'(q)) / 2 instead. Built-ins override it with closed forms.
+        """
+        rad = np.asarray(self.radicand(q, E), dtype=np.float64)
+        for turning, d, x, sign in ((t_lo, d_lo, lo, 0.5), (t_hi, d_hi, hi, -0.5)):
+            near = turning & (d < _LIMIT_FRAC * (hi - lo))
+            if near.any():
+                slopes = self.radicand_dq(x) + self.radicand_dq(q)
+                rad = np.where(near, sign * d * slopes, rad)
+        return rad / (np.where(t_lo, d_lo, 1.0) * np.where(t_hi, d_hi, 1.0))
 
     # -- derived quantities --------------------------------------------
 
@@ -206,12 +235,22 @@ class Pendulum(_CodedModel):
     e_min = -2.0
     e_sx = 0.0
     bounded = True
+    saddles = (-math.pi, math.pi)
+
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        # turning ends are +-r: 2 (cos q - cos r) = 4 sin((r + q)/2) sin((r - q)/2)
+        a = d_lo + np.where(t_lo, 0.0, lo + hi)  # r + q
+        b = d_hi - np.where(t_hi, 0.0, lo + hi)  # r - q
+        return (4.0 * np.sin(0.5 * a) * np.sin(0.5 * b)
+                / (np.where(t_lo, a, 1.0) * np.where(t_hi, b, 1.0)))
 
     def domain(self, E, trunc=None):
         if E < self.e_min:
             raise BelowMinimum(f"pendulum has no level curve below E={self.e_min}")
         if E < 0.0:
-            theta = math.acos(min(1.0, max(-1.0, -E - 1.0)))
+            # cos^2(theta/2) = -E/2 and sin^2(theta/2) = 1 + E/2, both exact
+            # near their own end, so theta keeps full precision at E -> 0
+            theta = 2.0 * math.atan2(math.sqrt(1.0 + 0.5 * E), math.sqrt(-0.5 * E))
             theta = self._polish_turning(theta, E, +1)
             if theta <= 0.0:
                 return EnergyDomain((), ())
@@ -229,6 +268,15 @@ class Duffing(_CodedModel):
     e_min = -0.25
     e_sx = 0.0
     bounded = True
+    saddles = (0.0,)
+
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        # p^2 = (q^2 - x1^2)(x2^2 - q^2)/2, x1^2 = -4E/(1 + s), x2^2 = 1 + s;
+        # a turning lo is x1 and a turning hi is x2
+        s = np.sqrt(1.0 + 4.0 * E)
+        a = np.where(t_lo, q + lo, q * q + 4.0 * E / (1.0 + s))
+        b = np.where(t_hi, q + hi, (1.0 + s) - q * q)
+        return 0.5 * a * b
 
     def domain(self, E, trunc=None):
         if E < self.e_min:
@@ -236,7 +284,8 @@ class Duffing(_CodedModel):
         s = math.sqrt(max(1.0 + 4.0 * E, 0.0))
         x2 = self._polish_turning(math.sqrt(1.0 + s), E, +1)
         if E < 0.0:
-            x1 = self._polish_turning(math.sqrt(max(1.0 - s, 0.0)), E, -1)
+            # x1^2 = 1 - s without the cancellation
+            x1 = self._polish_turning(math.sqrt(-4.0 * E / (1.0 + s)), E, -1)
             if x2 - x1 <= _MERGE_TOL:
                 return EnergyDomain((), ())
             return EnergyDomain(((x1, x2),), ((TURNING, TURNING),))
@@ -259,6 +308,7 @@ class Fishtail(_CodedModel):
     multiplier = 2
     e_min = -32.0
     e_sx = 0.0
+    saddles = (-4.0,)
 
     def __init__(self, bounded_librations=False):
         self.bounded_librations = bool(bounded_librations)
@@ -267,7 +317,23 @@ class Fishtail(_CodedModel):
     def interior_breaks(self, E):
         # the saddle abscissa sits inside circulational intervals and makes
         # the integrand non-smooth there; quadrature panels split on it
-        return (-4.0,)
+        return self.saddles
+
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        # p^2 = -(q - x2)(q - x3)(q - x4) with x2 + x3 + x4 = -6 and
+        # x2 x3 + x2 x4 + x3 x4 = 0 (Vieta). The oval [x3, x4] deflates to
+        # q - x2 = d_lo + (2 x3 + x4 + 6). Deflating one root r leaves
+        # +-(q^2 + (r + 6) q + r (r + 6)), written in d = |q - r|; it is used
+        # on the half nearer r, the raw p^2 / d (exact near the saddle) on
+        # the other half.
+        rad = self.radicand(q, E)
+        r = np.where(t_hi, hi, lo)
+        d = np.where(t_hi, d_hi, d_lo)
+        sgn = np.where(t_hi, -1.0, 1.0)
+        h = 3.0 * r * (r + 4.0) + sgn * 3.0 * (r + 2.0) * d + d * d
+        with np.errstate(divide="ignore", invalid="ignore"):
+            one = np.where(d <= np.where(t_hi, d_lo, d_hi), -sgn * h, rad / d)
+        return np.where(t_lo & t_hi, d_lo + (2.0 * lo + hi + 6.0), one)
 
     def _circulational_x2(self, E):
         """Rightmost branch endpoint from the closed-form real cubic root."""
@@ -282,7 +348,20 @@ class Fishtail(_CodedModel):
         return x2
 
     def _librational_roots(self, E):
-        return cubic_roots(-1.0, -6.0, 0.0, E + 32.0)
+        roots = cubic_roots(-1.0, -6.0, 0.0, E + 32.0)
+        if -1e-3 < E < 0.0:
+            # beside the saddle the two roots are only ~1e-8 accurate from
+            # the monomial form (or collapsed into one); solve
+            # u^2 (6 - u) = -E for u = q + 4 by a fixed point (contraction
+            # ~u/12) instead
+            near = []
+            for sign in (-1.0, 1.0):
+                u = 0.0
+                for _ in range(8):
+                    u = sign * math.sqrt(-E / (6.0 - u))
+                near.append(u - 4.0)
+            roots = [near[0], near[1], roots[-1]]
+        return roots
 
     def domain(self, E, trunc=None):
         if E < self.e_min:
@@ -378,6 +457,10 @@ class HarmonicOscillator(_CodedModel):
     e_sx = math.inf
     bounded = True
 
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        # p^2 = (r - q)(r + q) with turning ends -r, r
+        return np.where(t_lo & t_hi, 1.0, np.where(t_hi, q + hi, -lo - q))
+
     def domain(self, E, trunc=None):
         if E < 0.0:
             raise BelowMinimum("harmonic oscillator has no level curve below E=0")
@@ -401,11 +484,16 @@ class HarmonicRepulsor(_CodedModel):
     e_min = -math.inf
     e_sx = 0.0
     bounded = False
+    saddles = (0.0,)
 
     def __init__(self, t_star=1.0):
         if t_star <= 0.0:
             raise ValueError("t_star must be positive")
         self.t_star = float(t_star)
+
+    def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
+        # p^2 = (q - r)(q + r) for E < 0, turning at lo = r or hi = -r
+        return np.where(t_lo, q + lo, -q - hi)
 
     def domain(self, E, trunc=None):
         if E == 0.0:
@@ -430,8 +518,12 @@ class MechanicalModel(HamiltonianModel):
     """Custom conservative system; domains found by bracketed root finding.
 
     The level-curve turning points of E - V(q) = 0 are located on
-    ``search_interval`` by scanning a fine grid for sign changes and
-    polishing each bracket with Brent's method (tolerance 1e-12).
+    ``search_interval`` by scanning a fine grid for sign changes, solving
+    each bracket with Brent's method (tolerance 1e-12) and polishing the
+    root with Newton steps to full precision, which the quadrature's
+    deflated radicand needs. Interior local maxima of V on the scan grid,
+    refined by a bounded minimization, are the model's saddles and split
+    the quadrature panels.
     """
 
     kernel_code = None
@@ -458,6 +550,16 @@ class MechanicalModel(HamiltonianModel):
         else:
             self.e_min = float(self._vs[i])
         self.e_sx = math.nan if e_sx is None else float(e_sx)
+        v = self._vs
+        tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
+        self.saddles = tuple(
+            float(minimize_scalar(lambda x: -float(system.potential(x)),
+                                  bounds=(self._qs[j - 1], self._qs[j + 1]),
+                                  method="bounded", options={"xatol": 1e-12}).x)
+            for j in tops.tolist())
+
+    def interior_breaks(self, E):
+        return self.saddles
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)
@@ -481,6 +583,18 @@ class MechanicalModel(HamiltonianModel):
             return np.asarray(p, dtype=np.float64), fp
         return float(p), float(fp)
 
+    def _newton(self, x, E, a, b):
+        """Newton steps on E - V from x, kept inside the bracket [a, b]."""
+        for _ in range(3):
+            slope = float(self.system.potential_slope(x))
+            if slope == 0.0:
+                break
+            nx = x + (E - float(self.system.potential(x))) / slope
+            if not a <= nx <= b or nx == x:
+                break
+            x = nx
+        return x
+
     def domain(self, E, trunc=None):
         if E < self.e_min:
             raise BelowMinimum(f"{self.name}: E={E} below potential minimum")
@@ -491,10 +605,10 @@ class MechanicalModel(HamiltonianModel):
             if g0[i] == 0.0:
                 roots.append(self._qs[i])
             else:
-                roots.append(
-                    brentq(lambda x: E - float(self.system.potential(x)),
-                           self._qs[i], self._qs[i + 1], xtol=1e-12, rtol=9e-16)
-                )
+                a, b = self._qs[i], self._qs[i + 1]
+                x = brentq(lambda x: E - float(self.system.potential(x)),
+                           a, b, xtol=1e-12, rtol=9e-16)
+                roots.append(self._newton(x, E, a, b))
         if g[-1] == 0.0:
             roots.append(self._qs[-1])
 

@@ -1,35 +1,46 @@
 """Arc-length quadrature over domain intervals, batched over rows.
 
 A *row* is one domain interval of one energy. :func:`arclength_rows`
-integrates many rows in one run, so a landscape, a rate ladder or a map pays
-Python overhead per batch and per ladder level or refinement round, not per
-interval. Two schemes:
+integrates many rows in one run of one scheme, globally adaptive
+Gauss-Kronrod 7/15 with QUADPACK's error estimate (Piessens et al.,
+QUADPACK, 1983), so a landscape, a rate ladder or a map pays Python overhead
+per refinement round, not per interval.
 
-* tanh-sinh (double-exponential) with a node-doubling ladder, used whenever
-  an endpoint is a turning point. The substitution clusters nodes
-  double-exponentially at the endpoints, so the integrable (q* - q)^(-1/2)
-  singularity of the integrand converges without ever evaluating the
-  endpoints themselves. All active rows share a level's nodes, so a level
-  is one (rows x nodes) array; a row that converges is frozen and dropped
-  from the next level.
-* globally adaptive Gauss-Kronrod 7/15 for intervals with regular or
-  truncation endpoints. Each row keeps its own heap of panels and splits its
-  worst panel once per round; all new panels of a round are evaluated in
-  one (panels x 15) call.
+* Turning points. The integrand sqrt(1 + (dp/dq)^2) grows like
+  (q* - q)^(-1/2) where the momentum branch vanishes. A row with a turning
+  end is integrated in a cosine variable t instead of q: with both ends
+  turning, q = lo + L (1 - cos t)/2 on [0, pi]; with one, q runs from the
+  turning end by L (1 - cos t) on [0, pi/2] (L = hi - lo). The model's
+  deflated radicand g (:meth:`HamiltonianModel.deflated_radicand`) gives
+  p^2 = g times the distances to the turning ends, without cancellation,
+  and the integrand ds/dt = (dq/dt) sqrt(1 + (p^2)'^2 / (4 p^2)) is smooth
+  and bounded. Rows without a turning end are integrated in q.
+* Graded seeds. Near a saddle energy E_s, a level curve has a neck about
+  sqrt(|E - E_s|) wide in q next to the saddle (its fourth root in t). A row
+  starts from panels graded toward each end that is not a truncation, by
+  half-decade steps in the distance from the end, down to a tenth of the
+  larger of sqrt(|E - E_s|) and the end's distance from the saddle nearest
+  to it. Started as one panel, a row whose neck falls between its Kronrod
+  nodes would pass the tolerance test with the neck missed.
+* Rounds on arrays. A chunk of rows keeps its panels in (rows x panels)
+  arrays. Each round splits every active row's worst panel (largest error
+  estimate, one ``argmax`` per row) and evaluates all new panels in one
+  (panels x 15) call. ``max_levels`` caps the bisection depth below a seed
+  panel and ``_MAX_PANELS`` the panels of a row. A row stops converged when
+  its summed error estimate meets the tolerance, else unconverged when no
+  panel can be split.
 
 A row's result depends on that row alone, whatever other rows share its
-batch: reductions are row-local sums (``np.sum(..., axis=1)``, no BLAS
-``dot``/matmul, whose blocking can depend on the batch shape), and a
-tanh-sinh row sums exactly its kept nodes. Temporaries are bounded by
-processing the rows in chunks of at most ``_CHUNK_ELEMS`` elements.
-:func:`arclength_interval` is a batch of one row.
+batch: panel sums are row-local (``np.sum(..., axis=1)`` over a panel's 15
+nodes, no BLAS), and a row's running totals are updated elementwise in its
+own split order. Chunks hold at most ``_CHUNK_ELEMS`` panel slots and
+evaluate at most that many nodes per call; a chunk whose rows need more
+panels is halved. :func:`arclength_interval` is a batch of one row.
 
 ``polyline_oracle`` is an independent brute-force check for the tests, not
 a scheme: chord sums over cosine-graded samples of ``model.branch``.
 """
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,13 +48,12 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import InvalidInterval
-from .models import REGULAR, TURNING
+from .models import REGULAR, TRUNCATION, TURNING
 
-_TS_TMAX = 4.5  # |t| range of the double-exponential variable
-
-# element budget of one (rows x nodes) temporary; a single row at a deep
-# level is never split, so a chunk holds at least one row
+# panel slots (rows x panels) of one chunk, and nodes of one evaluation call
 _CHUNK_ELEMS = 1 << 16
+_MAX_PANELS = 1024  # panels of one row
+_MAX_SEEDS = 32  # seeds toward one end: distances down to 1e-16 L
 
 # Gauss-Kronrod 7/15 nodes and weights (positive half; node 0 last)
 _GK_NODES = np.array([
@@ -61,24 +71,24 @@ _GK_WG = np.array([0.1294849661688697, 0.2797053914892767,
 
 _X15 = np.concatenate([-_GK_NODES[:-1], _GK_NODES[::-1]])
 _W15 = np.concatenate([_GK_WK[:-1], _GK_WK[::-1]])
-_W7 = np.zeros(15)
-_W7[1:-1:2] = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])
+_W7 = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])  # at the odd Kronrod nodes
+_EPS = np.finfo(float).eps
 
 
 @dataclass
 class QuadratureConfig:
+    """Tolerances of a row, and ``max_levels``, the bisection depth allowed
+    below a seed panel."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_levels: int = 12
-    scheme: str = "auto"
 
     def __post_init__(self):
         if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_levels < 4:
             raise ValueError("max_levels must be at least 4")
-        if self.scheme not in ("auto", "tanh-sinh", "adaptive-gk"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass
@@ -89,220 +99,184 @@ class IntervalLength:
     converged: bool = True
 
 
-def _integrand(model, qs, E):
-    return K.arc_integrand(model.radicand(qs, E), model.radicand_dq(qs))
+def _integrand(model, rows, t):
+    """ds/dt at the nodes t (panels x 15); ``rows`` holds per-panel columns
+    (E, lo, hi, t_lo, t_hi), each shaped (panels, 1)."""
+    E, lo, hi, t_lo, t_hi = rows
+    cos_var = (t_lo | t_hi)[:, 0]
+    if not cos_var.any():
+        return K.arc_integrand(model.radicand(t, E), model.radicand_dq(t))
+    if not cos_var.all():
+        f = np.empty(t.shape)
+        plain = ~cos_var
+        f[plain] = _integrand(model, [col[plain] for col in rows], t[plain])
+        f[cos_var] = _integrand(model, [col[cos_var] for col in rows], t[cos_var])
+        return f
+    # distances to the ends are linear in s^2 and c^2: two turning ends give
+    # d_lo = L s^2, d_hi = L c^2; one, 2 L s^2 from it and L (c^2 - s^2)
+    # from the other end
+    L = hi - lo
+    two = t_lo & t_hi
+    m = np.where(two, L, 2.0 * L)
+    other = np.where(two, 0.0, -L)
+    s = np.sin(0.5 * t)
+    c = np.cos(0.5 * t)
+    s2 = s * s
+    c2 = c * c
+    at_hi = t_hi & ~t_lo  # t = 0 at hi
+    d_lo = np.where(at_hi, other, m) * s2 + np.where(at_hi, L, 0.0) * c2
+    d_hi = np.where(at_hi, m, other) * s2 + np.where(at_hi, 0.0, L) * c2
+    q = np.where(d_lo <= d_hi, lo + d_lo, hi - d_hi)
+    g = model.deflated_radicand(q, E, lo, hi, d_lo, d_hi, t_lo, t_hi)
+    rad_dq = model.radicand_dq(q)
+    # ds/dt = sqrt(J^2 + (p^2)'^2 J^2 / (4 p^2)) with J = dq/dt; J^2 over
+    # the turning distances is 1 with two turning ends, 2 L c^2 with one
+    J = m * s * c
+    w = np.where(two, 1.0, 2.0 * L * c2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope2 = np.where(g > 0.0, rad_dq * rad_dq * w / (4.0 * g), 0.0)
+    return np.sqrt(J * J + slope2)
 
 
-def _prefix_sums(P, n):
-    """Sum of the first ``n[i]`` entries of each row ``P[i]``.
-
-    numpy's pairwise summation order depends on the length summed, so each
-    row is summed over exactly its prefix (rows grouped by length) and never
-    sees the entries past it: a row's sum is the same whatever other rows
-    share ``P`` and however wide ``P`` is.
-    """
-    out = np.zeros(P.shape[0])
-    for k in np.unique(n):
-        if k:
-            sel = n == k
-            out[sel] = P[sel, :k].sum(axis=1)
-    return out
-
-
-def _remainder(model, xs, E, c_lo, c_hi, d_lo, d_hi):
-    """Integrand minus its extracted inverse-sqrt parts, elementwise."""
-    f = _integrand(model, xs, E)
-    s = c_lo / np.sqrt(d_lo) + c_hi / np.sqrt(d_hi)
-    # the integrand is >= 1 wherever the branch is real; f == 0 marks
-    # guarded nodes past the turning point, which must not see s
-    return np.where(f >= 1.0, f - s, 0.0)
-
-
-def _ts_level(model, rows, w, delta):
-    """Weighted remainder sums and evaluation counts of one ladder level.
-
-    ``rows`` holds the per-row columns (E, lo, hi, half, width, c_lo, c_hi,
-    min_lo, min_hi) of one chunk. Nodes nearer an endpoint than its
-    ``min_*`` distance are skipped; distances shrink along a level's nodes,
-    so the kept nodes of a row are a prefix. The chunk is evaluated as one
-    rectangle as wide as its longest prefix; each row sums its own prefix.
-    """
-    E, lo, hi, half, width, c_lo, c_hi, min_lo, min_hi = rows
-    # distance of each node from the nearer endpoint, computed stably
-    dist = half[:, None] * delta
-    sums = 0.0
-    evals = 0
-    for edge, sign, cut in ((hi, -1.0, min_hi), (lo, 1.0, min_lo)):
-        ok = dist >= cut[:, None]
-        n = np.count_nonzero(ok, axis=1)
-        d = dist[:, :int(n.max())]
-        other = width[:, None] - d
-        xs = edge[:, None] + sign * d
-        d_lo, d_hi = (other, d) if sign < 0.0 else (d, other)
-        P = w[:d.shape[1]] * _remainder(model, xs, E[:, None], c_lo[:, None],
-                                        c_hi[:, None], d_lo, d_hi)
-        sums = sums + _prefix_sums(P, n)
-        evals = evals + n
-    return sums, evals
-
-
-def _ts_rows(model, E, lo, hi, c_lo, c_hi, noise_scale, rel_tol, abs_tol,
-             max_levels, t_max=_TS_TMAX):
-    """Node-doubling tanh-sinh ladder on the rows [lo, hi], with singularity
-    extraction. Every argument but the tolerances, ``max_levels`` and
-    ``t_max`` is a per-row array.
-
-    ``c_lo``/``c_hi`` are the coefficients of the integrand's inverse-sqrt
-    parts c/sqrt(q - lo) and c/sqrt(hi - q). Those parts integrate in closed
-    form (2*c*sqrt(hi - lo) each); the ladder only sees the bounded
-    remainder, which removes the arc hidden within the last ulp of a
-    turning-point endpoint from the node sum entirely.
-
-    Returns per-row arrays (value, est_error, evaluations, converged).
-    """
-    n_rows = E.size
-    half = 0.5 * (hi - lo)
-    mid = lo + half
-    width = hi - lo
-    # Nodes too close to a turning endpoint only sample roundoff noise of
-    # the radicand (its value ~ A*d cancels down to the term scale S of the
-    # model formula). Since the singular part is extracted in closed form,
-    # the genuine remainder over that sliver is O(d^1.5) and can be skipped.
-    # Keep nodes where the radicand still carries ~4 significant digits.
-    eps_mach = 2.3e-16
-    min_dist = 16.0 * np.spacing(np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1.0))
-    cuts = []
-    for c in (c_lo, c_hi):
+def _gk_panels(model, rows, r, a, b):
+    """Kronrod values and QUADPACK error estimates of the panels [a, b] of
+    rows r, in calls of at most ``_CHUNK_ELEMS`` nodes."""
+    k = np.empty(r.size)
+    err = np.empty(r.size)
+    step = _CHUNK_ELEMS // _X15.size
+    for i in range(0, r.size, step):
+        sl = slice(i, i + step)
+        half = 0.5 * (b[sl] - a[sl])
+        f = _integrand(model, [col[r[sl], None] for col in rows],
+                       (a[sl] + half)[:, None] + half[:, None] * _X15)
+        kf = np.sum(f * _W15, axis=1)
+        diff = half * np.abs(kf - np.sum(f[:, 1::2] * _W7, axis=1))
+        asc = half * np.sum(np.abs(f - 0.5 * kf[:, None]) * _W15, axis=1)
+        k[sl] = half * kf
         with np.errstate(divide="ignore", invalid="ignore"):
-            cut = eps_mach * noise_scale / (4.0 * c ** 2 * 1e-6)
-        # a cut beyond width/64 means the radicand slope is degenerate there
-        # (bounded integrand, no noise amplification): keep the ulp cut
-        use = (noise_scale > 0.0) & (c > 0.0) & (cut < width / 64.0)
-        cuts.append(np.where(use, np.maximum(min_dist, cut), min_dist))
-    min_lo, min_hi = cuts
-    extracted = 2.0 * (c_lo + c_hi) * np.sqrt(width)
+            e = np.where((asc > 0.0) & (diff > 0.0),
+                         asc * np.minimum(1.0, (200.0 * diff / asc) ** 1.5), diff)
+        # f >= 0, so |k| is QUADPACK's resabs: the roundoff floor
+        err[sl] = np.maximum(e, 50.0 * _EPS * np.abs(k[sl]))
+    return k, err
 
-    value = np.empty(n_rows)
-    est = np.empty(n_rows)
-    evaluations = np.empty(n_rows, dtype=np.int64)
-    converged = np.zeros(n_rows, dtype=bool)
 
-    # state of the active rows, compacted as rows converge
-    idx = np.arange(n_rows)
-    cols = [E, lo, hi, half, width, c_lo, c_hi, min_lo, min_hi]
-    s_cum = np.zeros(n_rows)
-    val = np.full(n_rows, math.inf)
-    ev = np.zeros(n_rows, dtype=np.int64)
-    for level in range(max_levels + 1):
-        h = 0.5 ** level
-        if level == 0:
-            ts = np.arange(1.0, t_max, 1.0)
-        else:
-            ts = np.arange(h, t_max, 2.0 * h)
-        z = 0.5 * math.pi * np.sinh(ts)
-        w = 0.5 * math.pi * np.cosh(ts) / np.cosh(z) ** 2
-        delta = 2.0 / (1.0 + np.exp(2.0 * z))
+def _seed_counts(model, E, lo, hi, flags):
+    """Half-decade seeds toward the lo and hi end of every row: down to a
+    tenth of the larger of the end's distance from its nearest saddle and
+    sqrt(|E - E_saddle|); none toward a truncation."""
+    counts = []
+    for i, x in enumerate((lo, hi)):
+        n = np.zeros(E.size, dtype=np.intp)
+        if model.saddles:
+            S = np.asarray(model.saddles, dtype=np.float64)
+            e_s = np.asarray(model.energy(S, np.zeros_like(S)), dtype=np.float64)
+            k = np.argmin(np.abs(x[:, None] - S), axis=1)
+            floor = 0.1 * np.maximum(np.abs(x - S[k]), np.sqrt(np.abs(E - e_s[k])))
+            with np.errstate(divide="ignore"):
+                c = np.floor(2.0 * np.log10((hi - lo) / floor))
+            n = np.clip(np.nan_to_num(c, posinf=_MAX_SEEDS), 0, _MAX_SEEDS).astype(np.intp)
+            n[[f[i] == TRUNCATION for f in flags]] = 0
+        counts.append(n)
+    return counts
 
-        s_new = np.empty(idx.size)
-        step = max(1, _CHUNK_ELEMS // ts.size)
-        for a in range(0, idx.size, step):
-            chunk = [col[a:a + step] for col in cols]
-            s_new[a:a + step], n_ev = _ts_level(model, chunk, w, delta)
-            ev[a:a + step] += n_ev
-        if level == 0:  # the centre node; no row has been dropped yet
-            s_new += 0.5 * math.pi * _remainder(model, mid, E, c_lo, c_hi,
-                                                half, half)
-            ev += 1
 
-        s_cum += s_new
-        new_val = cols[3] * h * s_cum + extracted
-        err = np.abs(new_val - val)
-        val = new_val
-        if level < 2:
+def _seed_points(lo, hi, t_lo, t_hi, n_lo, n_hi):
+    """Sorted panel breakpoints of rows, (rows, points), NaN-padded: the
+    ends of the row's variable and its seeds at the distances
+    L * 10^(-k/2), k = 1 ... n, from an end."""
+    L = (hi - lo)[:, None]
+    two = (t_lo & t_hi)[:, None]
+    one = (t_lo ^ t_hi)[:, None]
+    k = np.arange(1, max(n_lo.max(), n_hi.max()) + 1)
+    u = 10.0 ** (-0.5 * k)
+    # the variable at distance u L from an end: d = L s^2 with two turning
+    # ends; with one, d = 2 L s^2 from it and d = L cos t from the other
+    both = 2.0 * np.arcsin(np.sqrt(u))
+    turn = 2.0 * np.arcsin(np.sqrt(0.5 * u))
+    far = np.arccos(u)
+    from_lo = np.where(one, np.where(t_lo[:, None], turn, far), lo[:, None] + u * L)
+    from_lo = np.where(two, both, from_lo)
+    from_hi = np.where(one, np.where(t_hi[:, None], turn, far), hi[:, None] - u * L)
+    from_hi = np.where(two, math.pi - both, from_hi)
+    pts = np.concatenate([
+        np.where(one | two, 0.0, lo[:, None]),
+        np.where(two, math.pi, np.where(one, 0.5 * math.pi, hi[:, None])),
+        np.where(k <= n_lo[:, None], from_lo, np.nan),
+        np.where(k <= n_hi[:, None], from_hi, np.nan)], axis=1)
+    return np.sort(pts, axis=1)[:, :2 + (n_lo + n_hi).max()]
+
+
+class _Chunk:
+    """Panels of a set of rows: (rows x slots) arrays, slot j < n[i] live."""
+
+    fields = ("ids", "rows", "a", "b", "val", "err", "depth", "n",
+              "total", "total_err", "evals")
+
+    def __init__(self, **kw):
+        for name in self.fields:
+            setattr(self, name, kw[name])
+
+    def take(self, sel):
+        kw = {name: getattr(self, name)[sel] for name in self.fields if name != "rows"}
+        kw["rows"] = [col[sel] for col in self.rows]
+        return _Chunk(**kw)
+
+    def widen(self, slots):
+        extra = slots - self.a.shape[1]
+        pad = lambda x, v: np.pad(x, ((0, 0), (0, extra)), constant_values=v)
+        self.a, self.b, self.val = pad(self.a, 0.0), pad(self.b, 0.0), pad(self.val, 0.0)
+        self.err, self.depth = pad(self.err, -1.0), pad(self.depth, 0)
+
+
+def _refine(model, ch, cfg, out):
+    """Split worst panels round by round until every row of the chunk stops;
+    results go to ``out`` = (value, est, evaluations, converged) by row id."""
+    while ch.ids.size:
+        done = ch.total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(ch.total))
+        key = np.where(ch.depth < cfg.max_levels, ch.err, -1.0)
+        j = np.argmax(key, axis=1)
+        r = np.arange(ch.ids.size)
+        stop = done | (key[r, j] < 0.0) | (ch.n >= _MAX_PANELS)
+        if stop.any():
+            i = ch.ids[stop]
+            for dst, src in zip(out, (ch.total, ch.total_err, ch.evals, done)):
+                dst[i] = src[stop]
+            keep = ~stop
+            ch, j, r = ch.take(keep), j[keep], r[:np.count_nonzero(keep)]
+            if not ch.ids.size:
+                return
+        slots = ch.a.shape[1]
+        if (ch.n >= slots).any():
+            slots = min(2 * slots, _MAX_PANELS)
+            if ch.ids.size > 1 and ch.ids.size * max(slots, 30) > _CHUNK_ELEMS:
+                half = ch.ids.size // 2
+                for sel in (slice(0, half), slice(half, None)):
+                    _refine(model, ch.take(sel), cfg, out)
+                return
+            ch.widen(slots)
+        a, b = ch.a[r, j], ch.b[r, j]
+        mid = a + 0.5 * (b - a)
+        ok = (a < mid) & (mid < b)
+        # a panel at floating-point resolution is never split; its error
+        # stays in the total
+        ch.depth[r[~ok], j[~ok]] = cfg.max_levels
+        r, j, a, b, mid = r[ok], j[ok], a[ok], b[ok], mid[ok]
+        if not r.size:
             continue
-        done = err <= rel_tol * np.abs(val) + abs_tol
-        out = idx[done]
-        value[out], est[out], evaluations[out] = val[done], err[done], ev[done]
-        converged[out] = True
-        keep = ~done
-        idx, s_cum, val, err, ev, extracted = (
-            x[keep] for x in (idx, s_cum, val, err, ev, extracted))
-        cols = [col[keep] for col in cols]
-        if not idx.size:
-            break
-    value[idx], est[idx], evaluations[idx] = val, err, ev
-    return value, est, evaluations, converged
-
-
-def _gk_panels(model, E, a, b):
-    """Kronrod value and error estimate of the 15-point panels [a, b]."""
-    half = 0.5 * (b - a)
-    xs = a[:, None] + half[:, None] * (_X15 + 1.0)
-    fs = _integrand(model, xs, E[:, None])
-    k = half * np.sum(fs * _W15, axis=1)
-    diff = np.abs(k - half * np.sum(fs * _W7, axis=1))
-    return k, np.minimum(diff, (200.0 * diff) ** 1.5)
-
-
-def _gk_rows(model, E, lo, hi, rel_tol, abs_tol, max_panels=4096):
-    """Globally adaptive Gauss-Kronrod 7/15 on the rows [lo, hi].
-
-    Each row splits the worst panel of its own heap once per round, so it
-    follows the split sequence it would follow alone. Rows run in chunks
-    whose round (two new panels per row) fits the element budget, which
-    also bounds the number of live heaps. Returns per-row arrays (value,
-    est_error, evaluations, converged).
-    """
-    step = _CHUNK_ELEMS // (2 * _X15.size)
-    if E.size > step:
-        parts = [_gk_rows(model, E[i:i + step], lo[i:i + step], hi[i:i + step],
-                          rel_tol, abs_tol, max_panels)
-                 for i in range(0, E.size, step)]
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    val, err = _gk_panels(model, E, lo, hi)
-    value = val.tolist()
-    est = err.tolist()
-    heaps = [[(-e, 0, a, b, v, e)]
-             for a, b, v, e in zip(lo.tolist(), hi.tolist(), value, est)]
-    evaluations = [15] * E.size
-    npanels = [1] * E.size
-    converged = [False] * E.size
-    counter = itertools.count(1)
-    active = range(E.size)
-    while active:
-        splits = []
-        still = []
-        for i in active:
-            if not est[i] > max(abs_tol, rel_tol * abs(value[i])):
-                converged[i] = True
-                continue
-            if not heaps[i] or npanels[i] >= max_panels:
-                continue
-            still.append(i)
-            _, _, a, b, v, e = heapq.heappop(heaps[i])
-            m = 0.5 * (a + b)
-            if m <= a or m >= b:
-                # panel at floating-point resolution; its error stays in the total
-                continue
-            splits.append((i, a, m, b, v, e))
-        active = still
-        if not splits:
-            continue
-        rows, a, m, b, _, _ = map(np.array, zip(*splits))
-        k, r = _gk_panels(model, np.concatenate([E[rows], E[rows]]),
-                          np.concatenate([a, m]), np.concatenate([m, b]))
+        k, e = _gk_panels(model, ch.rows, np.concatenate([r, r]),
+                          np.concatenate([a, mid]), np.concatenate([mid, b]))
         k1, k2 = np.split(k, 2)
-        r1, r2 = np.split(r, 2)
-        for (i, a, m, b, v, e), v1, e1, v2, e2 in zip(
-                splits, k1.tolist(), r1.tolist(), k2.tolist(), r2.tolist()):
-            evaluations[i] += 30
-            npanels[i] += 1
-            value[i] += v1 + v2 - v
-            est[i] += e1 + e2 - e
-            heapq.heappush(heaps[i], (-e1, next(counter), a, m, v1, e1))
-            heapq.heappush(heaps[i], (-e2, next(counter), m, b, v2, e2))
-    return (np.array(value), np.array(est), np.array(evaluations, dtype=np.int64),
-            np.array(converged))
+        e1, e2 = np.split(e, 2)
+        ch.total[r] += (k1 + k2) - ch.val[r, j]
+        ch.total_err[r] += (e1 + e2) - ch.err[r, j]
+        ch.evals[r] += 2 * _X15.size
+        depth = ch.depth[r, j] + 1
+        n = ch.n[r]
+        ch.b[r, j], ch.val[r, j], ch.err[r, j], ch.depth[r, j] = mid, k1, e1, depth
+        ch.a[r, n], ch.b[r, n], ch.val[r, n], ch.err[r, n], ch.depth[r, n] = (
+            mid, b, k2, e2, depth)
+        ch.n[r] += 1
 
 
 def arclength_rows(model, E, lo, hi, flags, cfg=None):
@@ -310,51 +284,54 @@ def arclength_rows(model, E, lo, hi, flags, cfg=None):
 
     Row i is the interval [lo[i], hi[i]] at energy E[i] with the endpoint
     flag pair ``flags[i]`` from the model's domain; turning-point endpoints
-    route a row to the tanh-sinh scheme. Intervals must have lo < hi. The
-    integrand is never evaluated outside [lo, hi], and only interior nodes
-    enter a row's sum. Returns per-row arrays (value, est_error,
-    evaluations, converged).
+    put a row in the cosine variable. Intervals must have lo < hi. The
+    integrand is only evaluated at interior nodes of [lo, hi]. Returns
+    per-row arrays (value, est_error, evaluations, converged).
     """
     if cfg is None:
         cfg = QuadratureConfig()
     E, lo, hi = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (E, lo, hi))
-    t_lo = np.array([f[0] == TURNING for f in flags], dtype=bool)
-    t_hi = np.array([f[1] == TURNING for f in flags], dtype=bool)
-    if cfg.scheme == "auto":
-        ts = t_lo | t_hi
-    else:
-        ts = np.full(E.size, cfg.scheme == "tanh-sinh")
-
-    value = np.empty(E.size)
-    est = np.empty(E.size)
-    evaluations = np.zeros(E.size, dtype=np.int64)
-    converged = np.zeros(E.size, dtype=bool)
-    if ts.any():
-        r_E, r_lo, r_hi = E[ts], lo[ts], hi[ts]
-        # inverse-sqrt coefficients at turning endpoints, from the radicand
-        # slope there (cancellation-free)
-        c_lo = np.where(t_lo[ts], 0.5 * np.sqrt(np.abs(model.radicand_dq(r_lo))), 0.0)
-        c_hi = np.where(t_hi[ts], 0.5 * np.sqrt(np.abs(model.radicand_dq(r_hi))), 0.0)
-        mid_rad = np.abs(model.radicand(0.5 * (r_lo + r_hi), r_E))
-        scale = np.maximum(mid_rad, 4.0 * np.maximum(c_lo, c_hi) ** 2 * (r_hi - r_lo))
-        out = _ts_rows(model, r_E, r_lo, r_hi, c_lo, c_hi, scale,
-                       cfg.rel_tol, cfg.abs_tol, cfg.max_levels)
-        for dst, src in zip((value, est, evaluations, converged), out):
-            dst[ts] = src
-    gk = ~ts
-    if gk.any():
-        out = _gk_rows(model, E[gk], lo[gk], hi[gk], cfg.rel_tol, cfg.abs_tol)
-        for dst, src in zip((value, est, evaluations, converged), out):
-            dst[gk] = src
-    return value, est, evaluations, converged
+    t_lo = np.array([f[0] == TURNING for f in flags], dtype=bool).reshape(-1)
+    t_hi = np.array([f[1] == TURNING for f in flags], dtype=bool).reshape(-1)
+    out = (np.empty(E.size), np.empty(E.size), np.zeros(E.size, dtype=np.int64),
+           np.zeros(E.size, dtype=bool))
+    if not E.size:
+        return out
+    rows = [E, lo, hi, t_lo, t_hi]
+    n_lo, n_hi = _seed_counts(model, E, lo, hi, flags)
+    n = 1 + n_lo + n_hi  # seed panels per row
+    step = max(1, _CHUNK_ELEMS // max(int(n.max()) + 1, 30))
+    for i in range(0, E.size, step):
+        sl = slice(i, i + step)
+        pts = _seed_points(lo[sl], hi[sl], t_lo[sl], t_hi[sl], n_lo[sl], n_hi[sl])
+        a, b = pts[:, :-1], pts[:, 1:]
+        live = ~np.isnan(b)
+        r, j = np.nonzero(live)
+        k, e = _gk_panels(model, [col[sl] for col in rows], r, a[live], b[live])
+        val = np.zeros(a.shape)
+        err = np.full(a.shape, -1.0)
+        val[r, j], err[r, j] = k, e
+        # running totals from 0.0 in panel order, the same for any chunk
+        total = np.zeros(a.shape[0])
+        total_err = np.zeros(a.shape[0])
+        for col in range(a.shape[1]):
+            total += val[:, col]
+            total_err += np.maximum(err[:, col], 0.0)
+        ch = _Chunk(ids=np.arange(E.size)[sl], rows=[col[sl] for col in rows],
+                    a=np.where(live, a, 0.0), b=np.where(live, b, 0.0), val=val,
+                    err=err, depth=np.zeros(a.shape, dtype=np.int16), n=n[sl].copy(),
+                    total=total, total_err=total_err,
+                    evals=n[sl].astype(np.int64) * _X15.size)
+        _refine(model, ch, cfg, out)
+    return out
 
 
 def arclength_interval(model, E, interval, flags=(REGULAR, REGULAR), cfg=None):
     """Arc length of the nonnegative branch over one interval.
 
     ``flags`` are the endpoint flags from the model's domain; turning-point
-    endpoints route the integral to the tanh-sinh scheme. A batch of one
-    row of :func:`arclength_rows`.
+    endpoints put the integral in the cosine variable. A batch of one row of
+    :func:`arclength_rows`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if lo >= hi:

@@ -15,11 +15,12 @@ that is real on the ladder is not averaged into a secant slope.
 
 The plain log-log OLS slope is kept next to it (``ols_slope``).
 
-The differencing step is h = 1e-3 * eps. Quadrature noise sits near
-1e-10 * ell, so a smaller step (1e-6 * eps reaches the 1e-12 floor at the
-bottom of the default ladder) would amplify that noise past the local
-derivative signal; at 1e-3 * eps the central-difference truncation error is
-still only ~1e-7 relative for an inverse-sqrt divergence.
+The differencing step is h = 1e-3 * eps. Quadrature error is only bounded
+by its tolerance, 1e-10 * ell by default, so a smaller step (1e-6 * eps
+reaches the 1e-12 floor at the bottom of the default ladder) could amplify
+that error past the local derivative signal; at 1e-3 * eps the
+central-difference truncation error is still only ~1e-7 relative for an
+inverse-sqrt divergence.
 """
 
 import math

@@ -129,6 +129,16 @@ def test_unconverged_exit_code(tmp_path):
     assert run(args + ["--best-effort"]) == 0
 
 
+def test_unconverged_exit_code_map(tmp_path):
+    args = ["map", "--model", "pendulum", "--bounds", "-2,2,-2,2", "--grid", "6x5",
+            "--quantity", "ell", "--quad-rel-tol", "1e-15", "--quad-abs-tol", "1e-15",
+            "--quad-max-levels", "4"]
+    assert run(args + ["--out", str(tmp_path / "d.csv")]) == 2
+    assert run(args + ["--best-effort", "--out", str(tmp_path / "d.csv")]) == 0
+    grid = lk.read_grid_csv(tmp_path / "d.csv")
+    assert not grid.mask.any()  # every node's quadrature stopped short
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["landscape", "--model", "duffing", "--emin", "-0.25", "--emax",

@@ -71,6 +71,16 @@ def test_table_mode_close_to_exact(pend):
     assert float(np.max(rel)) < 1e-2
 
 
+def test_unconverged_nodes_masked(pend):
+    spec = lk.GridSpec(-3.0, 3.0, -2.2, 2.2, 12, 10)
+    tight = lk.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-15, max_levels=4)
+    assert not lk.ell_map(pend, spec, cfg=tight).mask.any()
+    # table mode: every knot is unconverged, so every node is bracketed by one
+    assert not lk.ell_map(pend, spec, cfg=tight, table=True, table_size=16).mask.any()
+    loose = lk.QuadratureConfig(rel_tol=1e-6)
+    assert lk.ell_map(pend, spec, cfg=loose, table=True, table_size=16).mask.all()
+
+
 def test_energy_map(pend):
     spec = lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
     g = lk.energy_map(pend, spec)

@@ -179,16 +179,15 @@ def _duffing_ell_mp(mp, E):
 def test_duffing_separatrix_curvature_is_real(duff, side):
     """The ladder is accurate, so the secant slope's bias is the function's.
 
-    |d ell/dE| from ``sample_rates`` matches a 30-digit mpmath reference,
-    and the reference's own slope on the 1e-3..1e-2 decade is far from -1/2:
-    the pre-asymptotic curvature that ``fit_power_law`` models is real and
-    no quadrature change can remove it.
+    |d ell/dE| from ``sample_rates`` matches a 30-digit mpmath reference at
+    every decade of the default ladder, and the reference's own slope on the
+    1e-3..1e-2 decade is far from -1/2: the pre-asymptotic curvature that
+    ``fit_power_law`` models is real and no quadrature change can remove it.
     """
     mp = pytest.importorskip("mpmath")
-    ladder = lk.sample_rates(duff, "separatrix", side, eps_hi=1e-2,
-                             eps_lo=1e-4, pts_per_decade=25)
-    assert ladder.n_failed == 0 and len(ladder.samples) == 51
-    picks = ladder.samples[::25]  # eps = 1e-2, 1e-3, 1e-4
+    ladder = lk.sample_rates(duff, "separatrix", side)
+    assert ladder.n_failed == 0 and len(ladder.samples) == 101
+    picks = ladder.samples[::25]  # eps = 1e-2, 1e-3, ..., 1e-6
     sign = -1 if side == "below" else 1
     refs = []
     with mp.workdps(30):
@@ -201,3 +200,14 @@ def test_duffing_separatrix_curvature_is_real(duff, side):
         assert smp.deriv_abs == pytest.approx(ref, rel=1e-4)
     secant = math.log(refs[1] / refs[0]) / math.log(picks[1].eps / picks[0].eps)
     assert abs(secant + 0.5) > 0.05, secant
+
+
+@pytest.mark.parametrize("name", ["pendulum", "duffing", "fishtail"])
+def test_default_ladders_converge(name):
+    model = lk.get_model(name)
+    trunc = lk.Truncation(-5.0) if name == "fishtail" else None
+    for critical, side in (("separatrix", "below"), ("separatrix", "above"),
+                           ("elliptic", "above")):
+        ladder = lk.sample_rates(model, critical, side, trunc=trunc)
+        assert ladder.n_failed == 0
+        assert ladder.n_unconverged == 0, (critical, side)

@@ -1,0 +1,57 @@
+"""ell(E) against 40-digit mpmath references.
+
+* ``ldbench/refs/ell_mpmath.json`` (read here, never written): 112 energies
+  on every model, eps = |E - E_c| from 1e-2 to 1e-8 on both sides of each
+  separatrix, near each elliptic minimum and at regular energies.
+* ``tests/data/ell_deep_separatrix.json`` (``tests/data/make_deep_refs.py``):
+  eps = 1e-10 ... 1e-16 on both sides of the pendulum, Duffing and fish-tail
+  separatrices, where a level curve's neck at the saddle is ~1e-8 wide.
+"""
+
+import json
+import pathlib
+
+import pytest
+
+import ldkit as lk
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _models():
+    well = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                         lambda q: -q + q ** 3, (-2.0, 2.0),
+                         name="double-well", e_sx=0.0)
+    return {"pendulum": lk.pendulum(), "duffing": lk.duffing(),
+            "fishtail": lk.fishtail(), "harmonic-oscillator": lk.harmonic_oscillator(),
+            "harmonic-repulsor": lk.harmonic_repulsor(), "double-well": well}
+
+
+def _check(path, rel_bound=None):
+    entries = json.loads(path.read_text())["entries"]
+    models = _models()
+    cfg = lk.QuadratureConfig()
+    for e in entries:
+        model = models[e["model"]]
+        trunc = None if e["trunc"] is None else lk.Truncation(e["trunc"])
+        value, info = lk.ell(model, e["E"], trunc, full_output=True)
+        ref = float(e["ell"])
+        where = f"{e['model']} E={e['E']!r}"
+        assert info.converged, where
+        if rel_bound is None:
+            bound = cfg.rel_tol * abs(value) + cfg.abs_tol * model.multiplier
+        else:
+            bound = rel_bound * abs(ref)
+        assert abs(value - ref) <= bound, (where, abs(value - ref) / ref)
+    return len(entries)
+
+
+def test_benchmark_references_converge_and_agree():
+    assert _check(ROOT / "ldbench" / "refs" / "ell_mpmath.json") == 112
+
+
+def test_deep_separatrix_accuracy():
+    # a row started as one panel passes its tolerance test here with the
+    # neck missed (pendulum, E = +1e-14: 105 evaluations, error 2.2e-8)
+    assert _check(ROOT / "tests" / "data" / "ell_deep_separatrix.json",
+                  rel_bound=1e-12) == 24
