@@ -175,8 +175,10 @@ class HamiltonianModel:
         return self.e_min, self.e_sx
 
     def interior_breaks(self, E):
-        """Coordinates where the integrand has a non-smooth interior feature."""
-        return ()
+        """Coordinates where the integrand has a non-smooth interior feature:
+        the saddles, which sit inside circulational intervals; quadrature
+        panels split on them."""
+        return self.saddles
 
     def domain(self, E, trunc=None):
         raise NotImplementedError
@@ -313,11 +315,6 @@ class Fishtail(_CodedModel):
     def __init__(self, bounded_librations=False):
         self.bounded_librations = bool(bounded_librations)
         self.bounded = self.bounded_librations
-
-    def interior_breaks(self, E):
-        # the saddle abscissa sits inside circulational intervals and makes
-        # the integrand non-smooth there; quadrature panels split on it
-        return self.saddles
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = -(q - x2)(q - x3)(q - x4) with x2 + x3 + x4 = -6 and
@@ -557,9 +554,6 @@ class MechanicalModel(HamiltonianModel):
                                   bounds=(self._qs[j - 1], self._qs[j + 1]),
                                   method="bounded", options={"xatol": 1e-12}).x)
             for j in tops.tolist())
-
-    def interior_breaks(self, E):
-        return self.saddles
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)

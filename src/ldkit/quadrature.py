@@ -232,9 +232,12 @@ class _Chunk:
 def _refine(model, ch, cfg, out):
     """Split worst panels round by round until every row of the chunk stops;
     results go to ``out`` = (value, est, evaluations, converged) by row id."""
+    # every split adds a panel to its row, so no panel gets deeper than
+    # _MAX_PANELS; the cap keeps the stored depth in range for any max_levels
+    cap = min(cfg.max_levels, _MAX_PANELS)
     while ch.ids.size:
         done = ch.total_err <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(ch.total))
-        key = np.where(ch.depth < cfg.max_levels, ch.err, -1.0)
+        key = np.where(ch.depth < cap, ch.err, -1.0)
         j = np.argmax(key, axis=1)
         r = np.arange(ch.ids.size)
         stop = done | (key[r, j] < 0.0) | (ch.n >= _MAX_PANELS)
@@ -260,7 +263,7 @@ def _refine(model, ch, cfg, out):
         ok = (a < mid) & (mid < b)
         # a panel at floating-point resolution is never split; its error
         # stays in the total
-        ch.depth[r[~ok], j[~ok]] = cfg.max_levels
+        ch.depth[r[~ok], j[~ok]] = cap
         r, j, a, b, mid = r[ok], j[ok], a[ok], b[ok], mid[ok]
         if not r.size:
             continue

@@ -128,20 +128,37 @@ def test_landscape_matches_scalar_calls(name):
             assert d == ref
 
 
-@pytest.mark.parametrize("critical,side", [("separatrix", "below"),
-                                           ("separatrix", "above"),
-                                           ("elliptic", "above")])
-def test_sample_rates_match_scalar_calls(pend, critical, side):
-    ladder = lk.sample_rates(pend, critical, side, eps_hi=1e-2, eps_lo=1e-5,
-                             pts_per_decade=4)
-    e_min, e_sx = pend.critical_energies()
+_LADDERS = pytest.mark.parametrize("critical,side", [("separatrix", "below"),
+                                                    ("separatrix", "above"),
+                                                    ("elliptic", "above")])
+
+
+def _ladder_vs_scalar(model, critical, side, cfg):
+    """A rate ladder and its unconverged count recomputed from scalar calls."""
+    ladder = lk.sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-5,
+                             pts_per_decade=4, cfg=cfg)
+    e_min, e_sx = model.critical_energies()
     e_c = e_sx if critical == "separatrix" else e_min
     sign = -1.0 if side == "below" else 1.0
     unconverged = 0
     for s in ladder.samples:
         E = e_c + sign * s.eps
         h = max(1e-3 * s.eps, 1e-12)
-        assert s.deriv_abs == abs(lk.dell_dE(pend, E, h=h))
-        flags = [lk.ell(pend, x, full_output=True)[1].converged for x in (E + h, E - h)]
+        assert s.deriv_abs == abs(lk.dell_dE(model, E, h=h, cfg=cfg))
+        flags = [lk.ell(model, x, cfg=cfg, full_output=True)[1].converged
+                 for x in (E + h, E - h)]
         unconverged += not all(flags)
+    return ladder, unconverged
+
+
+@_LADDERS
+def test_sample_rates_match_scalar_calls(pend, critical, side):
+    ladder, unconverged = _ladder_vs_scalar(pend, critical, side, None)
     assert ladder.n_unconverged == unconverged == 0
+
+
+@_LADDERS
+def test_sample_rates_count_unconverged(pend, critical, side):
+    # rows capped at four levels below their seeds cannot meet 1e-15
+    ladder, unconverged = _ladder_vs_scalar(pend, critical, side, _TIGHT)
+    assert ladder.n_unconverged == unconverged > 0

@@ -140,3 +140,18 @@ def test_against_external_integrator(pend, duff):
 
     for model, E in ((pend, -0.6), (pend, 0.25), (duff, 1e-2), (duff, -1e-2)):
         assert lk.ell(model, E) == pytest.approx(total_length(model, E), rel=1e-8)
+
+
+def test_unsplittable_panel_stops_at_any_depth_cap():
+    # NaN slopes on a band keep the worst panel there until it reaches
+    # floating-point resolution; a depth cap beyond any reachable depth must
+    # still retire it, and the row stops unconverged
+    def slope(q):
+        q = np.asarray(q, dtype=np.float64)
+        return np.where((q > 0.3) & (q < 0.35), np.nan, -q + q ** 3)
+
+    well = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4, slope, (-3.0, 3.0))
+    cfg = QuadratureConfig(max_levels=10 ** 6)
+    r = lk.arclength_interval(well, 0.5, (0.1, 0.9), (REGULAR, REGULAR), cfg)
+    assert not r.converged
+    assert 0 < r.evaluations <= 2 * 15 * 1024
