@@ -14,6 +14,7 @@ from .errors import (
     EmptyLadder,
     InvalidInterval,
     LdkitError,
+    NonFiniteEnergy,
     OutsideDomain,
     StraddlesCritical,
     TruncationInsideDomain,

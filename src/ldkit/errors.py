@@ -13,6 +13,10 @@ class TurningPoint(LdkitError):
     """Branch slope requested where the momentum branch vanishes."""
 
 
+class NonFiniteEnergy(LdkitError):
+    """Energy is NaN or infinite."""
+
+
 class BelowMinimum(LdkitError):
     """Energy lies below the model's minimum (empty level set)."""
 

@@ -1,15 +1,18 @@
 """Level-curve arc length ell(E), its energy derivative, and landscapes.
 
-``ell_batch`` assembles the full level-curve lengths of many energies from
-one batched quadrature run (:func:`quadrature.arclength_rows`) over every
-domain panel of every energy, applying the model's symmetry multiplier.
-Each energy's result depends on that energy alone, so a batch equals its
-parts bit for bit. ``ell`` and ``dell_dE`` are batches of one and two
-energies; ``landscape`` evaluates all its samples and their difference
-points E +/- h in one batch. ``dell_dE`` central-differences ell with a step
-that shrinks with the distance to the separatrix energy, so the divergence
-of the derivative near critical energies can be sampled without
-differencing across the cusp.
+``ell_batch`` assembles the full level-curve lengths of many energies:
+one :meth:`HamiltonianModel.domains` call builds the quadrature rows (every
+domain panel of every energy, as flat arrays), one batched quadrature run
+(:func:`quadrature.arclength_rows`) integrates them, and per-energy sums
+apply the model's symmetry multiplier. Each energy's result depends on that
+energy alone, so a batch equals its parts bit for bit. ``ell`` and
+``dell_dE`` are batches of one and two energies; ``landscape`` evaluates
+all its samples and their difference points E +/- h in one batch.
+``dell_dE`` central-differences ell with a step that shrinks with the
+distance to the separatrix energy, so the divergence of the derivative near
+critical energies can be sampled without differencing across the cusp; the
+steps and their straddle tests are computed on arrays (``_dell_steps``),
+for one energy or a whole landscape or ladder.
 """
 
 import math
@@ -18,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidInterval, LdkitError, StraddlesCritical
+from .errors import InvalidInterval, StraddlesCritical
+from .models import FLAG_NAMES, DomainRows
 from .quadrature import arclength_rows
 
 
@@ -62,47 +66,45 @@ class Landscape:
 
 
 def _panels(model, E, dom):
-    """Quadrature panels: domain intervals split at interior integrand breaks."""
-    breaks = sorted(model.interior_breaks(E))
-    for (lo, hi), (flo, fhi) in dom.pairs():
-        cuts = [b for b in breaks if lo + 1e-12 < b < hi - 1e-12]
-        if not cuts:
-            yield (lo, hi), (flo, fhi)
-            continue
-        edges = [lo, *cuts, hi]
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            fa = flo if i == 0 else model._endpoint_flag(a, E)
-            fb = fhi if i == len(edges) - 2 else model._endpoint_flag(b, E)
-            yield (a, b), (fa, fb)
+    """Quadrature panels of one energy's :class:`EnergyDomain`: its
+    intervals split at the saddles inside them, as ``((lo, hi), (lo_flag,
+    hi_flag))`` with flag names; the rows of :meth:`HamiltonianModel.domains`
+    for a batch of one."""
+    lo, hi = (np.array([iv[k] for iv in dom.intervals], dtype=np.float64) for k in (0, 1))
+    f_lo, f_hi = (np.array([FLAG_NAMES.index(f[k]) for f in dom.flags], dtype=np.int8)
+                  for k in (0, 1))
+    rows = DomainRows(np.zeros(lo.size, dtype=np.intp), lo, hi, f_lo, f_hi, [None])
+    rows = model._split_at_saddles(np.array([E], dtype=np.float64), rows)
+    for a, b, fa, fb in zip(rows.lo.tolist(), rows.hi.tolist(),
+                            rows.f_lo.tolist(), rows.f_hi.tolist()):
+        yield (a, b), (FLAG_NAMES[fa], FLAG_NAMES[fb])
 
 
 def ell_batch(model, energies, trunc=None, cfg=None):
     """Total arc lengths of the level curves H = E for many energies at once.
 
-    Domain errors are caught per energy and returned in ``errors``;
-    unconverged quadrature is reported through ``converged``, never raised.
+    The model builds every energy's quadrature rows in one
+    :meth:`HamiltonianModel.domains` call, and one
+    :func:`quadrature.arclength_rows` run integrates them. Domain errors
+    are returned per energy in ``errors``; unconverged quadrature is
+    reported through ``converged``, never raised.
     """
     energies = np.asarray(energies, dtype=np.float64).reshape(-1)
     n = energies.size
-    errors = [None] * n
-    owner, los, his, flags = [], [], [], []
-    for i, E in enumerate(energies.tolist()):
-        try:
-            panels = list(_panels(model, E, model.domain(E, trunc)))
-            for (lo, hi), _ in panels:
-                if lo >= hi:
-                    raise InvalidInterval(f"interval [{lo}, {hi}] has lo >= hi")
-        except LdkitError as exc:
-            errors[i] = exc
-            continue
-        for (lo, hi), fl in panels:
-            owner.append(i)
-            los.append(lo)
-            his.append(hi)
-            flags.append(fl)
-    owner = np.array(owner, dtype=np.intp)
-    value, est, evals, conv = arclength_rows(model, energies[owner], los, his,
-                                             flags, cfg)
+    rows = model.domains(energies, trunc)
+    errors = list(rows.errors)
+    bad = rows.lo >= rows.hi
+    if bad.any():
+        for i, lo, hi in zip(rows.owner[bad].tolist(), rows.lo[bad].tolist(),
+                             rows.hi[bad].tolist()):
+            if errors[i] is None:
+                errors[i] = InvalidInterval(f"interval [{lo}, {hi}] has lo >= hi")
+        failed = np.zeros(n, dtype=bool)
+        failed[rows.owner[bad]] = True
+        rows = rows.take(~failed[rows.owner])
+    owner = rows.owner
+    value, est, evals, conv = arclength_rows(model, energies[owner], rows.lo, rows.hi,
+                                             rows.f_lo, rows.f_hi, cfg)
     # per-energy sums in panel order, as a running total from 0.0
     total = np.zeros(n)
     err = np.zeros(n)
@@ -135,34 +137,37 @@ def ell(model, E, trunc=None, cfg=None, full_output=False):
     return total
 
 
-def _default_step(model, E):
-    e_min, e_sx = model.critical_energies()
-    if math.isfinite(e_sx):
-        return max(1e-6 * abs(E - e_sx), 1e-12)
-    # no separatrix: the quadrature-noise floor dominates tiny steps, so a
-    # larger proximity scale conditions the difference better
-    d = abs(E - e_min) if math.isfinite(e_min) else abs(E)
-    return max(1e-3 * d, 1e-12)
+# why a central-difference step is invalid, by code (0: valid)
+_AT_SEPARATRIX, _BELOW_MIN, _STRADDLES = 1, 2, 3
 
 
-def _dell_step(model, E, h=None):
-    """The central-difference step of :func:`dell_dE` at E.
+def _dell_steps(model, E, h=None):
+    """Central-difference steps of :func:`dell_dE` at the energies E, and
+    per energy a code: 0 where E +/- h is valid, else why not (E at the
+    separatrix energy, E - h at or below the elliptic minimum, or the step
+    straddling the separatrix energy, tested in that order).
 
-    Raises :class:`StraddlesCritical` if E +/- h would cross the separatrix
-    energy or fall below the elliptic minimum.
+    Without ``h`` the step shrinks with the distance to the separatrix
+    energy, or with a model without one, to the minimum.
     """
     e_min, e_sx = model.critical_energies()
-    if E == e_sx:
-        raise StraddlesCritical("derivative undefined at the separatrix energy")
+    E = np.asarray(E, dtype=np.float64)
     if h is None:
-        h = _default_step(model, E)
-    if E - h <= e_min:
-        raise StraddlesCritical(f"E-h={E - h} falls below e_min={e_min}")
-    if math.isfinite(e_sx) and (E - e_sx) * (E + h - e_sx) <= 0.0:
-        raise StraddlesCritical("step straddles the separatrix energy")
-    if math.isfinite(e_sx) and (E - e_sx) * (E - h - e_sx) <= 0.0:
-        raise StraddlesCritical("step straddles the separatrix energy")
-    return h
+        if math.isfinite(e_sx):
+            h = np.maximum(1e-6 * np.abs(E - e_sx), 1e-12)
+        else:
+            # no separatrix: the quadrature-noise floor dominates tiny steps,
+            # so a larger proximity scale conditions the difference better
+            d = np.abs(E - e_min) if math.isfinite(e_min) else np.abs(E)
+            h = np.maximum(1e-3 * d, 1e-12)
+    h = np.broadcast_to(np.asarray(h, dtype=np.float64), E.shape)
+    straddles = np.zeros(E.shape, dtype=bool)
+    if math.isfinite(e_sx):
+        straddles = (((E - e_sx) * (E + h - e_sx) <= 0.0)
+                     | ((E - e_sx) * (E - h - e_sx) <= 0.0))
+    code = np.select([E == e_sx, E - h <= e_min, straddles],
+                     [_AT_SEPARATRIX, _BELOW_MIN, _STRADDLES], 0)
+    return h, code
 
 
 def dell_dE(model, E, trunc=None, h=None, cfg=None):
@@ -171,7 +176,15 @@ def dell_dE(model, E, trunc=None, h=None, cfg=None):
     Raises :class:`StraddlesCritical` if E +/- h would cross the separatrix
     energy or fall below the elliptic minimum.
     """
-    h = _dell_step(model, E, h)
+    steps, code = _dell_steps(model, np.array([E], dtype=np.float64), h)
+    h, code = float(steps[0]), int(code[0])
+    if code == _AT_SEPARATRIX:
+        raise StraddlesCritical("derivative undefined at the separatrix energy")
+    if code == _BELOW_MIN:
+        e_min = model.critical_energies()[0]
+        raise StraddlesCritical(f"E-h={E - h} falls below e_min={e_min}")
+    if code == _STRADDLES:
+        raise StraddlesCritical("step straddles the separatrix energy")
     b = ell_batch(model, [E + h, E - h], trunc, cfg)
     b.raise_first()
     return (float(b.values[0]) - float(b.values[1])) / (2.0 * h)
@@ -199,31 +212,26 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
         energies = np.sort(np.append(energies, e_sx))
 
     # batch order: each sample, then its E + h and E - h if it has a derivative
-    batch = []
-    at_sample = []
-    at_plus = []
-    with_deriv = []
-    steps = []
-    for i, E in enumerate(energies.tolist()):
-        at_sample.append(len(batch))
-        batch.append(E)
-        if with_derivs and E != e_sx:
-            try:
-                h = _dell_step(model, E)
-            except StraddlesCritical:
-                continue
-            with_deriv.append(i)
-            steps.append(h)
-            at_plus.append(len(batch))
-            batch += [E + h, E - h]
+    if with_derivs:
+        h, code = _dell_steps(model, energies)
+        deriv = code == 0
+    else:
+        deriv = np.zeros(energies.size, dtype=bool)
+    width = 1 + 2 * deriv
+    at_sample = np.cumsum(width) - width
+    plus = at_sample[deriv] + 1
+    batch = np.empty(int(width.sum()))
+    batch[at_sample] = energies
+    if with_derivs:
+        h = h[deriv]
+        batch[plus] = energies[deriv] + h
+        batch[plus + 1] = energies[deriv] - h
     b = ell_batch(model, batch, trunc, cfg)
     b.raise_first()
     derivs = None
     if with_derivs:
         derivs = np.full(energies.shape, math.nan)
-        plus = np.array(at_plus, dtype=np.intp)
-        derivs[with_deriv] = ((b.values[plus] - b.values[plus + 1])
-                              / (2.0 * np.array(steps)))
+        derivs[deriv] = (b.values[plus] - b.values[plus + 1]) / (2.0 * h)
     return Landscape(energies, b.values[at_sample], derivs, b.converged[at_sample])
 
 

@@ -3,7 +3,7 @@
 Grids are row-major with the momentum index outermost (p outer, q inner),
 matching the CSV layout. Node computations are independent, and each map is
 one batched run: a direct ell map is one ``ell_batch`` over the grid's
-unique node energies, a table ell map one over its knots, and a temporal
+unique node energies, a table ell map one over its graded knots, and a temporal
 map one stepper run over all nodes. A node's value does not depend on which
 other nodes share the batch (the quadrature's sums are row-local and its
 temporaries are chunked by rows), so a sub-grid reproduces the grid's nodes
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import STATUS_OK
-from .geometric import ell, ell_batch
+from .geometric import ell_batch
 from .temporal import _ld_lanes
 
 _FMT = "{:.17g}"
@@ -79,14 +79,16 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, table_size=4096,
             threads=None):
     """Per-node ell(E(q, p)) over the grid.
 
-    ``table=True`` precomputes ell on a dense 1-D energy grid (the separatrix
-    energy inserted as a knot) and interpolates monotone-cubically per node;
+    ``table=True`` precomputes ell on ``table_size`` energy knots,
+    cosine-graded toward both ends of [e_lo, E_sx] and of [E_sx, e_hi] (the
+    separatrix energy a knot), and interpolates monotone-cubically per node;
     otherwise ell is evaluated once per unique node energy. Either way the
     ell values come from one ``ell_batch``, and nodes at equal energy get
     equal values. Per-node failures are masked, not raised: a node is
-    masked where its energy raised or its quadrature did not converge (in
-    table mode, where a knot bracketing it did). ``threads`` is accepted for
-    compatibility and ignored: the batch runs in one thread.
+    masked where its energy raised (a NaN or infinite energy included) or
+    its quadrature did not converge (in table mode, where a knot bracketing
+    it did). ``threads`` is accepted for compatibility and ignored: the
+    batch runs in one thread.
     """
     E = _energy_grid(model, spec)
     if table:
@@ -100,18 +102,44 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, table_size=4096,
     return GridMap(spec, values, "ell", mask)
 
 
+def _graded(a, b, n):
+    """n + 1 points on [a, b], cosine-graded toward both ends."""
+    x = a + (b - a) * (0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n)))
+    x[0], x[-1] = a, b
+    return x
+
+
+def _table_knots(e_lo, e_hi, e_sx, size):
+    """``size`` table knots on [e_lo, e_hi].
+
+    ell has a square-root onset at the elliptic minimum and a steep one on
+    both sides of the separatrix energy, which uniform knots cannot follow.
+    The knots are cosine-graded toward both ends of [e_lo, E_sx] and of
+    [E_sx, e_hi], shared in proportion to their lengths, with E_sx itself a
+    knot; without a separatrix inside the range, toward both ends of
+    [e_lo, e_hi].
+    """
+    size = max(int(size), 3)
+    if not (math.isfinite(e_sx) and e_lo < e_sx < e_hi):
+        return np.unique(_graded(e_lo, e_hi, size - 1))
+    n_lo = int(round((size - 1) * (e_sx - e_lo) / (e_hi - e_lo)))
+    n_lo = min(max(n_lo, 1), size - 2)
+    return np.unique(np.concatenate([_graded(e_lo, e_sx, n_lo),
+                                     _graded(e_sx, e_hi, size - 1 - n_lo)]))
+
+
 def _ell_by_table(model, E, trunc, cfg, table_size):
     from scipy.interpolate import PchipInterpolator
 
-    e_lo = float(np.nanmin(E))
-    e_hi = float(np.nanmax(E))
+    finite = np.isfinite(E)
+    e_lo = float(np.min(E, initial=math.inf, where=finite))
+    e_hi = float(np.max(E, initial=-math.inf, where=finite))
     _, e_sx = model.critical_energies()
-    if e_hi - e_lo < 1e-15:
-        val, info = ell(model, e_lo, trunc, cfg, full_output=True)
-        return np.full(E.shape, val), np.full(E.shape, info.converged)
-    knots = np.linspace(e_lo, e_hi, int(table_size))
-    if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(knots == e_sx):
-        knots = np.sort(np.append(knots, e_sx))
+    if not e_hi - e_lo >= 1e-15:
+        # at most one finite energy: no table to build
+        b = ell_batch(model, [e_lo], trunc, cfg)
+        return np.full(E.shape, b.values[0]), finite & b.converged[0]
+    knots = _table_knots(e_lo, e_hi, e_sx, table_size)
     b = ell_batch(model, knots, trunc, cfg)
     ok = np.array([exc is None for exc in b.errors], dtype=bool)
     interp = PchipInterpolator(knots[ok], b.values[ok], extrapolate=True)
@@ -120,7 +148,7 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
     i = np.clip(np.searchsorted(knots, E, side="right") - 1, 0, knots.size - 2)
     bracketed = b.converged[i] | ~ok[i]
     bracketed &= b.converged[i + 1] | ~ok[i + 1]
-    return values, np.isfinite(values) & bracketed
+    return values, finite & np.isfinite(values) & bracketed
 
 
 def temporal_map(model, spec, t, cfg=None):

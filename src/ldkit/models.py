@@ -3,10 +3,19 @@
 Each model knows its energy function H(q, p), the squared nonnegative
 momentum branch (the "radicand" p^2(q; E)) and its q-derivative, the
 radicand with its turning-point roots divided out (the "deflated radicand"
-the quadrature integrates with), the integration domain of the branch for a
-given energy, a symmetry multiplier relating the single-branch arc length to
-the full level-curve length, its critical energies (elliptic minimum and
-separatrix) and the abscissae of its saddles.
+the quadrature integrates with), a symmetry multiplier relating the
+single-branch arc length to the full level-curve length, its critical
+energies (elliptic minimum and separatrix) and the abscissae of its saddles.
+
+The integration domain of the branch is built for a whole array of energies
+at once: :meth:`HamiltonianModel.domains` returns flat rows (owner energy,
+lo, hi, endpoint flag codes) in each energy's panel order, already split at
+the saddles inside them, plus each energy's error. Built-in domains are
+closed forms in E evaluated on arrays (the fish-tail's from the
+trigonometric form of its cubic); custom models find their sign-change
+cells with one ``searchsorted`` per monotone run of the scan grid and solve
+each root on floats. :meth:`HamiltonianModel.domain` is a batch of one that
+returns the unsplit intervals as an :class:`EnergyDomain`.
 
 Built-ins:
 
@@ -31,9 +40,9 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from . import _kernels as K
-from .cubic import cubic_roots
 from .errors import (
     BelowMinimum,
+    NonFiniteEnergy,
     OutsideDomain,
     TruncationInsideDomain,
     TruncationRequired,
@@ -43,6 +52,11 @@ from .errors import (
 TURNING = "turning-point"
 REGULAR = "regular"
 TRUNCATION = "truncation"
+
+# endpoint flags travel through the domain rows and the quadrature as these
+# integer codes; FLAG_NAMES maps a code back to its name
+F_REGULAR, F_TURNING, F_TRUNCATION = 0, 1, 2
+FLAG_NAMES = (REGULAR, TURNING, TRUNCATION)
 
 # branch < 1e-9 at an endpoint marks it as a turning point (radicand < 1e-18)
 _TURNING_RAD = 1e-18
@@ -90,6 +104,65 @@ class EnergyDomain:
         if not self.intervals:
             return None
         return self.intervals[0][0], self.intervals[-1][1]
+
+
+@dataclass(frozen=True)
+class DomainRows:
+    """Domain rows of a batch of energies.
+
+    Row i is the interval [lo[i], hi[i]] of energy ``owner[i]`` (its index
+    in the batch) with the endpoint flag codes ``f_lo[i]`` and ``f_hi[i]``
+    (indices into :data:`FLAG_NAMES`). Rows are grouped by energy in batch
+    order and ordered by q within an energy. ``errors[k]`` is the
+    :class:`LdkitError` energy k raised, else None; an energy with an error
+    has no rows.
+    """
+
+    owner: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    f_lo: np.ndarray
+    f_hi: np.ndarray
+    errors: list
+
+    def take(self, sel):
+        return DomainRows(self.owner[sel], self.lo[sel], self.hi[sel],
+                          self.f_lo[sel], self.f_hi[sel], self.errors)
+
+    def energy_domain(self):
+        """The rows as an :class:`EnergyDomain` (rows of one energy)."""
+        return EnergyDomain(
+            tuple(zip(self.lo.tolist(), self.hi.tolist())),
+            tuple((FLAG_NAMES[a], FLAG_NAMES[b])
+                  for a, b in zip(self.f_lo.tolist(), self.f_hi.tolist())))
+
+
+def _math_map(fn, *args):
+    """``fn`` of ``math`` applied elementwise to float arrays.
+
+    numpy's atan2, acos, cos and power can differ from libm by an ulp; the
+    closed forms keep libm's bits.
+    """
+    n = np.size(args[0])
+    return np.fromiter(map(fn, *(np.broadcast_to(a, n).tolist() for a in args)),
+                       dtype=np.float64, count=n)
+
+
+def _columns_to_rows(n, columns):
+    """Flat rows from per-energy candidate columns.
+
+    Each column is (lo, hi, f_lo, f_hi, keep), arrays or scalars that
+    broadcast to the n energies; column order is the q order within an
+    energy. Returns (owner, lo, hi, f_lo, f_hi) of the kept candidates.
+    """
+    if not columns:
+        e = np.empty(0)
+        return np.empty(0, dtype=np.intp), e, e, e.astype(np.int8), e.astype(np.int8)
+    stacked = [np.column_stack([np.broadcast_to(col[k], (n,)) for col in columns])
+               for k in range(5)]
+    r, j = np.nonzero(stacked[4])
+    return (r, stacked[0][r, j], stacked[1][r, j],
+            stacked[2][r, j].astype(np.int8), stacked[3][r, j].astype(np.int8))
 
 
 class HamiltonianModel:
@@ -174,38 +247,104 @@ class HamiltonianModel:
     def critical_energies(self):
         return self.e_min, self.e_sx
 
-    def interior_breaks(self, E):
-        """Coordinates where the integrand has a non-smooth interior feature:
-        the saddles, which sit inside circulational intervals; quadrature
-        panels split on them."""
-        return self.saddles
+    # -- domains ---------------------------------------------------------
+
+    def domains(self, energies, trunc=None):
+        """Quadrature rows of many energies at once, as :class:`DomainRows`.
+
+        Every energy's domain intervals, split at the saddles strictly
+        inside them (the integrand is not smooth there). A saddle cut gets
+        the TURNING flag when the radicand there is <= 1e-18, else REGULAR.
+        Each energy's error (NaN or infinite energy, below the minimum, a
+        missing or misplaced truncation) is returned, not raised.
+        """
+        E = np.asarray(energies, dtype=np.float64).reshape(-1)
+        return self._split_at_saddles(E, self._interval_rows(E, trunc))
 
     def domain(self, E, trunc=None):
+        """Domain intervals of the level curve H = E as an
+        :class:`EnergyDomain`, unsplit; a batch of one of :meth:`domains`
+        that raises the energy's error."""
+        rows = self._interval_rows(np.array([E], dtype=np.float64), trunc)
+        if rows.errors[0] is not None:
+            raise rows.errors[0]
+        return rows.energy_domain()
+
+    def _interval_rows(self, E, trunc):
+        errors = [None] * E.size
+        finite = np.isfinite(E)
+        for i in np.flatnonzero(~finite).tolist():
+            errors[i] = NonFiniteEnergy(f"{self.name}: energy E={E[i]} is not finite")
+        idx = np.flatnonzero(finite)
+        owner, lo, hi, f_lo, f_hi, errs = self._intervals(E[idx], trunc)
+        failed = ~finite
+        for i, exc in errs.items():
+            errors[idx[i]] = exc
+            failed[idx[i]] = True
+        owner = idx[owner]
+        return DomainRows(owner, lo, hi, f_lo, f_hi, errors).take(~failed[owner])
+
+    def _intervals(self, E, trunc):
+        """Domain intervals of finite energies E: flat (owner, lo, hi, f_lo,
+        f_hi) rows as in :class:`DomainRows`, and a dict of errors by energy
+        index (rows of an energy with an error are dropped)."""
         raise NotImplementedError
+
+    def _split_at_saddles(self, E, rows):
+        """Rows of ``rows`` (energies E) cut at the saddles strictly inside."""
+        S = np.sort(np.asarray(self.saddles, dtype=np.float64))
+        if not S.size or not rows.owner.size:
+            return rows
+        cut = (rows.lo[:, None] + 1e-12 < S) & (S < rows.hi[:, None] - 1e-12)
+        split = np.flatnonzero(cut.any(axis=1))
+        if not split.size:
+            return rows
+        f_cut = np.full(cut.shape, F_REGULAR, dtype=np.int8)
+        f_cut[split] = self._turning_flag(S, E[rows.owner[split], None])
+        n = rows.owner.size
+        edges = np.column_stack([rows.lo, np.broadcast_to(S, cut.shape), rows.hi])
+        flags = np.column_stack([rows.f_lo, f_cut, rows.f_hi])
+        live = np.column_stack([np.ones(n, dtype=bool), cut, np.ones(n, dtype=bool)])
+        r, j = np.nonzero(live)
+        x, f = edges[r, j], flags[r, j]
+        same = r[1:] == r[:-1]  # consecutive edges of one row bound a panel
+        return DomainRows(rows.owner[r[:-1][same]], x[:-1][same], x[1:][same],
+                          f[:-1][same], f[1:][same], rows.errors)
 
     # -- helpers ---------------------------------------------------------
 
     def _polish_turning(self, q, E, outward):
-        """Nudge a turning-point endpoint outward until the radicand is <= 0.
+        """Nudge turning-point endpoints q (at energies E) outward until the
+        radicand is <= 0, by one ulp per round and at most 60 rounds.
 
         Closed-form endpoints land within a few ulp of the true root, which
         can leave a positive radicand of order 1e-16 (branch ~ 1e-8). A few
         ulp nudges make ``branch`` exactly zero there without perturbing the
         quadrature (the singularity stays within ~1e-15 of the endpoint).
         """
-        q = float(q)
+        q = np.array(q, dtype=np.float64)
         target = math.inf if outward > 0 else -math.inf
+        todo = np.flatnonzero(~(self.radicand(q, E) <= 0.0))
         for _ in range(60):
-            if float(self.radicand(q, E)) <= 0.0:
+            if not todo.size:
                 break
-            q = np.nextafter(q, target)
+            q[todo] = np.nextafter(q[todo], target)
+            todo = todo[~(self.radicand(q[todo], E[todo]) <= 0.0)]
         return q
 
-    def _endpoint_flag(self, q, E):
-        return TURNING if float(self.radicand(q, E)) <= _TURNING_RAD else REGULAR
+    def _turning_flag(self, q, E):
+        """Flag code of endpoints q at energies E: TURNING where the
+        radicand is <= 1e-18, else REGULAR."""
+        return np.where(self.radicand(q, E) <= _TURNING_RAD, F_TURNING, F_REGULAR)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def _errors_at(mask, make, *values):
+    """{i: make(values[0][i], ...)} for every energy i where mask holds."""
+    return {i: make(*(float(v[i]) for v in values))
+            for i in np.flatnonzero(mask).tolist()}
 
 
 class _CodedModel(HamiltonianModel):
@@ -227,6 +366,10 @@ class _CodedModel(HamiltonianModel):
         fq, fp = K.vector_field(self.kernel_code, q, p)
         return (fq if fq.ndim else float(fq)), (fp if fp.ndim else float(fp))
 
+    def _below_minimum(self, E):
+        return _errors_at(E < self.e_min, lambda e: BelowMinimum(
+            f"{self.name} has no level curve below E={self.e_min}"), E)
+
 
 class Pendulum(_CodedModel):
     """H = p^2/2 - cos q - 1 on the cylinder; E = 0 on the separatrix."""
@@ -246,19 +389,19 @@ class Pendulum(_CodedModel):
         return (4.0 * np.sin(0.5 * a) * np.sin(0.5 * b)
                 / (np.where(t_lo, a, 1.0) * np.where(t_hi, b, 1.0)))
 
-    def domain(self, E, trunc=None):
-        if E < self.e_min:
-            raise BelowMinimum(f"pendulum has no level curve below E={self.e_min}")
-        if E < 0.0:
-            # cos^2(theta/2) = -E/2 and sin^2(theta/2) = 1 + E/2, both exact
-            # near their own end, so theta keeps full precision at E -> 0
-            theta = 2.0 * math.atan2(math.sqrt(1.0 + 0.5 * E), math.sqrt(-0.5 * E))
-            theta = self._polish_turning(theta, E, +1)
-            if theta <= 0.0:
-                return EnergyDomain((), ())
-            return EnergyDomain(((-theta, theta),), ((TURNING, TURNING),))
-        flag = self._endpoint_flag(math.pi, E)
-        return EnergyDomain(((-math.pi, math.pi),), ((flag, flag),))
+    def _intervals(self, E, trunc):
+        lib = (E >= self.e_min) & (E < 0.0)
+        El = E[lib]
+        # cos^2(theta/2) = -E/2 and sin^2(theta/2) = 1 + E/2, both exact
+        # near their own end, so theta keeps full precision at E -> 0
+        theta = 2.0 * _math_map(math.atan2, np.sqrt(1.0 + 0.5 * El), np.sqrt(-0.5 * El))
+        theta = self._polish_turning(theta, El, +1)
+        lo = np.full(E.size, -math.pi)
+        hi = np.full(E.size, math.pi)
+        lo[lib], hi[lib] = -theta, theta
+        flag = np.where(lib, F_TURNING, self._turning_flag(math.pi, E))
+        rows = _columns_to_rows(E.size, [(lo, hi, flag, flag, hi > 0.0)])
+        return (*rows, self._below_minimum(E))
 
 
 class Duffing(_CodedModel):
@@ -280,19 +423,54 @@ class Duffing(_CodedModel):
         b = np.where(t_hi, q + hi, (1.0 + s) - q * q)
         return 0.5 * a * b
 
-    def domain(self, E, trunc=None):
-        if E < self.e_min:
-            raise BelowMinimum(f"duffing has no level curve below E={self.e_min}")
-        s = math.sqrt(max(1.0 + 4.0 * E, 0.0))
-        x2 = self._polish_turning(math.sqrt(1.0 + s), E, +1)
-        if E < 0.0:
-            # x1^2 = 1 - s without the cancellation
-            x1 = self._polish_turning(math.sqrt(-4.0 * E / (1.0 + s)), E, -1)
-            if x2 - x1 <= _MERGE_TOL:
-                return EnergyDomain((), ())
-            return EnergyDomain(((x1, x2),), ((TURNING, TURNING),))
-        flag0 = self._endpoint_flag(0.0, E)
-        return EnergyDomain(((0.0, x2),), ((flag0, TURNING),))
+    def _intervals(self, E, trunc):
+        ok = E >= self.e_min
+        lib = ok & (E < 0.0)
+        s = np.sqrt(np.maximum(1.0 + 4.0 * E, 0.0))
+        x2 = self._polish_turning(np.sqrt(1.0 + s[ok]), E[ok], +1)
+        # x1^2 = 1 - s without the cancellation
+        x1 = self._polish_turning(np.sqrt(-4.0 * E[lib] / (1.0 + s[lib])), E[lib], -1)
+        lo = np.zeros(E.size)
+        hi = np.zeros(E.size)
+        lo[lib], hi[ok] = x1, x2
+        f_lo = np.where(lib, F_TURNING, self._turning_flag(0.0, E))
+        keep = ok & ~(lib & (hi - lo <= _MERGE_TOL))
+        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, F_TURNING, keep)])
+        return (*rows, self._below_minimum(E))
+
+
+# P_E(q) = -q^3 - 6 q^2 + 0 q + (E + 32). For -32 <= E <= 0 the depressed
+# cubic t^3 + p t + q of P_E (q = t - 2) has p = -12 and |q| <= 16, so its
+# discriminant is >= 0 and cubic_roots takes the three-root branch
+_C3, _C2, _C1 = -1.0, -6.0, 0.0
+_CUBIC_ANGLES = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
+
+
+def _fishtail_roots(E):
+    """Sorted roots of P_E, shaped (n, 3), for -32 <= E <= 0.
+
+    The trigonometric branch of :func:`cubic_roots` on arrays, with the
+    same operations in the same order (acos and cos through ``math``), two
+    guarded Newton steps included; no roots are collapsed.
+    """
+    c0 = E + 32.0
+    a, b, c = _C2 / _C3, _C1 / _C3, c0 / _C3
+    shift = a / 3.0
+    p = b - a * a / 3.0
+    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
+    m = 2.0 * math.sqrt(-p / 3.0)
+    arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
+    phi = _math_map(math.acos, arg) / 3.0
+    x = np.column_stack([m * _math_map(math.cos, phi - w) - shift
+                         for w in _CUBIC_ANGLES])
+    c0 = c0[:, None]
+    for _ in range(2):
+        f = ((_C3 * x + _C2) * x + _C1) * x + c0
+        df = (3.0 * _C3 * x + 2.0 * _C2) * x + _C1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        x = np.where((df != 0.0) & (np.abs(step) < 1.0 + np.abs(x)), x - step, x)
+    return np.sort(x, axis=1)
 
 
 class Fishtail(_CodedModel):
@@ -332,116 +510,100 @@ class Fishtail(_CodedModel):
             one = np.where(d <= np.where(t_hi, d_lo, d_hi), -sgn * h, rad / d)
         return np.where(t_lo & t_hi, d_lo + (2.0 * lo + hi + 6.0), one)
 
-    def _circulational_x2(self, E):
-        """Rightmost branch endpoint from the closed-form real cubic root."""
-        c = 0.5 * math.sqrt(max(E * (E + 32.0), 0.0)) + 0.5 * (E + 32.0) - 8.0
-        u = c ** (1.0 / 3.0)
+    @staticmethod
+    def _circulational_x2(E):
+        """Rightmost branch endpoint (E >= 0) from the closed-form real
+        cubic root."""
+        c = 0.5 * np.sqrt(np.maximum(E * (E + 32.0), 0.0)) + 0.5 * (E + 32.0) - 8.0
+        u = _math_map(math.pow, c, 1.0 / 3.0)
         x2 = u + 4.0 / u - 2.0
         # one Newton step against P_E sharpens the nested surds
-        f = -(x2 ** 3) - 6.0 * x2 * x2 + E + 32.0
+        f = -_math_map(math.pow, x2, 3.0) - 6.0 * x2 * x2 + E + 32.0
         df = -3.0 * x2 * x2 - 12.0 * x2
-        if df != 0.0:
-            x2 -= f / df
-        return x2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(df != 0.0, x2 - f / df, x2)
 
-    def _librational_roots(self, E):
-        roots = cubic_roots(-1.0, -6.0, 0.0, E + 32.0)
-        if -1e-3 < E < 0.0:
+    @staticmethod
+    def _librational_roots(E):
+        """(x2, x3, x4) for -32 <= E <= 0: the left branch's end and the
+        oval; merged roots repeat."""
+        R = _fishtail_roots(E)
+        # as in cubic_roots, a root within 1e-9 of the last kept one collapses
+        # into it
+        keep1 = R[:, 1] - R[:, 0] > 1e-9
+        last = np.where(keep1, R[:, 1], R[:, 0])
+        keep2 = R[:, 2] - last > 1e-9
+        x4 = np.where(keep2, R[:, 2], last)
+        three = keep1 & keep2
+        # two roots: endpoints merged at the saddle (E -> 0-), else the oval
+        # shrank onto the elliptic point (E -> -32+)
+        at_saddle = np.abs(R[:, 0] + 4.0) < 1e-6
+        x2 = R[:, 0].copy()
+        x3 = np.where(three, R[:, 1], np.where(at_saddle | ~(keep1 | keep2), x2, x4))
+        near = (-1e-3 < E) & (E < 0.0)
+        if near.any():
             # beside the saddle the two roots are only ~1e-8 accurate from
             # the monomial form (or collapsed into one); solve
             # u^2 (6 - u) = -E for u = q + 4 by a fixed point (contraction
             # ~u/12) instead
-            near = []
-            for sign in (-1.0, 1.0):
-                u = 0.0
+            En = E[near]
+            for sign, x in ((-1.0, x2), (1.0, x3)):
+                u = np.zeros(En.size)
                 for _ in range(8):
-                    u = sign * math.sqrt(-E / (6.0 - u))
-                near.append(u - 4.0)
-            roots = [near[0], near[1], roots[-1]]
-        return roots
+                    u = sign * np.sqrt(-En / (6.0 - u))
+                x[near] = u - 4.0
+        return x2, x3, x4
 
-    def domain(self, E, trunc=None):
-        if E < self.e_min:
-            raise BelowMinimum(f"fishtail has no level curve below E={self.e_min}")
-
+    def _intervals(self, E, trunc):
+        errors = self._below_minimum(E)
+        ok = E >= self.e_min
         if self.bounded_librations:
-            if E > 0.0:
-                raise OutsideDomain(
-                    "fishtail bounded librations exist only for E <= 0"
-                )
-            roots = self._librational_roots(E)
-            lo, hi = self._pick_oval(roots, E)
-            if hi - lo <= _MERGE_TOL:
-                return EnergyDomain((), ())
-            lo = self._polish_turning(lo, E, -1)
-            hi = self._polish_turning(hi, E, +1)
-            return EnergyDomain(((lo, hi),), ((TURNING, TURNING),))
+            errors.update(_errors_at(ok & (E > 0.0), lambda e: OutsideDomain(
+                "fishtail bounded librations exist only for E <= 0"), E))
+            lib = ok & (E <= 0.0)
+            x3, x4 = np.zeros(E.size), np.zeros(E.size)
+            _, x3[lib], x4[lib] = self._librational_roots(E[lib])
+            oval = lib & (x4 - x3 > _MERGE_TOL)
+            x3[oval] = self._polish_turning(x3[oval], E[oval], -1)
+            x4[oval] = self._polish_turning(x4[oval], E[oval], +1)
+            rows = _columns_to_rows(E.size, [(x3, x4, F_TURNING, F_TURNING, oval)])
+            return (*rows, errors)
 
         if trunc is None:
-            raise TruncationRequired(
-                "fishtail level curves are unbounded; pass a Truncation"
-            )
+            errors.update(_errors_at(ok, lambda e: TruncationRequired(
+                "fishtail level curves are unbounded; pass a Truncation"), E))
+            return (*_columns_to_rows(E.size, []), errors)
         a = float(trunc.a)
 
-        if E >= 0.0:
-            x2 = self._polish_turning(self._circulational_x2(E), E, +1)
-            if a >= x2:
-                raise TruncationInsideDomain(f"truncation a={a} exceeds x2={x2}")
-            return EnergyDomain(((a, x2),), ((TRUNCATION, TURNING),))
+        circ = ok & (E >= 0.0)
+        x2c = np.zeros(E.size)
+        x2c[circ] = self._polish_turning(self._circulational_x2(E[circ]), E[circ], +1)
+        errors.update(_errors_at(circ & (a >= x2c), lambda e, x2: TruncationInsideDomain(
+            f"truncation a={a} exceeds x2={x2}"), E, x2c))
 
-        roots = self._librational_roots(E)
-        if len(roots) == 3:
-            x2, x3, x4 = roots
-        elif len(roots) == 2 and abs(roots[0] + 4.0) < 1e-6:
-            # branch endpoints merged at the saddle (E -> 0-)
-            x2, x3, x4 = roots[0], roots[0], roots[1]
-        elif len(roots) == 2:
-            # oval shrank onto the elliptic point (E -> -32+)
-            x2, x3, x4 = roots[0], roots[1], roots[1]
-        else:
-            x2 = x3 = x4 = roots[0]
-
+        lib = ok & (E < 0.0)
+        x2, x3, x4 = np.zeros(E.size), np.zeros(E.size), np.zeros(E.size)
+        x2[lib], x3[lib], x4[lib] = self._librational_roots(E[lib])
+        x2p, x3p, x4p = x2.copy(), x3.copy(), x4.copy()
+        for x, xp, outward in ((x2, x2p, +1), (x3, x3p, -1), (x4, x4p, +1)):
+            xp[lib] = self._polish_turning(x[lib], E[lib], outward)
         # the cut keeps the part of the level curve with q >= a; pieces that
-        # fall entirely left of it are dropped
-        intervals = []
-        flags = []
-        if a < x2:
-            x2p = self._polish_turning(x2, E, +1)
-            intervals.append((a, x2p))
-            flags.append((TRUNCATION, TURNING))
-        oval_exists = x4 - x3 > _MERGE_TOL
-        if oval_exists and a < x4:
-            x3p = self._polish_turning(x3, E, -1)
-            x4p = self._polish_turning(x4, E, +1)
-            if intervals and x3p - intervals[0][1] <= _MERGE_TOL:
-                intervals = [(a, x4p)]
-                flags = [(TRUNCATION, TURNING)]
-            elif a >= x3p:
-                intervals.append((a, x4p))
-                flags.append((TRUNCATION, TURNING))
-            else:
-                intervals.append((x3p, x4p))
-                flags.append((TURNING, TURNING))
-        if not intervals:
-            if oval_exists:
-                raise TruncationInsideDomain(
-                    f"truncation a={a} lies right of the whole level curve"
-                )
-            # the oval degenerated to the elliptic point and the unbounded
-            # branch is outside the window: point level set, zero length
-            return EnergyDomain((), ())
-        return EnergyDomain(tuple(intervals), tuple(flags))
-
-    @staticmethod
-    def _pick_oval(roots, E):
-        """The bounded oscillation interval [x3, x4] with q >= -4."""
-        if len(roots) == 3:
-            return roots[1], roots[2]
-        if len(roots) == 2:
-            if abs(roots[0] + 4.0) < 1e-6:  # E ~ 0: oval spans [-4, x4]
-                return roots[0], roots[1]
-            return roots[1], roots[1]  # E ~ -32: point oval
-        return roots[0], roots[0]
+        # fall entirely left of it are dropped, and a branch end within
+        # _MERGE_TOL of the oval merges with it into one interval from a
+        left = lib & (a < x2)
+        oval_exists = lib & (x4 - x3 > _MERGE_TOL)
+        oval = oval_exists & (a < x4)
+        merge = oval & left & (x3p - x2p <= _MERGE_TOL)
+        from_cut = merge | (a >= x3p)
+        # with no piece left, a point oval (E = -32) has zero length
+        errors.update(_errors_at(oval_exists & ~left & ~oval, lambda e: TruncationInsideDomain(
+            f"truncation a={a} lies right of the whole level curve"), E))
+        rows = _columns_to_rows(E.size, [
+            (a, np.where(circ, x2c, x2p), F_TRUNCATION, F_TURNING,
+             (circ & (a < x2c)) | (left & ~merge)),
+            (np.where(from_cut, a, x3p), x4p,
+             np.where(from_cut, F_TRUNCATION, F_TURNING), F_TURNING, oval)])
+        return (*rows, errors)
 
 
 class HarmonicOscillator(_CodedModel):
@@ -458,13 +620,14 @@ class HarmonicOscillator(_CodedModel):
         # p^2 = (r - q)(r + q) with turning ends -r, r
         return np.where(t_lo & t_hi, 1.0, np.where(t_hi, q + hi, -lo - q))
 
-    def domain(self, E, trunc=None):
-        if E < 0.0:
-            raise BelowMinimum("harmonic oscillator has no level curve below E=0")
-        if E == 0.0:
-            return EnergyDomain((), ())
-        r = self._polish_turning(math.sqrt(2.0 * E), E, +1)
-        return EnergyDomain(((-r, r),), ((TURNING, TURNING),))
+    def _intervals(self, E, trunc):
+        errors = _errors_at(E < 0.0, lambda e: BelowMinimum(
+            "harmonic oscillator has no level curve below E=0"), E)
+        pos = E > 0.0
+        r = np.zeros(E.size)
+        r[pos] = self._polish_turning(np.sqrt(2.0 * E[pos]), E[pos], +1)
+        rows = _columns_to_rows(E.size, [(-r, r, F_TURNING, F_TURNING, pos)])
+        return (*rows, errors)
 
 
 class HarmonicRepulsor(_CodedModel):
@@ -492,15 +655,16 @@ class HarmonicRepulsor(_CodedModel):
         # p^2 = (q - r)(q + r) for E < 0, turning at lo = r or hi = -r
         return np.where(t_lo, q + lo, -q - hi)
 
-    def domain(self, E, trunc=None):
-        if E == 0.0:
-            return EnergyDomain((), ())
-        if E > 0.0:
-            hi = math.sqrt(2.0 * E) * math.sinh(self.t_star)
-            return EnergyDomain(((0.0, hi),), ((REGULAR, TRUNCATION),))
-        lo = self._polish_turning(math.sqrt(-2.0 * E), E, -1)
-        hi = math.sqrt(-2.0 * E) * math.cosh(self.t_star)
-        return EnergyDomain(((lo, hi),), ((TURNING, TRUNCATION),))
+    def _intervals(self, E, trunc):
+        # sqrt(2E) for E > 0, sqrt(-2E) for E < 0
+        r = np.sqrt(np.abs(2.0 * E))
+        pos, neg = E > 0.0, E < 0.0
+        hi = r * np.where(pos, math.sinh(self.t_star), math.cosh(self.t_star))
+        lo = np.zeros(E.size)
+        lo[neg] = self._polish_turning(r[neg], E[neg], -1)
+        f_lo = np.where(pos, F_REGULAR, F_TURNING)
+        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, F_TRUNCATION, pos | neg)])
+        return (*rows, {})
 
 
 @dataclass(frozen=True)
@@ -511,16 +675,46 @@ class MechanicalSystem:
     potential_slope: Callable
 
 
+def _monotone_runs(vs):
+    """Maximal runs of scan cells over which ``vs`` is monotone.
+
+    A flat cell joins the run it follows; a cell with a NaN difference
+    belongs to no run (no sign change can be found across it). Returns
+    (first cell, sign * vs over the run's nodes, sign) per run, the sign
+    making the values nondecreasing.
+    """
+    d = np.diff(vs).tolist()
+    runs = []
+    i = 0
+    while i < len(d):
+        if d[i] != d[i]:
+            i += 1
+            continue
+        j, sign = i, 0.0
+        while j < len(d) and d[j] == d[j]:
+            s = (d[j] > 0.0) - (d[j] < 0.0)
+            if s and sign and s != sign:
+                break
+            sign = sign or s
+            j += 1
+        sign = float(sign or 1.0)
+        runs.append((i, np.ascontiguousarray(sign * vs[i:j + 1]), sign))
+        i = j
+    return runs
+
+
 class MechanicalModel(HamiltonianModel):
     """Custom conservative system; domains found by bracketed root finding.
 
     The level-curve turning points of E - V(q) = 0 are located on
-    ``search_interval`` by scanning a fine grid for sign changes, solving
-    each bracket with Brent's method (tolerance 1e-12) and polishing the
-    root with Newton steps to full precision, which the quadrature's
-    deflated radicand needs. Interior local maxima of V on the scan grid,
-    refined by a bounded minimization, are the model's saddles and split
-    the quadrature panels.
+    ``search_interval`` from a fine scan grid. The grid's values are split
+    into monotone runs once; a batch of energies then finds every energy's
+    sign-change cells with one ``searchsorted`` per run. Each bracket is
+    solved with Brent's method (tolerance 1e-12) and the root polished with
+    Newton steps to full precision, which the quadrature's deflated
+    radicand needs; roots are solved one at a time on floats. Interior
+    local maxima of V on the scan grid, refined by a bounded minimization,
+    are the model's saddles and split the quadrature panels.
     """
 
     kernel_code = None
@@ -537,6 +731,7 @@ class MechanicalModel(HamiltonianModel):
         self.scan_points = int(scan_points)
         self._qs = np.linspace(self.search_lo, self.search_hi, self.scan_points + 1)
         self._vs = np.asarray(system.potential(self._qs), dtype=np.float64)
+        self._runs = _monotone_runs(self._vs)
         i = int(np.argmin(self._vs))
         lo = self._qs[max(i - 1, 0)]
         hi = self._qs[min(i + 1, self.scan_points)]
@@ -577,6 +772,45 @@ class MechanicalModel(HamiltonianModel):
             return np.asarray(p, dtype=np.float64), fp
         return float(p), float(fp)
 
+    def _crossing_cells(self, E):
+        """(energy, cell) index pairs, sorted, of the scan cells with a root.
+
+        These are the cells of the dense test ``g0 == 0 | g0 * g1 < 0`` on
+        g = E - V over the scan grid (a root on the cell's left node, or a
+        sign change across the cell); cell ``scan_points`` stands for a root
+        on the last node.
+        """
+        vs, last = self._vs, self.scan_points
+        es, cs = [], []
+        for start, w, sign in self._runs:
+            x = sign * E
+            n = w.size - 1
+            k = np.searchsorted(w, x, side="left")
+            # w[k - 1] < x <= w[k]: a sign change inside cell k - 1 unless x == w[k]
+            inside = (k >= 1) & (k <= n)
+            inside[inside] = w[k[inside]] != x[inside]
+            es.append(np.flatnonzero(inside))
+            cs.append(start + k[inside] - 1)
+            # cells k ... kr - 1 start on a node equal to x
+            count = np.maximum(np.minimum(np.searchsorted(w, x, side="right"), n) - k, 0)
+            if count.any():
+                e = np.repeat(np.arange(E.size), count)
+                first = np.cumsum(count) - count
+                es.append(e)
+                cs.append(start + k[e] + np.arange(e.size) - first[e])
+        on_last = np.flatnonzero(E - vs[-1] == 0.0)
+        es.append(on_last)
+        cs.append(np.full(on_last.size, last))
+        e, c = np.concatenate(es), np.concatenate(cs)
+        # the candidates hold the dense test's cells; keep exactly those
+        # (its product can underflow to zero)
+        g0 = E[e] - vs[c]
+        g1 = E[e] - vs[np.minimum(c + 1, last)]
+        keep = (g0 == 0.0) | ((g0 * g1 < 0.0) & (c < last))
+        e, c = e[keep], c[keep]
+        order = np.lexsort((c, e))
+        return e[order], c[order]
+
     def _newton(self, x, E, a, b):
         """Newton steps on E - V from x, kept inside the bracket [a, b]."""
         for _ in range(3):
@@ -589,40 +823,71 @@ class MechanicalModel(HamiltonianModel):
             x = nx
         return x
 
-    def domain(self, E, trunc=None):
-        if E < self.e_min:
-            raise BelowMinimum(f"{self.name}: E={E} below potential minimum")
-        g = E - self._vs
-        g0, g1 = g[:-1], g[1:]
-        roots = []
-        for i in np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0)).tolist():
-            if g0[i] == 0.0:
-                roots.append(self._qs[i])
-            else:
-                a, b = self._qs[i], self._qs[i + 1]
-                x = brentq(lambda x: E - float(self.system.potential(x)),
-                           a, b, xtol=1e-12, rtol=9e-16)
-                roots.append(self._newton(x, E, a, b))
-        if g[-1] == 0.0:
-            roots.append(self._qs[-1])
+    def _polish_root(self, q, E, outward):
+        """:meth:`_polish_turning` of one root, on floats.
 
-        edges = [self.search_lo] + roots + [self.search_hi]
-        intervals = []
-        flags = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            if hi - lo <= _MERGE_TOL:
-                continue
-            midval = E - float(self.system.potential(0.5 * (lo + hi)))
-            if midval <= 0.0:
-                continue
-            lo_is_root = lo != self.search_lo
-            hi_is_root = hi != self.search_hi
-            lo_p = self._polish_turning(lo, E, -1) if lo_is_root else lo
-            hi_p = self._polish_turning(hi, E, +1) if hi_is_root else hi
-            intervals.append((lo_p, hi_p))
-            flags.append((TURNING if lo_is_root else TRUNCATION,
-                          TURNING if hi_is_root else TRUNCATION))
-        return EnergyDomain(tuple(intervals), tuple(flags))
+        The user's potential sees Python floats here, as in ``brentq`` and
+        :meth:`_newton`; on arrays its powers can round differently.
+        """
+        q = float(q)
+        target = math.inf if outward > 0 else -math.inf
+        for _ in range(60):
+            if float(self.radicand(q, E)) <= 0.0:
+                break
+            q = np.nextafter(q, target)
+        return q
+
+    def _intervals(self, E, trunc):
+        errors = _errors_at(E < self.e_min, lambda e: BelowMinimum(
+            f"{self.name}: E={e} below potential minimum"), E)
+        potential = self.system.potential
+        qs, vs = self._qs, self._vs
+        Es = E.tolist()
+        ok = np.flatnonzero(E >= self.e_min)
+        owner, cell = self._crossing_cells(E[ok])
+        owner = ok[owner]
+        roots = []
+        for e, i in zip(owner.tolist(), cell.tolist()):
+            Ef = Es[e]
+            if i == self.scan_points or Ef - vs[i] == 0.0:
+                roots.append(qs[i])
+            else:
+                a, b = qs[i], qs[i + 1]
+                x = brentq(lambda x: Ef - float(potential(x)), a, b,
+                           xtol=1e-12, rtol=9e-16)
+                roots.append(self._newton(x, Ef, a, b))
+
+        # edges of an energy: search_lo, its roots, search_hi; consecutive
+        # edges bound its candidate intervals
+        width = np.zeros(E.size, dtype=np.intp)
+        width[ok] = 2
+        width += np.bincount(owner, minlength=E.size)
+        start = np.cumsum(width) - width
+        x = np.empty(int(width.sum()))
+        x[start[ok]] = self.search_lo
+        x[start[ok] + width[ok] - 1] = self.search_hi
+        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+        x[start[owner] + 1 + rank] = roots
+        edge_owner = np.repeat(np.arange(E.size), width)
+        same = edge_owner[1:] == edge_owner[:-1]
+        lo, hi, owner = x[:-1][same], x[1:][same], edge_owner[:-1][same]
+
+        # an interval is kept where it is wider than _MERGE_TOL and the
+        # branch is real at its midpoint
+        wide = np.flatnonzero(hi - lo > _MERGE_TOL)
+        mids = (0.5 * (lo[wide] + hi[wide])).tolist()
+        real = [Es[e] - float(potential(m)) > 0.0
+                for e, m in zip(owner[wide].tolist(), mids)]
+        keep = wide[np.array(real, dtype=bool)]
+        lo, hi, owner = lo[keep], hi[keep], owner[keep]
+        lo_root = lo != self.search_lo
+        hi_root = hi != self.search_hi
+        for xs, is_root, outward in ((lo, lo_root, -1), (hi, hi_root, +1)):
+            for j in np.flatnonzero(is_root).tolist():
+                xs[j] = self._polish_root(xs[j], Es[owner[j]], outward)
+        f_lo = np.where(lo_root, F_TURNING, F_TRUNCATION).astype(np.int8)
+        f_hi = np.where(hi_root, F_TURNING, F_TRUNCATION).astype(np.int8)
+        return owner, lo, hi, f_lo, f_hi, errors
 
 
 # ----------------------------------------------------------------------

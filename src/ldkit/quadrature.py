@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import InvalidInterval
-from .models import REGULAR, TRUNCATION, TURNING
+from .models import F_TRUNCATION, F_TURNING, FLAG_NAMES, REGULAR
 
 # panel slots (rows x panels) of one chunk, and nodes of one evaluation call
 _CHUNK_ELEMS = 1 << 16
@@ -161,12 +161,12 @@ def _gk_panels(model, rows, r, a, b):
     return k, err
 
 
-def _seed_counts(model, E, lo, hi, flags):
+def _seed_counts(model, E, lo, hi, f_lo, f_hi):
     """Half-decade seeds toward the lo and hi end of every row: down to a
     tenth of the larger of the end's distance from its nearest saddle and
     sqrt(|E - E_saddle|); none toward a truncation."""
     counts = []
-    for i, x in enumerate((lo, hi)):
+    for x, flag in ((lo, f_lo), (hi, f_hi)):
         n = np.zeros(E.size, dtype=np.intp)
         if model.saddles:
             S = np.asarray(model.saddles, dtype=np.float64)
@@ -176,7 +176,7 @@ def _seed_counts(model, E, lo, hi, flags):
             with np.errstate(divide="ignore"):
                 c = np.floor(2.0 * np.log10((hi - lo) / floor))
             n = np.clip(np.nan_to_num(c, posinf=_MAX_SEEDS), 0, _MAX_SEEDS).astype(np.intp)
-            n[[f[i] == TRUNCATION for f in flags]] = 0
+            n[flag == F_TRUNCATION] = 0
         counts.append(n)
     return counts
 
@@ -282,26 +282,27 @@ def _refine(model, ch, cfg, out):
         ch.n[r] += 1
 
 
-def arclength_rows(model, E, lo, hi, flags, cfg=None):
+def arclength_rows(model, E, lo, hi, f_lo, f_hi, cfg=None):
     """Arc lengths of the nonnegative branch over many intervals at once.
 
     Row i is the interval [lo[i], hi[i]] at energy E[i] with the endpoint
-    flag pair ``flags[i]`` from the model's domain; turning-point endpoints
-    put a row in the cosine variable. Intervals must have lo < hi. The
-    integrand is only evaluated at interior nodes of [lo, hi]. Returns
-    per-row arrays (value, est_error, evaluations, converged).
+    flag codes ``f_lo[i]``, ``f_hi[i]`` (``models.F_*``) from the model's
+    domain rows; turning-point endpoints put a row in the cosine variable.
+    Intervals must have lo < hi. The integrand is only evaluated at
+    interior nodes of [lo, hi]. Returns per-row arrays (value, est_error,
+    evaluations, converged).
     """
     if cfg is None:
         cfg = QuadratureConfig()
     E, lo, hi = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (E, lo, hi))
-    t_lo = np.array([f[0] == TURNING for f in flags], dtype=bool).reshape(-1)
-    t_hi = np.array([f[1] == TURNING for f in flags], dtype=bool).reshape(-1)
+    f_lo, f_hi = (np.asarray(f).reshape(-1) for f in (f_lo, f_hi))
+    t_lo, t_hi = f_lo == F_TURNING, f_hi == F_TURNING
     out = (np.empty(E.size), np.empty(E.size), np.zeros(E.size, dtype=np.int64),
            np.zeros(E.size, dtype=bool))
     if not E.size:
         return out
     rows = [E, lo, hi, t_lo, t_hi]
-    n_lo, n_hi = _seed_counts(model, E, lo, hi, flags)
+    n_lo, n_hi = _seed_counts(model, E, lo, hi, f_lo, f_hi)
     n = 1 + n_lo + n_hi  # seed panels per row
     step = max(1, _CHUNK_ELEMS // max(int(n.max()) + 1, 30))
     for i in range(0, E.size, step):
@@ -332,14 +333,15 @@ def arclength_rows(model, E, lo, hi, flags, cfg=None):
 def arclength_interval(model, E, interval, flags=(REGULAR, REGULAR), cfg=None):
     """Arc length of the nonnegative branch over one interval.
 
-    ``flags`` are the endpoint flags from the model's domain; turning-point
-    endpoints put the integral in the cosine variable. A batch of one row of
-    :func:`arclength_rows`.
+    ``flags`` are the endpoint flag names from the model's domain;
+    turning-point endpoints put the integral in the cosine variable. A
+    batch of one row of :func:`arclength_rows`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if lo >= hi:
         raise InvalidInterval(f"interval [{lo}, {hi}] has lo >= hi")
-    value, est, evals, conv = arclength_rows(model, [E], [lo], [hi], [flags], cfg)
+    f_lo, f_hi = (FLAG_NAMES.index(f) for f in flags)
+    value, est, evals, conv = arclength_rows(model, [E], [lo], [hi], [f_lo], [f_hi], cfg)
     return IntervalLength(float(value[0]), float(est[0]), int(evals[0]),
                           bool(conv[0]))
 

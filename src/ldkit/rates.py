@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFit, EmptyLadder, LdkitError, StraddlesCritical
-from .geometric import _dell_step, ell_batch
+from .errors import DegenerateFit, EmptyLadder, LdkitError
+from .geometric import _dell_steps, ell_batch
 
 CRITICALS = ("separatrix", "elliptic")
 SIDES = ("below", "above")
@@ -108,34 +108,20 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     n = int(round(pts_per_decade * decades)) + 1
     eps = np.geomspace(eps_hi, eps_lo, n)
 
-    n_failed = 0
-    kept = []  # (eps, h) of the samples whose step is valid
-    energies = []  # their E + h and E - h, in that order
-    for e in eps.tolist():
-        E = e_c + sign * e
-        h = max(1e-3 * e, 1e-12)
-        try:
-            _dell_step(model, E, h)
-        except StraddlesCritical:
-            n_failed += 1
-            continue
-        kept.append((e, h))
-        energies += [E + h, E - h]
-    b = ell_batch(model, energies, trunc, cfg)
-
-    samples = []
-    n_unconverged = 0
-    for k, (e, h) in enumerate(kept):
-        plus, minus = 2 * k, 2 * k + 1
-        if b.errors[plus] is not None or b.errors[minus] is not None:
-            n_failed += 1
-            continue
-        d = abs((float(b.values[plus]) - float(b.values[minus])) / (2.0 * h))
-        if not math.isfinite(d) or d <= 0.0:
-            n_failed += 1
-            continue
-        samples.append(RateSample(e, d))
-        n_unconverged += not (b.converged[plus] and b.converged[minus])
+    E = e_c + sign * eps
+    h = np.maximum(1e-3 * eps, 1e-12)
+    _, code = _dell_steps(model, E, h)
+    ok = code == 0
+    E, h, eps = E[ok], h[ok], eps[ok]
+    b = ell_batch(model, np.column_stack([E + h, E - h]).ravel(), trunc, cfg)
+    with np.errstate(invalid="ignore"):
+        d = np.abs((b.values[0::2] - b.values[1::2]) / (2.0 * h))
+    raised = np.array([exc is not None for exc in b.errors], dtype=bool).reshape(-1, 2)
+    good = ~raised.any(axis=1) & np.isfinite(d) & (d > 0.0)
+    samples = [RateSample(e, v) for e, v in zip(eps[good].tolist(), d[good].tolist())]
+    n_failed = int(np.count_nonzero(~ok) + np.count_nonzero(~good))
+    both = b.converged[0::2] & b.converged[1::2]
+    n_unconverged = int(np.count_nonzero(good & ~both))
     if not samples:
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")
     return RateLadder(samples, n_failed, n_unconverged)

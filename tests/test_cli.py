@@ -64,6 +64,33 @@ def test_bmap_matches_in_process(tmp_path, pend):
     assert mine.read_bytes() == theirs.read_bytes()
 
 
+def test_bmap_exit_codes(tmp_path):
+    # a file that is not a grid CSV is a usage error
+    bad = tmp_path / "bad.csv"
+    bad.write_text("E,ell\n0,1\n")
+    assert run(["bmap", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    # a masked node is data: it and its four neighbours come out masked
+    spec = lk.GridSpec(0.0, 1.0, 0.0, 1.0, 5, 5)
+    grid = lk.GridMap(spec, np.arange(25.0).reshape(5, 5), "ell")
+    grid.mask[2, 2] = False
+    src, out = tmp_path / "masked.csv", tmp_path / "b.csv"
+    lk.write_grid_csv(grid, src)
+    assert run(["bmap", "--in", str(src), "--out", str(out)]) == 0
+    b = lk.read_grid_csv(out, quantity="bnorm")
+    expect = np.ones((5, 5), dtype=bool)
+    for jp, iq in ((2, 2), (1, 2), (3, 2), (2, 1), (2, 3)):
+        expect[jp, iq] = False
+    assert np.array_equal(b.mask, expect)
+    assert np.all(np.isfinite(b.values[expect]))
+
+
+def test_rates_exit_codes(tmp_path):
+    assert run(["rates", "--model", "rotor"]) == 1
+    out = tmp_path / "r.json"
+    assert run(["rates", "--model", "harmonic-oscillator", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["model"] == "harmonic-oscillator"
+
+
 def test_temporal_line(tmp_path):
     out = tmp_path / "t.csv"
     rc = run(["temporal", "--model", "pendulum", "--t", "5",

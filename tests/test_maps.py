@@ -71,6 +71,20 @@ def test_table_mode_close_to_exact(pend):
     assert float(np.max(rel)) < 1e-2
 
 
+def test_table_mode_per_node_error_against_direct(pend):
+    # the grid holds the elliptic minimum (q = p = 0) and crosses the
+    # separatrix E = 0; the graded knots follow the square-root onset of
+    # ell at both, where uniform knots were off by 25% beside the minimum
+    spec = lk.GridSpec(-math.pi, math.pi, -3.0, 3.0, 201, 201)
+    exact = lk.ell_map(pend, spec)
+    table = lk.ell_map(pend, spec, table=True)
+    assert table.mask.all()
+    assert exact.values[100, 100] == table.values[100, 100] == 0.0  # E = -2
+    pos = exact.values > 0.0
+    rel = np.abs(table.values[pos] - exact.values[pos]) / exact.values[pos]
+    assert float(np.max(rel)) <= 1e-4
+
+
 def test_unconverged_nodes_masked(pend):
     spec = lk.GridSpec(-3.0, 3.0, -2.2, 2.2, 12, 10)
     tight = lk.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-15, max_levels=4)

@@ -132,7 +132,7 @@ def test_against_external_integrator(pend, duff):
 
         out = 0.0
         for (lo, hi), fl in model.domain(E).pairs():
-            brk = [b for b in model.interior_breaks(E) if lo < b < hi]
+            brk = [b for b in model.saddles if lo < b < hi]
             v, _ = quad(integrand, lo, hi, points=brk or None, limit=400,
                         epsabs=1e-12, epsrel=1e-12)
             out += v
