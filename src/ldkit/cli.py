@@ -242,11 +242,11 @@ def _cmd_temporal(args):
     cfg = IntegratorConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     res = ld_landscape_line(model, line, args.t, cfg=cfg)
     varying = "p" if line.fixed == "q" else "q"
+    cols = (res.coords, res.total, res.plus, res.minus, res.status)
     with open(args.out, "w", newline="\n") as fh:
         fh.write(f"{varying},ld,ld_plus,ld_minus,flag\n")
-        for c, tot, pl, mi, st in zip(res.coords, res.total, res.plus,
-                                      res.minus, res.status):
-            fh.write(f"{c:.17g},{tot:.17g},{pl:.17g},{mi:.17g},{int(st)}\n")
+        fh.write("".join("%.17g,%.17g,%.17g,%.17g,%d\n" % r
+                         for r in zip(*(c.tolist() for c in cols))))
     return 0
 
 

@@ -13,20 +13,21 @@ Output formats:
 
 * landscape CSV: header ``E,ell[,dell_dE]``, 17 significant digits;
 * grid CSV (long format): header ``q,p,value,mask``, row-major node order,
-  masked nodes carry an empty value field and mask 0;
+  masked nodes carry an empty value field and mask 0; the reader rejects a
+  file whose lines do not form a grid in that order;
 * PGM: binary ``P5``, 16-bit big-endian, nq x np, linear min-max scaling,
   masked nodes map to 0.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+
 import numpy as np
 
 from ._kernels import STATUS_OK
 from .geometric import ell_batch
 from .temporal import _ld_lanes
-
-_FMT = "{:.17g}"
 
 
 @dataclass(frozen=True)
@@ -193,16 +194,17 @@ def b_map(ell_grid):
 # ----------------------------------------------------------------------
 
 def write_landscape_csv(landscape, path):
+    """Landscape CSV: one ``%.17g`` template per row, with or without the
+    ``dell_dE`` column."""
+    cols = [landscape.energies, landscape.lengths]
+    header = "E,ell"
+    if landscape.derivs is not None:
+        cols.append(landscape.derivs)
+        header += ",dell_dE"
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        if landscape.derivs is not None:
-            fh.write("E,ell,dell_dE\n")
-            for e, l, d in zip(landscape.energies, landscape.lengths,
-                               landscape.derivs):
-                fh.write(f"{_FMT.format(e)},{_FMT.format(l)},{_FMT.format(d)}\n")
-        else:
-            fh.write("E,ell\n")
-            for e, l in zip(landscape.energies, landscape.lengths):
-                fh.write(f"{_FMT.format(e)},{_FMT.format(l)}\n")
+        fh.write(header + "\n")
+        fh.write("".join(row % r for r in zip(*(np.asarray(c).tolist() for c in cols))))
 
 
 def read_landscape_csv(path):
@@ -220,46 +222,64 @@ def read_landscape_csv(path):
 
 
 def write_grid_csv(grid, path):
-    # each q and p is formatted once; one joined string per p row
-    q_strs = [_FMT.format(q) for q in grid.spec.q_nodes().tolist()]
+    """Grid CSV, one p row per ``write``.
+
+    Every number is written with 17 significant digits, which round-trips
+    doubles. Each q node has two line templates, formatted once:
+    ``q,<p>,%.17g,1`` for a valid node and ``q,<p>,,0`` for a masked one. A
+    row joins the templates its mask picks, puts in its p string and
+    formats all of its valid values with one ``%``.
+    """
+    qs = grid.spec.q_nodes().tolist()
+    valid = np.array([f"{q:.17g},\0,%.17g,1\n" for q in qs], dtype=object)
+    masked = np.array([f"{q:.17g},\0,,0\n" for q in qs], dtype=object)
+    mask = np.asarray(grid.mask, dtype=bool)
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,value,mask\n")
-        for p, vals, oks in zip(grid.spec.p_nodes().tolist(), grid.values.tolist(),
-                                grid.mask.tolist()):
-            p_str = _FMT.format(p)
-            fh.write("".join(f"{q},{p_str},{_FMT.format(v)},1\n" if ok
-                             else f"{q},{p_str},,0\n"
-                             for q, v, ok in zip(q_strs, vals, oks)))
+        for p, vals, oks in zip(grid.spec.p_nodes().tolist(), grid.values, mask):
+            row = "".join(np.where(oks, valid, masked).tolist())
+            fh.write(row.replace("\0", f"{p:.17g}") % tuple(vals[oks].tolist()))
 
 
 def read_grid_csv(path, quantity="ell"):
+    """Read a grid CSV back; raises ``ValueError`` unless it is one.
+
+    Blank lines are skipped and every other line must have the four fields
+    ``q,p,value,mask``. The lines must form a grid in the writer's order:
+    the row length ``nq`` is where the first q string repeats, every row
+    repeats the first row's q strings exactly, and p is one string along
+    each row. Only the first row's q, each row's p and the value column
+    are parsed; an empty value reads as NaN and ``mask`` is true where the
+    field is ``1``.
+    """
     with open(path, "r") as fh:
         header = fh.readline()
         if header.strip() != "q,p,value,mask":
             raise ValueError(f"{path}: not a grid CSV (header {header!r})")
-        qs = []
-        ps = []
-        vals = []
-        masks = []
-        for line in fh:
-            if not line.strip():
-                continue
-            q, p, v, m = line.rstrip("\n").split(",")
-            qs.append(float(q))
-            ps.append(float(p))
-            masks.append(m == "1")
-            vals.append(float(v) if v else math.nan)
-    qs = np.array(qs)
-    ps = np.array(ps)
-    nq = 1
-    while nq < len(qs) and qs[nq] != qs[0]:
-        nq += 1
-    if len(qs) % nq:
-        raise ValueError(f"{path}: ragged grid ({len(qs)} rows, row length {nq})")
-    npts = len(qs) // nq
-    spec = GridSpec(qs[0], qs[nq - 1], ps[0], ps[-1], nq, npts)
-    values = np.array(vals).reshape(npts, nq)
-    mask = np.array(masks).reshape(npts, nq)
+        lines = list(filter(str.strip, fh.read().split("\n")))
+    if not lines:
+        raise ValueError(f"{path}: grid CSV has no rows")
+    if set(map(str.count, lines, repeat(","))) != {3}:
+        raise ValueError(f"{path}: every grid CSV line needs 4 fields")
+    tokens = ",".join(lines).split(",")
+    qt, pt, vt, mt = (tokens[k::4] for k in range(4))
+    try:
+        nq = qt.index(qt[0], 1)
+    except ValueError:
+        nq = len(qt)
+    if len(qt) % nq:
+        raise ValueError(f"{path}: ragged grid ({len(qt)} rows, row length {nq})")
+    npts = len(qt) // nq
+    if qt != qt[:nq] * npts:
+        raise ValueError(f"{path}: q nodes differ between rows")
+    p_row = pt[::nq]
+    if any(pt[j * nq:(j + 1) * nq] != [p] * nq for j, p in enumerate(p_row)):
+        raise ValueError(f"{path}: p changes inside a row")
+    qs = [float(q) for q in qt[:nq]]
+    ps = [float(p) for p in p_row]
+    spec = GridSpec(qs[0], qs[-1], ps[0], ps[-1], nq, npts)
+    values = np.array([float(v) if v else math.nan for v in vt]).reshape(npts, nq)
+    mask = np.array([m == "1" for m in mt]).reshape(npts, nq)
     return GridMap(spec, values, quantity, mask)
 
 

@@ -775,10 +775,10 @@ class MechanicalModel(HamiltonianModel):
     def _crossing_cells(self, E):
         """(energy, cell) index pairs, sorted, of the scan cells with a root.
 
-        These are the cells of the dense test ``g0 == 0 | g0 * g1 < 0`` on
-        g = E - V over the scan grid (a root on the cell's left node, or a
-        sign change across the cell); cell ``scan_points`` stands for a root
-        on the last node.
+        These are the cells of the dense test
+        ``g0 == 0 | sign(g0) * sign(g1) < 0`` on g = E - V over the scan grid
+        (a root on the cell's left node, or a sign change across the cell);
+        cell ``scan_points`` stands for a root on the last node.
         """
         vs, last = self._vs, self.scan_points
         es, cs = [], []
@@ -802,11 +802,11 @@ class MechanicalModel(HamiltonianModel):
         es.append(on_last)
         cs.append(np.full(on_last.size, last))
         e, c = np.concatenate(es), np.concatenate(cs)
-        # the candidates hold the dense test's cells; keep exactly those
-        # (its product can underflow to zero)
+        # the candidates hold the dense test's cells; keep exactly those (the
+        # sign change is tested on signs: g0 * g1 can underflow to -0.0)
         g0 = E[e] - vs[c]
         g1 = E[e] - vs[np.minimum(c + 1, last)]
-        keep = (g0 == 0.0) | ((g0 * g1 < 0.0) & (c < last))
+        keep = (g0 == 0.0) | ((np.sign(g0) * np.sign(g1) < 0.0) & (c < last))
         e, c = e[keep], c[keep]
         order = np.lexsort((c, e))
         return e[order], c[order]
@@ -858,19 +858,23 @@ class MechanicalModel(HamiltonianModel):
                 roots.append(self._newton(x, Ef, a, b))
 
         # edges of an energy: search_lo, its roots, search_hi; consecutive
-        # edges bound its candidate intervals
+        # edges bound its candidate intervals. ``is_root`` marks the roots,
+        # which may coincide with a search end.
         width = np.zeros(E.size, dtype=np.intp)
         width[ok] = 2
         width += np.bincount(owner, minlength=E.size)
         start = np.cumsum(width) - width
         x = np.empty(int(width.sum()))
+        is_root = np.zeros(x.size, dtype=bool)
         x[start[ok]] = self.search_lo
         x[start[ok] + width[ok] - 1] = self.search_hi
         rank = np.arange(owner.size) - np.searchsorted(owner, owner)
         x[start[owner] + 1 + rank] = roots
+        is_root[start[owner] + 1 + rank] = True
         edge_owner = np.repeat(np.arange(E.size), width)
         same = edge_owner[1:] == edge_owner[:-1]
         lo, hi, owner = x[:-1][same], x[1:][same], edge_owner[:-1][same]
+        lo_root, hi_root = is_root[:-1][same], is_root[1:][same]
 
         # an interval is kept where it is wider than _MERGE_TOL and the
         # branch is real at its midpoint
@@ -880,10 +884,9 @@ class MechanicalModel(HamiltonianModel):
                 for e, m in zip(owner[wide].tolist(), mids)]
         keep = wide[np.array(real, dtype=bool)]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
-        lo_root = lo != self.search_lo
-        hi_root = hi != self.search_hi
-        for xs, is_root, outward in ((lo, lo_root, -1), (hi, hi_root, +1)):
-            for j in np.flatnonzero(is_root).tolist():
+        lo_root, hi_root = lo_root[keep], hi_root[keep]
+        for xs, root, outward in ((lo, lo_root, -1), (hi, hi_root, +1)):
+            for j in np.flatnonzero(root).tolist():
                 xs[j] = self._polish_root(xs[j], Es[owner[j]], outward)
         f_lo = np.where(lo_root, F_TURNING, F_TRUNCATION).astype(np.int8)
         f_hi = np.where(hi_root, F_TURNING, F_TRUNCATION).astype(np.int8)

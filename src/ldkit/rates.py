@@ -43,8 +43,9 @@ class RateSample:
 
 @dataclass
 class RateLadder:
-    """Kept samples; ``n_failed`` counts omitted ones, ``n_unconverged`` the
-    kept samples whose E + h or E - h quadrature did not converge."""
+    """Kept samples, each from two converged quadratures. ``n_failed``
+    counts the samples omitted as failed, ``n_unconverged`` those omitted
+    because their E + h or E - h quadrature did not converge."""
 
     samples: list
     n_failed: int
@@ -78,9 +79,10 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     """|d ell/dE| on a geometric eps ladder approaching a critical energy.
 
     The E +/- h points of the whole ladder are one batched ell evaluation.
-    Failed differences (straddles, domain errors, non-finite values) are
-    omitted and counted in ``n_failed``; unconverged ones are kept and
-    counted in ``n_unconverged``.
+    Only converged differences are fitted: failed ones (straddles, domain
+    errors, non-finite values) are omitted and counted in ``n_failed``, and
+    the others whose E + h or E - h quadrature did not converge are omitted
+    and counted in ``n_unconverged``.
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
@@ -118,9 +120,10 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
         d = np.abs((b.values[0::2] - b.values[1::2]) / (2.0 * h))
     raised = np.array([exc is not None for exc in b.errors], dtype=bool).reshape(-1, 2)
     good = ~raised.any(axis=1) & np.isfinite(d) & (d > 0.0)
-    samples = [RateSample(e, v) for e, v in zip(eps[good].tolist(), d[good].tolist())]
-    n_failed = int(np.count_nonzero(~ok) + np.count_nonzero(~good))
     both = b.converged[0::2] & b.converged[1::2]
+    kept = good & both
+    samples = [RateSample(e, v) for e, v in zip(eps[kept].tolist(), d[kept].tolist())]
+    n_failed = int(np.count_nonzero(~ok) + np.count_nonzero(~good))
     n_unconverged = int(np.count_nonzero(good & ~both))
     if not samples:
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")

@@ -134,31 +134,50 @@ _LADDERS = pytest.mark.parametrize("critical,side", [("separatrix", "below"),
 
 
 def _ladder_vs_scalar(model, critical, side, cfg):
-    """A rate ladder and its unconverged count recomputed from scalar calls."""
-    ladder = lk.sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-5,
-                             pts_per_decade=4, cfg=cfg)
+    """A rate ladder checked against scalar calls, and its omitted count.
+
+    The ladder keeps exactly the samples whose E + h and E - h quadratures
+    both converge, each with the scalar derivative; the others are omitted.
+    Returns the ladder (None when every sample is omitted, in which case
+    ``sample_rates`` raises ``EmptyLadder``) and the omitted count.
+    """
+    kw = dict(eps_hi=1e-2, eps_lo=1e-5, pts_per_decade=4, cfg=cfg)
     e_min, e_sx = model.critical_energies()
     e_c = e_sx if critical == "separatrix" else e_min
     sign = -1.0 if side == "below" else 1.0
-    unconverged = 0
-    for s in ladder.samples:
-        E = e_c + sign * s.eps
-        h = max(1e-3 * s.eps, 1e-12)
-        assert s.deriv_abs == abs(lk.dell_dE(model, E, h=h, cfg=cfg))
+    kept, omitted = [], 0
+    for eps in np.geomspace(1e-2, 1e-5, 13).tolist():
+        E = e_c + sign * eps
+        h = max(1e-3 * eps, 1e-12)
         flags = [lk.ell(model, x, cfg=cfg, full_output=True)[1].converged
                  for x in (E + h, E - h)]
-        unconverged += not all(flags)
-    return ladder, unconverged
+        if all(flags):
+            kept.append((eps, abs(lk.dell_dE(model, E, h=h, cfg=cfg))))
+        else:
+            omitted += 1
+    if not kept:
+        with pytest.raises(lk.EmptyLadder):
+            lk.sample_rates(model, critical, side, **kw)
+        return None, omitted
+    ladder = lk.sample_rates(model, critical, side, **kw)
+    assert [(s.eps, s.deriv_abs) for s in ladder.samples] == kept
+    assert ladder.n_failed == 0
+    return ladder, omitted
 
 
 @_LADDERS
 def test_sample_rates_match_scalar_calls(pend, critical, side):
-    ladder, unconverged = _ladder_vs_scalar(pend, critical, side, None)
-    assert ladder.n_unconverged == unconverged == 0
+    ladder, omitted = _ladder_vs_scalar(pend, critical, side, None)
+    assert ladder.n_unconverged == omitted == 0
 
 
 @_LADDERS
 def test_sample_rates_count_unconverged(pend, critical, side):
-    # rows capped at four levels below their seeds cannot meet 1e-15
-    ladder, unconverged = _ladder_vs_scalar(pend, critical, side, _TIGHT)
-    assert ladder.n_unconverged == unconverged > 0
+    # rows capped at four levels below their seeds cannot meet 1e-15: the
+    # samples they serve are left out of the fit and counted (on the
+    # separatrix ladders every sample is, so the ladder is empty)
+    ladder, omitted = _ladder_vs_scalar(pend, critical, side, _TIGHT)
+    assert omitted > 0
+    if ladder is not None:
+        assert ladder.n_unconverged == omitted
+        assert len(ladder.samples) + omitted == 13

@@ -84,6 +84,17 @@ def test_bmap_exit_codes(tmp_path):
     assert np.all(np.isfinite(b.values[expect]))
 
 
+def test_bmap_rejects_swapped_nodes(tmp_path):
+    # two nodes of one row swapped: the q nodes no longer form a grid
+    spec = lk.GridSpec(0.0, 1.0, 0.0, 1.0, 4, 3)
+    src = tmp_path / "swapped.csv"
+    lk.write_grid_csv(lk.GridMap(spec, np.arange(12.0).reshape(3, 4), "ell"), src)
+    lines = src.read_text().splitlines()
+    lines[6], lines[7] = lines[7], lines[6]
+    src.write_text("\n".join(lines) + "\n")
+    assert run(["bmap", "--in", str(src), "--out", str(tmp_path / "b.csv")]) == 1
+
+
 def test_rates_exit_codes(tmp_path):
     assert run(["rates", "--model", "rotor"]) == 1
     out = tmp_path / "r.json"

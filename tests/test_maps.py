@@ -221,6 +221,91 @@ def test_grid_csv_masked_nodes(tmp_path):
     assert np.array_equal(back.values[back.mask], g.values[g.mask])
 
 
+def _oracle_grid_csv(grid):
+    """The grid CSV written node by node with ``{:.17g}``."""
+    out = ["q,p,value,mask\n"]
+    for jp, p in enumerate(grid.spec.p_nodes().tolist()):
+        for iq, q in enumerate(grid.spec.q_nodes().tolist()):
+            if grid.mask[jp, iq]:
+                out.append(f"{q:.17g},{p:.17g},{grid.values[jp, iq]:.17g},1\n")
+            else:
+                out.append(f"{q:.17g},{p:.17g},,0\n")
+    return "".join(out)
+
+
+def _special_grid():
+    # random magnitudes over the whole double range, the values whose
+    # formatting is special, masked nodes and two whole masked rows
+    rng = np.random.default_rng(5)
+    spec = lk.GridSpec(-1.0, 2.0, -0.5, 3.0, 9, 6)
+    values = rng.standard_normal((6, 9)) * 10.0 ** rng.integers(-300, 300, (6, 9))
+    values[1, :7] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 0.1]
+    mask = rng.random((6, 9)) > 0.3
+    mask[1, :7] = True
+    mask[2, :] = False
+    mask[5, :] = False
+    return lk.GridMap(spec, values, "ell", mask)
+
+
+@pytest.mark.parametrize("grid", [
+    _special_grid(),
+    lk.GridMap(lk.GridSpec(0.0, 1.0, 0.0, 1.0, 2, 2),
+               np.array([[1.0, -2.5], [1e-310, 3.0]]), "ell",
+               np.array([[True, False], [True, True]])),
+], ids=["special", "2x2"])
+def test_grid_csv_bytes_and_roundtrip(tmp_path, grid):
+    path = tmp_path / "g.csv"
+    lk.write_grid_csv(grid, path)
+    assert path.read_text() == _oracle_grid_csv(grid)
+    back = lk.read_grid_csv(path)
+    assert back.spec == grid.spec
+    assert np.array_equal(back.mask, grid.mask)
+    # bit for bit on valid nodes (-0.0 included), NaN on masked ones
+    m = grid.mask
+    assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
+    assert np.isnan(back.values[~m]).all()
+
+
+def _edited_grid_csv(tmp_path, edit):
+    """A valid 3x2 grid CSV with its body lines passed through ``edit``."""
+    path = tmp_path / "e.csv"
+    lk.write_grid_csv(_flat_grid(np.arange(6.0).reshape(2, 3)), path)
+    header, *body = path.read_text().splitlines()
+    path.write_text("\n".join([header] + edit(body)) + "\n")
+    return path
+
+
+def _swap_nodes(body):
+    body[4], body[5] = body[5], body[4]
+    return body
+
+
+def _change_p(body):
+    q, _, v, m = body[4].split(",")
+    body[4] = ",".join([q, "0.5", v, m])
+    return body
+
+
+@pytest.mark.parametrize("edit", [
+    _swap_nodes,
+    _change_p,
+    lambda body: body[:2] + [body[2].rsplit(",", 1)[0]] + body[3:],
+    lambda body: body[:2] + [body[2] + ",1"] + body[3:],
+    lambda body: [],
+    lambda body: ["", "  "],
+], ids=["swapped", "p-in-row", "3-fields", "5-fields", "empty", "blank"])
+def test_grid_csv_reader_rejects_non_grids(tmp_path, edit):
+    path = _edited_grid_csv(tmp_path, edit)
+    with pytest.raises(ValueError):
+        lk.read_grid_csv(path)
+
+
+def test_grid_csv_reader_skips_blank_lines(tmp_path):
+    path = _edited_grid_csv(tmp_path, lambda body: body[:3] + ["", " "] + body[3:])
+    back = lk.read_grid_csv(path)
+    assert np.array_equal(back.values, np.arange(6.0).reshape(2, 3))
+
+
 def test_landscape_csv_roundtrip(tmp_path, pend):
     ls = lk.landscape(pend, -2.0, 1.0, 601)
     path = tmp_path / "l.csv"
@@ -242,6 +327,17 @@ def test_landscape_csv_with_derivs(tmp_path, pend):
     same = np.isfinite(ls.derivs)
     assert np.array_equal(back.derivs[same], ls.derivs[same])
     assert np.isnan(back.derivs[~same]).all()
+
+
+def test_landscape_csv_bytes(tmp_path, pend):
+    for derivs in (False, True):
+        ls = lk.landscape(pend, -2.0, 1.0, 13, with_derivs=derivs)
+        path = tmp_path / "l.csv"
+        lk.write_landscape_csv(ls, path)
+        cols = [ls.energies, ls.lengths] + ([ls.derivs] if derivs else [])
+        rows = ["E,ell,dell_dE" if derivs else "E,ell"]
+        rows += [",".join(f"{x:.17g}" for x in r) for r in zip(*cols)]
+        assert path.read_text() == "\n".join(rows) + "\n"
 
 
 def test_pgm_output(tmp_path):

@@ -319,6 +319,30 @@ def test_mechanical_domain_roots_on_scan_nodes():
     assert dom.flags == ((TRUNCATION, TRUNCATION),)
 
 
+def test_mechanical_tiny_scale_keeps_its_turning_points():
+    # E - V is ~1e-201 on the scan nodes next to a root, so the product of
+    # two neighbours underflows; the sign change must still be found
+    m = lk.mechanical(lambda q: 1e-200 * np.asarray(q) ** 2,
+                      lambda q: 2e-200 * np.asarray(q), (-2.0, 2.0))
+    dom = m.domain(0.3e-200)
+    (lo, hi), = dom.intervals
+    assert lo == pytest.approx(-math.sqrt(0.3), abs=1e-12)
+    assert hi == pytest.approx(math.sqrt(0.3), abs=1e-12)
+    assert dom.flags == ((TURNING, TURNING),)
+
+
+def test_mechanical_root_on_the_search_end_is_a_turning_point():
+    # at E = 1/2 the right root of q^2/2 is q = 1, the search interval's end
+    m = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2, lambda q: np.asarray(q),
+                      (-1.5, 1.0))
+    dom = m.domain(0.5)
+    assert dom.intervals == ((-1.0, 1.0),)
+    assert dom.flags == ((TURNING, TURNING),)
+    length, info = lk.ell(m, 0.5, full_output=True)
+    assert info.converged
+    assert length == pytest.approx(2.0 * math.pi, rel=0, abs=1e-12)
+
+
 def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     # the batched stepper evaluates the field on arrays; every model must
     # give the elementwise scalar field, and coded models the formulas of
