@@ -4,7 +4,8 @@ Each kernel has one definition. The model formulas and the quadrature
 integrand are vectorized numpy. A single trajectory runs the scalar
 Dormand-Prince 5(4) stepper on floats (:func:`dp45_callable`, with
 :func:`dp45_arclength` for built-ins on ``math``); lines and grids run the
-same stepper batched over many initial conditions (:func:`dp45_lanes`).
+same stepper batched over many initial conditions, forward in time only
+(:func:`dp45_lanes`).
 
 Built-in models are addressed by small integer codes that select their
 formulas.
@@ -310,15 +311,17 @@ def dp45_arclength(code, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse
     return dp45_callable(f, q0, p0, t_end, rtol, atol, max_step, max_steps)
 
 
-def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
+def dp45_lanes(f, q0, p0, t_end, rtol, atol, max_step, max_steps):
     """:func:`dp45_callable` vectorized over lanes, one initial condition each.
 
-    Lane ``i`` integrates ``sgn[i] * f(q, p)`` from ``(q0[i], p0[i])``; ``f``
-    takes and returns arrays. Every lane keeps its own step size, FSAL
-    derivative, step count and status, and runs the scalar stepper's
-    arithmetic and step-size controller in the same order, so a lane's
-    result depends on no other lane. Lanes that finish are compacted away.
-    Returns arrays (s, q, p, status, nsteps).
+    Lane ``i`` integrates ``f(q, p)`` forward from ``(q0[i], p0[i])``; ``f``
+    takes and returns arrays. There is no time-reversed lane: for
+    H = αp² + V(q) the backward piece from (q, p) is the forward piece from
+    (q, −p), mirrored in p (see ``temporal._ld_lanes``). Every lane keeps
+    its own step size, FSAL derivative, step count and status, and runs the
+    scalar stepper's arithmetic and step-size controller in the same order,
+    so a lane's result depends on no other lane. Lanes that finish are
+    compacted away. Returns arrays (s, q, p, status, nsteps).
 
     A lane differs from the scalar stepper only where numpy's ``hypot``,
     ``power`` or the array field round differently from ``math.hypot``,
@@ -339,7 +342,6 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
     q0 = np.asarray(q0, dtype=np.float64)
     n = q0.size
     y = np.stack([q0, np.asarray(p0, dtype=np.float64), np.zeros(n)])  # q, p, s
-    sgn = np.broadcast_to(np.asarray(sgn, dtype=np.float64), (n,))
     lane = np.arange(n)
     t = np.zeros(n)
     nsteps = np.zeros(n, dtype=np.int64)
@@ -349,17 +351,15 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
     nsteps_out = np.empty(n, dtype=np.int64)
     h_min = 1e-14 * max(1.0, t_end)
 
-    def field(x, sgn):
-        """Signed field and its norm at rows q, p of ``x``, as rows q, p, s."""
-        fq, fp = f(x[0], x[1])
+    def field(x):
+        """Field and its norm at rows q, p of ``x``, as rows q, p, s."""
         k = np.empty((3, x.shape[1]))
-        np.multiply(sgn, fq, out=k[0])
-        np.multiply(sgn, fp, out=k[1])
+        k[0], k[1] = f(x[0], x[1])
         np.hypot(k[0], k[1], out=k[2])
         return k
 
     with np.errstate(all="ignore"):
-        k1 = field(y, sgn)
+        k1 = field(y)
         h = np.minimum(np.minimum(
             1e-3 * (1.0 + np.hypot(y[0], y[1])) / (1.0 + k1[2]), t_end), max_step)
 
@@ -374,7 +374,7 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
                 live = ~done
                 lane, y, k1 = lane[live], y[:, live], k1[:, live]
                 t, h, nsteps = t[live], h[live], nsteps[live]
-                status, sgn = status[live], sgn[live]
+                status = status[live]
             if not lane.size:
                 break
             nsteps += 1
@@ -382,20 +382,19 @@ def dp45_lanes(f, q0, p0, sgn, t_end, rtol, atol, max_step, max_steps):
             h = np.minimum(h, max_step)
 
             x = y[:2]  # stage inputs need rows q, p only
-            k2 = field(x + h * 0.2 * k1[:2], sgn)
-            k3 = field(x + h * (3.0 / 40.0 * k1[:2] + 9.0 / 40.0 * k2[:2]), sgn)
+            k2 = field(x + h * 0.2 * k1[:2])
+            k3 = field(x + h * (3.0 / 40.0 * k1[:2] + 9.0 / 40.0 * k2[:2]))
             k4 = field(x + h * (44.0 / 45.0 * k1[:2] - 56.0 / 15.0 * k2[:2]
-                                + 32.0 / 9.0 * k3[:2]), sgn)
+                                + 32.0 / 9.0 * k3[:2]))
             k5 = field(x + h * (19372.0 / 6561.0 * k1[:2] - 25360.0 / 2187.0 * k2[:2]
-                                + 64448.0 / 6561.0 * k3[:2] - 212.0 / 729.0 * k4[:2]),
-                       sgn)
+                                + 64448.0 / 6561.0 * k3[:2] - 212.0 / 729.0 * k4[:2]))
             k6 = field(x + h * (9017.0 / 3168.0 * k1[:2] - 355.0 / 33.0 * k2[:2]
                                 + 46732.0 / 5247.0 * k3[:2] + 49.0 / 176.0 * k4[:2]
-                                - 5103.0 / 18656.0 * k5[:2]), sgn)
+                                - 5103.0 / 18656.0 * k5[:2]))
             yn = y + h * (35.0 / 384.0 * k1 + 500.0 / 1113.0 * k3
                           + 125.0 / 192.0 * k4 - 2187.0 / 6784.0 * k5
                           + 11.0 / 84.0 * k6)
-            k7 = field(yn, sgn)
+            k7 = field(yn)
             e = h * (71.0 / 57600.0 * k1 - 71.0 / 16695.0 * k3
                      + 71.0 / 1920.0 * k4 - 17253.0 / 339200.0 * k5
                      + 22.0 / 525.0 * k6 - 1.0 / 40.0 * k7)

@@ -4,14 +4,16 @@ Grids are row-major with the momentum index outermost (p outer, q inner),
 matching the CSV layout. Node computations are independent, and each map is
 one batched run: a direct ell map is one ``ell_batch`` over the grid's
 unique node energies, a table ell map one over its graded knots, and a temporal
-map one stepper run over all nodes. A node's value does not depend on which
-other nodes share the batch (the quadrature's sums are row-local and its
-temporaries are chunked by rows), so a sub-grid reproduces the grid's nodes
-bit for bit.
+map one forward stepper run over its distinct starts (q, p) and (q, -p), since
+each backward piece is the forward piece of the start mirrored in p. A node's
+value does not depend on which other nodes share the batch (the quadrature's
+sums are row-local, its temporaries are chunked by rows, and each stepper lane
+runs on its own values), so a sub-grid reproduces the grid's nodes bit for bit.
 
 Output formats:
 
-* landscape CSV: header ``E,ell[,dell_dE]``, 17 significant digits;
+* landscape CSV: header ``E,ell[,dell_dE]``, 17 significant digits; the
+  reader rejects a file with another header or a line of another width;
 * grid CSV (long format): header ``q,p,value,mask``, row-major node order,
   masked nodes carry an empty value field and mask 0; the reader rejects a
   file whose lines do not form a grid in that order;
@@ -153,8 +155,10 @@ def _ell_by_table(model, E, trunc, cfg, table_size):
 
 
 def temporal_map(model, spec, t, cfg=None):
-    """Per-node temporal LD total over the grid, as one batched run over all
-    nodes; failed nodes keep their partial value but are masked."""
+    """Per-node temporal LD total over the grid, as one batched forward run
+    over the distinct starts (q, p) and (q, -p); on a grid symmetric in p
+    that is one lane per node. Failed nodes keep their partial value but are
+    masked."""
     Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
     plus, minus, st_p, st_m, _, _ = _ld_lanes(model, Q.ravel(), P.ravel(), t, cfg)
     shape = (spec.np, spec.nq)
@@ -208,17 +212,27 @@ def write_landscape_csv(landscape, path):
 
 
 def read_landscape_csv(path):
+    """Read a landscape CSV back; raises ``ValueError`` unless it is one.
+
+    The header must be ``E,ell`` or ``E,ell,dell_dE``. Blank lines are
+    skipped, and every other line must have as many fields as the header.
+    All values are converted from one split of the body.
+    """
     from .geometric import Landscape
 
     with open(path, "r") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
-    energies = np.array([float(r[0]) for r in rows])
-    lengths = np.array([float(r[1]) for r in rows])
-    derivs = None
-    if len(header) > 2:
-        derivs = np.array([float(r[2]) for r in rows])
-    return Landscape(energies, lengths, derivs)
+        header = fh.readline().strip()
+        lines = list(filter(str.strip, fh.read().split("\n")))
+    if header not in ("E,ell", "E,ell,dell_dE"):
+        raise ValueError(f"{path}: not a landscape CSV (header {header!r})")
+    if not lines:
+        raise ValueError(f"{path}: landscape CSV has no rows")
+    ncol = header.count(",") + 1
+    if set(map(str.count, lines, repeat(","))) != {ncol - 1}:
+        raise ValueError(f"{path}: every landscape CSV line needs {ncol} fields")
+    values = np.array(list(map(float, ",".join(lines).split(","))))
+    cols = values.reshape(-1, ncol).T.copy()
+    return Landscape(cols[0], cols[1], cols[2] if ncol == 3 else None)
 
 
 def write_grid_csv(grid, path):

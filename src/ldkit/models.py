@@ -191,7 +191,14 @@ class HamiltonianModel:
         raise NotImplementedError
 
     def vector_field(self, q, p):
-        """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays."""
+        """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays.
+
+        Every model is H = αp² + V(q) (the radicand p² presumes it), so the
+        field is time-reversal symmetric bit for bit: ``fq(q, −p) ==
+        −fq(q, p)`` and ``fp(q, −p) == fp(q, p)``, on arrays and on floats.
+        The batched stepper relies on it to run each backward piece as the
+        forward piece from (q, −p).
+        """
         raise NotImplementedError
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
@@ -767,7 +774,10 @@ class MechanicalModel(HamiltonianModel):
         slope = self.system.potential_slope(q)
         if isinstance(q, float):  # the scalar stepper's calls, kept cheap
             return float(p), -float(slope)
-        fp = -np.broadcast_to(np.asarray(slope, dtype=np.float64), np.shape(q))
+        slope = np.asarray(slope, dtype=np.float64)
+        if slope.shape != np.shape(q):  # a slope that returned a scalar
+            slope = np.broadcast_to(slope, np.shape(q))
+        fp = -slope
         if fp.ndim:
             return np.asarray(p, dtype=np.float64), fp
         return float(p), float(fp)

@@ -9,10 +9,13 @@ vectors are involved anywhere: the descriptor is orbit-based only.
 
 A single initial condition (:func:`temporal_ld`) runs the scalar stepper.
 Lines (:func:`ld_landscape_line`) and grids (``maps.temporal_map``) run one
-batched stepper over all their initial conditions, forward and backward
-lanes together. Each lane does the scalar stepper's arithmetic on its own
-values only, so its result does not depend on which other initial
-conditions share the batch.
+batched stepper over all their initial conditions, forward only: every model
+is H = αp² + V(q), which is time-reversal symmetric, so the backward piece
+from (q, p) is the forward piece from (q, −p), bit for bit. Each distinct
+start runs once, so a grid symmetric in p integrates one lane per node, not
+two. Each lane does the scalar stepper's arithmetic on its own values only,
+so its result does not depend on which other initial conditions share the
+batch.
 """
 
 from dataclasses import dataclass
@@ -20,13 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels as K
-
-STATUS_LABELS = {
-    K.STATUS_OK: "ok",
-    K.STATUS_BLOWUP: "blow-up",
-    K.STATUS_STEP_LIMIT: "step-limit",
-}
-
 
 @dataclass(frozen=True)
 class FlowState:
@@ -133,26 +129,43 @@ def temporal_ld(model, x0, t, cfg=None):
 
 
 def _ld_lanes(model, q0, p0, t, cfg):
-    """Forward and backward pieces of every ``(q0[i], p0[i])`` as one batched run.
+    """Forward and backward pieces of every ``(q0[i], p0[i])``, all run forward.
+
+    The backward piece from (q, p) is the forward piece from (q, −p): the
+    field's q row is odd in p and its p row does not depend on p
+    (``HamiltonianModel.vector_field``), so the mirrored lane computes the
+    same step sizes, error norms, arc lengths and q rows, and exactly the
+    negated p rows (a zero may change sign, which no magnitude sees). The 2n starts (q, p) and (q, −p), with −0.0 read as
+    +0.0, are integrated once per distinct start (compared by their bits)
+    and mapped back with the inverse index; on a grid symmetric in p that is
+    n lanes, not 2n.
 
     Returns arrays (plus, minus, status_plus, status_minus, steps_plus,
     steps_minus). A lane that runs the whole window matches
     :func:`temporal_ld` to ~1e-12 relative or better. A lane stopped early
     (blow-up, step limit) stops where its step sizes add up to, which last-bit
     differences between numpy and ``math`` can move (see
-    :func:`_kernels.dp45_lanes`); such lanes are few, so they are run again on
-    the scalar stepper and then equal :func:`temporal_ld` bit for bit.
+    :func:`_kernels.dp45_lanes`); such lanes are few, so each of their pieces
+    is run again on the scalar stepper in its own direction and then equals
+    :func:`temporal_ld` bit for bit.
     """
     if t <= 0.0:
         raise ValueError("horizon t must be positive")
     if cfg is None:
         cfg = IntegratorConfig()
     n = q0.size
-    sgn = np.repeat([1.0, -1.0], n)
+    starts = np.empty((2 * n, 2))
+    starts[:n, 0] = starts[n:, 0] = q0
+    starts[:n, 1] = p0
+    starts[n:, 1] = -p0
+    starts[:, 1] += 0.0  # -0.0 + 0.0 is +0.0: one lane for both zeros
+    lanes, inverse = np.unique(starts.view(np.uint64), axis=0, return_inverse=True)
+    lanes = lanes.view(np.float64)
     s, _, _, status, nsteps = K.dp45_lanes(
-        model.vector_field, np.tile(q0, 2), np.tile(p0, 2), sgn, float(t),
+        model.vector_field, lanes[:, 0], lanes[:, 1], float(t),
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
     )
+    s, status, nsteps = s[inverse], status[inverse], nsteps[inverse]
     for i in np.flatnonzero(status != K.STATUS_OK):
         j = i % n
         s[i], status[i], nsteps[i] = _one_sided(model, q0[j], p0[j], t, cfg,

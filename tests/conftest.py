@@ -41,6 +41,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """Number of lanes of every batched-stepper call the test makes."""
+    from ldkit import _kernels
+
+    seen = []
+    real = _kernels.dp45_lanes
+
+    def spy(f, q0, p0, *args):
+        seen.append(np.size(q0))
+        return real(f, q0, p0, *args)
+
+    monkeypatch.setattr(_kernels, "dp45_lanes", spy)
+    return seen
+
+
 def random_energies(model, rng, n, span_above=1.0):
     """Random energies in (e_min, e_sx) and (e_sx, e_sx + span_above)."""
     e_min, e_sx = model.critical_energies()

@@ -192,6 +192,23 @@ def test_temporal_map_flags_blowup(fish):
     assert not g.mask.all()
 
 
+@pytest.mark.parametrize("p_lo, n_p, lanes", [
+    (-1.5, 4, 20),  # p = +-0.5, +-1.5: one lane per node
+    (-1.5, 7, 35),  # a p = 0 row: (q, 0.0) and its mirror (q, -0.0) share a lane
+    (0.25, 6, 60),  # p in [0.25, 1.5], no mirror inside: two lanes per node
+])
+def test_temporal_map_runs_each_distinct_start_once(pend, lane_counts, p_lo, n_p,
+                                                    lanes):
+    # a backward piece is the forward piece from (q, -p), so the stepper
+    # runs once per distinct start among the nodes and their mirrors
+    spec = lk.GridSpec(-2.0, 2.0, p_lo, 1.5, 5, n_p)
+    g = lk.temporal_map(pend, spec, 2.0)
+    assert lane_counts == [lanes]
+    if p_lo < 0.0:
+        # (q, p) and (q, -p) add the same two pieces
+        assert np.array_equal(g.values, g.values[::-1])
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_grid_csv_roundtrip(tmp_path, pend):
@@ -327,6 +344,33 @@ def test_landscape_csv_with_derivs(tmp_path, pend):
     same = np.isfinite(ls.derivs)
     assert np.array_equal(back.derivs[same], ls.derivs[same])
     assert np.isnan(back.derivs[~same]).all()
+
+
+@pytest.mark.parametrize("text", [
+    "E,ell\n1.0,2.0\n3.0\n",  # a short line
+    "E,ell,dell_dE\n1.0,2.0,0.5\n3.0,4.0\n",
+    "E,ell\n1.0,2.0,0.5\n",  # a long line
+    "E,ell,dell_dE,extra\n1.0,2.0,0.5,7.0\n",  # an extra header column
+    "q,p,value,mask\n0,0,1.0,1\n",
+    "E,ell\n",  # an empty body
+    "E,ell\n\n  \n",
+    "",
+], ids=["short", "short-derivs", "long", "extra-column", "grid", "empty", "blank",
+         "no-header"])
+def test_landscape_csv_reader_rejects_non_landscapes(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        lk.read_landscape_csv(path)
+
+
+def test_landscape_csv_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "l.csv"
+    path.write_text("E,ell,dell_dE\n1.5,2.25,nan\n\n \n-3,4e-300,-0.5\n")
+    back = lk.read_landscape_csv(path)
+    assert back.energies.tolist() == [1.5, -3.0]
+    assert back.lengths.tolist() == [2.25, 4e-300]
+    assert math.isnan(back.derivs[0]) and back.derivs[1] == -0.5
 
 
 def test_landscape_csv_bytes(tmp_path, pend):

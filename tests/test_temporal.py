@@ -6,7 +6,7 @@ import pytest
 
 import ldkit as lk
 from ldkit._kernels import dp45_lanes
-from ldkit.temporal import IntegratorConfig
+from ldkit.temporal import IntegratorConfig, _ld_lanes
 
 
 def test_vector_field_examples(pend, duff):
@@ -241,7 +241,7 @@ def test_batched_step_limit_matches_scalar(pend):
     # the batched stepper stops these lanes on its own count too
     Q, P = np.meshgrid(PARITY_SPEC.q_nodes(), PARITY_SPEC.p_nodes())
     _, _, _, status, nsteps = dp45_lanes(
-        pend.vector_field, Q.ravel(), P.ravel(), 1.0, 10.0,
+        pend.vector_field, Q.ravel(), P.ravel(), 10.0,
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
     assert np.all(status == 2)
     assert np.all(nsteps == cfg.max_steps)
@@ -261,7 +261,7 @@ def test_nan_field_stops_with_step_limit():
     # the batched stepper itself, before a stopped lane is run again on the
     # scalar one
     _, _, _, status, nsteps = dp45_lanes(
-        mech.vector_field, [0.5, 0.5], [1.0, 1.2], 1.0, 10.0,
+        mech.vector_field, [0.5, 0.5], [1.0, 1.2], 10.0,
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
     assert np.all(status == 2)
     assert np.all(nsteps < 200)
@@ -283,10 +283,83 @@ def test_nan_field_at_start_stops_at_once():
     res = lk.ld_landscape_line(mech, lk.LineSpec("p", 0.0, 1.5, 2.0, 2), 10.0)
     assert np.all(res.status == 2)
     assert np.all(res.steps <= 4)  # both directions together
+    # each start and its mirror (q, -0.0), whose forward lane is the
+    # backward piece
     cfg = IntegratorConfig()
     _, _, _, status, nsteps = dp45_lanes(
-        mech.vector_field, [1.5, 1.5, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0],
-        [1.0, -1.0, 1.0, -1.0], 10.0,
+        mech.vector_field, [1.5, 1.5, 2.0, 2.0], [0.0, -0.0, 0.0, -0.0], 10.0,
         cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
     assert np.all(status == 2)
     assert np.all(nsteps <= 2)
+
+
+# -- backward pieces as mirrored forward lanes ---------------------------------
+
+@pytest.mark.parametrize("line, lanes", [
+    (lk.LineSpec("p", 0.0, -math.pi, math.pi, 9), 9),  # (q, 0.0) is its own mirror
+    (lk.LineSpec("q", 0.0, -2.5, 2.5, 11), 11),  # p and -p both on the line
+    (lk.LineSpec("q", 0.0, 0.0, 2.5, 11), 21),  # only p = 0 is mirrored
+])
+def test_line_runs_each_distinct_start_once(pend, lane_counts, line, lanes):
+    lk.ld_landscape_line(pend, line, 2.0)
+    assert lane_counts == [lanes]
+
+
+def _unmirrored(model, q0, p0, t, cfg):
+    """Each start alone, its backward piece run on the time-reversed field
+    (no mirroring); pieces the stepper stops early are taken from
+    :func:`temporal_ld`, as the batched path reruns them."""
+    opts = (t, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+
+    def reversed_field(q, p):
+        fq, fp = model.vector_field(q, p)
+        return -fq, -fp
+
+    out = []
+    for q, p in zip(q0.tolist(), p0.tolist()):
+        r = lk.temporal_ld(model, (q, p), t, cfg)
+        scalar = ((r.plus, r.status_plus, r.steps_plus),
+                  (r.minus, r.status_minus, r.steps_minus))
+        for f, ref in zip((model.vector_field, reversed_field), scalar):
+            s, _, _, status, nsteps = dp45_lanes(f, [q], [p], *opts)
+            out.append((s[0], status[0], nsteps[0]) if status[0] == 0 else ref)
+    s, status, nsteps = (np.array(col).reshape(-1, 2).T for col in zip(*out))
+    return s[0], s[1], status[0], status[1], nsteps[0], nsteps[1]
+
+
+@pytest.mark.parametrize("case", ["pendulum", "step-limit", "fishtail-mirrored",
+                                  "fishtail", "double-well"])
+def test_mirrored_lanes_match_reversed_field_bitwise(case, pend, fish):
+    # running (q, -p) forward in place of (q, p) backward changes no bit of
+    # any piece, status or step count, blow-up and step-limit lanes included
+    cfg = IntegratorConfig()
+    t = 5.0
+    if case in ("pendulum", "step-limit"):
+        model, spec = pend, PARITY_SPEC  # has a p = 0 row
+        if case == "step-limit":
+            cfg = IntegratorConfig(max_steps=5)
+    elif case == "fishtail-mirrored":
+        # escapes past the saddle at q = -4 and librations about q = 0
+        model, spec, t = fish, lk.GridSpec(-6.0, -2.0, -1.0, 1.0, 3, 3), 4.0
+    elif case == "fishtail":
+        model, spec, t = fish, lk.GridSpec(-6.0, -4.5, 0.5, 1.5, 2, 2), 20.0
+    else:
+        model = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                              lambda q: q ** 3 - q, (-2.0, 2.0))
+        spec = lk.GridSpec(-0.5, 0.5, -0.75, 0.75, 3, 3)
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    q0, p0 = Q.ravel(), P.ravel()
+    got = _ld_lanes(model, q0, p0, t, cfg)
+    want = _unmirrored(model, q0, p0, t, cfg)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    plus, minus, st_p, st_m = want[:4]
+    g = lk.temporal_map(model, spec, t, cfg)
+    assert np.array_equal(g.values.ravel(), plus + minus)
+    assert np.array_equal(g.mask.ravel(), (st_p == 0) & (st_m == 0))
+    if case.startswith("fishtail"):
+        assert np.any(st_p == 1) and np.any(st_m == 1)
+    if case == "fishtail-mirrored":
+        assert np.any((st_p == 0) & (st_m == 0))
+    if case == "step-limit":
+        assert np.all(st_p == 2) and np.all(st_m == 2)
