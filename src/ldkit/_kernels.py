@@ -1,25 +1,18 @@
 """Hot numeric kernels: integrand evaluation and the arc-length ODE steppers.
 
-Each kernel has one definition. The model formulas and the quadrature
-integrand are vectorized numpy. A single trajectory runs the scalar
-Dormand-Prince 5(4) stepper on floats (:func:`dp45_callable`, with
-:func:`dp45_arclength` for built-ins on ``math``); lines and grids run the
-same stepper batched over many initial conditions, forward in time only
-(:func:`dp45_lanes`).
-
-Built-in models are addressed by small integer codes that select their
-formulas.
+Each kernel has one definition and takes a model object; the formulas are
+the model's own (``models``). The quadrature integrand is vectorized numpy.
+A single trajectory runs the scalar Dormand-Prince 5(4) stepper on Python
+floats (:func:`dp45_callable`, through :func:`dp45_arclength`); lines and
+grids run the same stepper batched over many initial conditions
+(:func:`dp45_lanes`). Both run forward in time only: every model is
+H = αp² + V(q), so a backward piece is the forward piece from (q, −p),
+mirrored in p.
 """
 
 import math
 
 import numpy as np
-
-PENDULUM = 0
-DUFFING = 1
-FISHTAIL = 2
-OSCILLATOR = 3
-REPULSOR = 4
 
 # Negative radicands above this magnitude signal a caller bug; smaller ones
 # are turning-point roundoff and clamp to zero.
@@ -36,80 +29,6 @@ STATUS_STEP_LIMIT = 2
 HAVE_NUMBA = USE_NUMBA = False
 
 
-def radicand(code, q, E):
-    """Squared nonnegative momentum branch p^2(q; E) for a coded model.
-
-    The formulas are algebraically factored so that the inevitable
-    cancellation near turning points happens between as few, as small terms
-    as possible (e.g. 2(E + cos q + 1) == 2E + 4 cos^2(q/2)).
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if code == PENDULUM:
-        return 2.0 * E + 4.0 * np.cos(0.5 * q) ** 2
-    if code == DUFFING:
-        return 2.0 * E + 0.5 * q * q * (2.0 - q * q)
-    if code == FISHTAIL:
-        return E - (q - 2.0) * (q + 4.0) ** 2
-    if code == OSCILLATOR:
-        return 2.0 * E - q * q
-    if code == REPULSOR:
-        return 2.0 * E + q * q
-    raise ValueError(f"unknown model code {code}")
-
-
-def radicand_dq(code, q):
-    """d/dq of the branch radicand."""
-    q = np.asarray(q, dtype=np.float64)
-    if code == PENDULUM:
-        return -2.0 * np.sin(q)
-    if code == DUFFING:
-        return 2.0 * q - 2.0 * q ** 3
-    if code == FISHTAIL:
-        return -3.0 * q * (q + 4.0)
-    if code == OSCILLATOR:
-        return -2.0 * q
-    if code == REPULSOR:
-        return 2.0 * q
-    raise ValueError(f"unknown model code {code}")
-
-
-def energy(code, q, p):
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if code == PENDULUM:
-        return 0.5 * p * p - np.cos(q) - 1.0
-    if code == DUFFING:
-        return 0.5 * p * p - 0.5 * q * q + 0.25 * q ** 4
-    if code == FISHTAIL:
-        return p * p + q ** 3 + 6.0 * q * q - 32.0
-    if code == OSCILLATOR:
-        return 0.5 * (q * q + p * p)
-    if code == REPULSOR:
-        return 0.5 * (p * p - q * q)
-    raise ValueError(f"unknown model code {code}")
-
-
-def vector_field(code, q, p):
-    """Hamiltonian vector field (dq/dt, dp/dt) for a coded model, on arrays.
-
-    The same formulas as :func:`_vf_pair`, which stays on ``math`` because the
-    scalar stepper runs faster on it.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    if code == PENDULUM:
-        return p, -np.sin(q)
-    if code == DUFFING:
-        return p, q - q ** 3
-    if code == FISHTAIL:
-        return 2.0 * p, -(3.0 * q * q + 12.0 * q)
-    if code == OSCILLATOR:
-        return p, -q
-    if code == REPULSOR:
-        return p, q
-    raise ValueError(f"unknown model code {code}")
-
-
 def arc_integrand(rad, rad_dq):
     """Arc-length integrand sqrt(1 + (dp/dq)^2) from the radicand p^2 and its
     q-derivative, elementwise; zero where the radicand is <= 0.
@@ -124,29 +43,16 @@ def arc_integrand(rad, rad_dq):
     return np.where(rad > 0.0, f, 0.0)
 
 
-def integrand_values(code, qs, E):
-    """:func:`arc_integrand` of a coded model at the nodes ``qs``."""
-    return arc_integrand(radicand(code, qs, E), radicand_dq(code, qs))
-
-
-def _vf_pair(code, q, p):
-    """Hamiltonian vector field (dq/dt, dp/dt) for a coded model."""
-    if code == PENDULUM:
-        return p, -math.sin(q)
-    if code == DUFFING:
-        return p, q - q ** 3
-    if code == FISHTAIL:
-        return 2.0 * p, -(3.0 * q * q + 12.0 * q)
-    if code == OSCILLATOR:
-        return p, -q
-    return p, q  # REPULSOR
+def integrand_values(model, qs, E):
+    """:func:`arc_integrand` of ``model``'s branch at the nodes ``qs``."""
+    return arc_integrand(model.radicand(qs, E), model.radicand_dq(qs))
 
 
 def dp45_callable(f, q0, p0, t_end, rtol, atol, max_step, max_steps):
     """Dormand-Prince 5(4) with an augmented arc-length component.
 
-    ``f(q, p) -> (dq/dt, dp/dt)`` is an arbitrary Python vector field (sign
-    already applied for time reversal). Returns (s, q, p, status, nsteps).
+    ``f(q, p) -> (dq/dt, dp/dt)`` is any vector field on Python floats,
+    integrated forward over [0, t_end]. Returns (s, q, p, status, nsteps).
     """
     q = float(q0)
     p = float(p0)
@@ -300,15 +206,17 @@ def dp45_callable(f, q0, p0, t_end, rtol, atol, max_step, max_steps):
     return s, q, p, status, nsteps
 
 
-def dp45_arclength(code, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse):
-    """:func:`dp45_callable` on a coded model's field, time-reversed if ``reverse``."""
+def dp45_arclength(model, q0, p0, t_end, rtol, atol, max_step, max_steps, reverse):
+    """:func:`dp45_callable` on ``model``'s field, time-reversed if ``reverse``.
+
+    The backward piece from (q0, p0) is the forward piece from (q0, −p0)
+    with the end momentum mirrored back, bit for bit (see
+    ``HamiltonianModel.vector_field``).
+    """
     sgn = -1.0 if reverse else 1.0
-
-    def f(q, p):
-        fq, fp = _vf_pair(code, q, p)
-        return sgn * fq, sgn * fp
-
-    return dp45_callable(f, q0, p0, t_end, rtol, atol, max_step, max_steps)
+    s, q, p, status, nsteps = dp45_callable(model.vector_field, q0, sgn * p0, t_end,
+                                            rtol, atol, max_step, max_steps)
+    return s, q, sgn * p, status, nsteps
 
 
 def dp45_lanes(f, q0, p0, t_end, rtol, atol, max_step, max_steps):

@@ -187,7 +187,8 @@ def dell_dE(model, E, trunc=None, h=None, cfg=None):
         raise StraddlesCritical("step straddles the separatrix energy")
     b = ell_batch(model, [E + h, E - h], trunc, cfg)
     b.raise_first()
-    return (float(b.values[0]) - float(b.values[1])) / (2.0 * h)
+    # the step E +/- h really spans, which rounding can move off 2h
+    return (float(b.values[0]) - float(b.values[1])) / ((E + h) - (E - h))
 
 
 def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
@@ -231,7 +232,8 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     derivs = None
     if with_derivs:
         derivs = np.full(energies.shape, math.nan)
-        derivs[deriv] = (b.values[plus] - b.values[plus + 1]) / (2.0 * h)
+        derivs[deriv] = ((b.values[plus] - b.values[plus + 1])
+                         / (batch[plus] - batch[plus + 1]))
     return Landscape(energies, b.values[at_sample], derivs, b.converged[at_sample])
 
 

@@ -1,11 +1,15 @@
 """Catalog of 1-DoF Hamiltonian models and their level-curve geometry.
 
-Each model knows its energy function H(q, p), the squared nonnegative
-momentum branch (the "radicand" p^2(q; E)) and its q-derivative, the
-radicand with its turning-point roots divided out (the "deflated radicand"
-the quadrature integrates with), a symmetry multiplier relating the
-single-branch arc length to the full level-curve length, its critical
-energies (elliptic minimum and separatrix) and the abscissae of its saddles.
+Each model class writes its own formulas: the energy function H(q, p), the
+squared nonnegative momentum branch (the "radicand" p^2(q; E)) and its
+q-derivative, and the vector field, each on numpy arrays (the field also on
+Python floats, for the scalar stepper). It also knows the radicand with its
+turning-point roots divided out (the "deflated radicand" the quadrature
+integrates with), a symmetry multiplier relating the single-branch arc
+length to the full level-curve length, its critical energies (elliptic
+minimum and separatrix) and the abscissae of its saddles.
+``HamiltonianModel.kernel_code`` is the model itself (None for custom
+models); it stays only because ``ldbench/`` passes it to the kernels.
 
 The integration domain of the branch is built for a whole array of energies
 at once: :meth:`HamiltonianModel.domains` returns flat rows (owner energy,
@@ -34,7 +38,7 @@ are immutable after construction and safe to share across workers.
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
@@ -148,6 +152,17 @@ def _math_map(fn, *args):
                        dtype=np.float64, count=n)
 
 
+def _value(x):
+    """``x``, or a Python float when it is 0-d."""
+    return x if np.ndim(x) else float(x)
+
+
+def _operands(q, p):
+    """``q`` and ``p`` as float64 arrays, or as Python floats when 0-d."""
+    q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+    return (q, p) if q.ndim or p.ndim else (float(q), float(p))
+
+
 def _columns_to_rows(n, columns):
     """Flat rows from per-energy candidate columns.
 
@@ -169,7 +184,6 @@ class HamiltonianModel:
     """Base class; subclasses fill in the model formulas and domains."""
 
     name = ""
-    kernel_code: Optional[int] = None
     multiplier = 1
     e_min = -math.inf
     e_sx = math.inf
@@ -193,13 +207,21 @@ class HamiltonianModel:
     def vector_field(self, q, p):
         """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays.
 
+        A Python float ``q`` (the scalar stepper's calls) runs on floats
+        and returns floats, bit for bit the elementwise array result.
+
         Every model is H = αp² + V(q) (the radicand p² presumes it), so the
         field is time-reversal symmetric bit for bit: ``fq(q, −p) ==
         −fq(q, p)`` and ``fp(q, −p) == fp(q, p)``, on arrays and on floats.
-        The batched stepper relies on it to run each backward piece as the
-        forward piece from (q, −p).
+        Both steppers rely on it to run each backward piece as the forward
+        piece from (q, −p).
         """
         raise NotImplementedError
+
+    @property
+    def kernel_code(self):
+        """This model, for ``ldbench/``'s kernel calls; None for custom models."""
+        return self
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         """p^2(q; E) divided by the distances to the turning ends of a row.
@@ -253,6 +275,10 @@ class HamiltonianModel:
 
     def critical_energies(self):
         return self.e_min, self.e_sx
+
+    def _below_minimum(self, E):
+        return _errors_at(E < self.e_min, lambda e: BelowMinimum(
+            f"{self.name} has no level curve below E={self.e_min}"), E)
 
     # -- domains ---------------------------------------------------------
 
@@ -354,40 +380,35 @@ def _errors_at(mask, make, *values):
             for i in np.flatnonzero(mask).tolist()}
 
 
-class _CodedModel(HamiltonianModel):
-    """Built-in whose formulas live in the kernel module under an int code."""
-
-    def energy(self, q, p):
-        out = K.energy(self.kernel_code, q, p)
-        return out if np.ndim(out) else float(out)
-
-    def radicand(self, q, E):
-        out = K.radicand(self.kernel_code, q, E)
-        return out if np.ndim(out) else float(out)
-
-    def radicand_dq(self, q):
-        out = K.radicand_dq(self.kernel_code, q)
-        return out if np.ndim(out) else float(out)
-
-    def vector_field(self, q, p):
-        fq, fp = K.vector_field(self.kernel_code, q, p)
-        return (fq if fq.ndim else float(fq)), (fp if fp.ndim else float(fp))
-
-    def _below_minimum(self, E):
-        return _errors_at(E < self.e_min, lambda e: BelowMinimum(
-            f"{self.name} has no level curve below E={self.e_min}"), E)
-
-
-class Pendulum(_CodedModel):
+class Pendulum(HamiltonianModel):
     """H = p^2/2 - cos q - 1 on the cylinder; E = 0 on the separatrix."""
 
     name = "pendulum"
-    kernel_code = K.PENDULUM
     multiplier = 2
     e_min = -2.0
     e_sx = 0.0
     bounded = True
     saddles = (-math.pi, math.pi)
+
+    def energy(self, q, p):
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        return _value(0.5 * p * p - np.cos(q) - 1.0)
+
+    def radicand(self, q, E):
+        # 2(E + cos q + 1) == 2E + 4 cos^2(q/2): near a turning point the
+        # cancellation happens between as few, as small terms as possible
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * E + 4.0 * np.cos(0.5 * q) ** 2)
+
+    def radicand_dq(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(-2.0 * np.sin(q))
+
+    def vector_field(self, q, p):
+        if isinstance(q, float):  # math.sin costs far less than np.sin on a float
+            return p, -math.sin(q)
+        q, p = _operands(q, p)
+        return p, -np.sin(q)
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # turning ends are +-r: 2 (cos q - cos r) = 4 sin((r + q)/2) sin((r - q)/2)
@@ -411,16 +432,34 @@ class Pendulum(_CodedModel):
         return (*rows, self._below_minimum(E))
 
 
-class Duffing(_CodedModel):
+class Duffing(HamiltonianModel):
     """H = p^2/2 - q^2/2 + q^4/4; 8-shaped separatrix through the origin."""
 
     name = "duffing"
-    kernel_code = K.DUFFING
     multiplier = 4
     e_min = -0.25
     e_sx = 0.0
     bounded = True
     saddles = (0.0,)
+
+    def energy(self, q, p):
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        return _value(0.5 * p * p - 0.5 * q * q + 0.25 * q ** 4)
+
+    def radicand(self, q, E):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * E + 0.5 * q * q * (2.0 - q * q))
+
+    def radicand_dq(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * q - 2.0 * q ** 3)
+
+    def vector_field(self, q, p):
+        if not isinstance(q, float):
+            q, p = _operands(q, p)
+        # q * q * q, not q ** 3: numpy's power and float pow differ in the
+        # last bit on some inputs
+        return p, q - q * q * q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (q^2 - x1^2)(x2^2 - q^2)/2, x1^2 = -4E/(1 + s), x2^2 = 1 + s;
@@ -480,7 +519,7 @@ def _fishtail_roots(E):
     return np.sort(x, axis=1)
 
 
-class Fishtail(_CodedModel):
+class Fishtail(HamiltonianModel):
     """H = p^2 + q^3 + 6 q^2 - 32; fish-tail separatrix, unbounded motions.
 
     Every level curve has an unbounded left branch, so lengths are finite
@@ -491,7 +530,6 @@ class Fishtail(_CodedModel):
     """
 
     name = "fishtail"
-    kernel_code = K.FISHTAIL
     multiplier = 2
     e_min = -32.0
     e_sx = 0.0
@@ -500,6 +538,23 @@ class Fishtail(_CodedModel):
     def __init__(self, bounded_librations=False):
         self.bounded_librations = bool(bounded_librations)
         self.bounded = self.bounded_librations
+
+    def energy(self, q, p):
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        return _value(p * p + q ** 3 + 6.0 * q * q - 32.0)
+
+    def radicand(self, q, E):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(E - (q - 2.0) * (q + 4.0) ** 2)
+
+    def radicand_dq(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(-3.0 * q * (q + 4.0))
+
+    def vector_field(self, q, p):
+        if not isinstance(q, float):
+            q, p = _operands(q, p)
+        return 2.0 * p, -(3.0 * q * q + 12.0 * q)
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = -(q - x2)(q - x3)(q - x4) with x2 + x3 + x4 = -6 and
@@ -613,15 +668,31 @@ class Fishtail(_CodedModel):
         return (*rows, errors)
 
 
-class HarmonicOscillator(_CodedModel):
+class HarmonicOscillator(HamiltonianModel):
     """H = (q^2 + p^2)/2; circular level curves, no separatrix."""
 
     name = "harmonic-oscillator"
-    kernel_code = K.OSCILLATOR
     multiplier = 2
     e_min = 0.0
     e_sx = math.inf
     bounded = True
+
+    def energy(self, q, p):
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        return _value(0.5 * (q * q + p * p))
+
+    def radicand(self, q, E):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * E - q * q)
+
+    def radicand_dq(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(-2.0 * q)
+
+    def vector_field(self, q, p):
+        if not isinstance(q, float):
+            q, p = _operands(q, p)
+        return p, -q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (r - q)(r + q) with turning ends -r, r
@@ -637,7 +708,7 @@ class HarmonicOscillator(_CodedModel):
         return (*rows, errors)
 
 
-class HarmonicRepulsor(_CodedModel):
+class HarmonicRepulsor(HamiltonianModel):
     """H = (p^2 - q^2)/2; hyperbolic level curves truncated at hyperbolic angle t_star.
 
     One branch piece is parametrised per energy sign, giving the exact
@@ -646,7 +717,6 @@ class HarmonicRepulsor(_CodedModel):
     """
 
     name = "harmonic-repulsor"
-    kernel_code = K.REPULSOR
     multiplier = 1
     e_min = -math.inf
     e_sx = 0.0
@@ -657,6 +727,23 @@ class HarmonicRepulsor(_CodedModel):
         if t_star <= 0.0:
             raise ValueError("t_star must be positive")
         self.t_star = float(t_star)
+
+    def energy(self, q, p):
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        return _value(0.5 * (p * p - q * q))
+
+    def radicand(self, q, E):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * E + q * q)
+
+    def radicand_dq(self, q):
+        q = np.asarray(q, dtype=np.float64)
+        return _value(2.0 * q)
+
+    def vector_field(self, q, p):
+        if not isinstance(q, float):
+            q, p = _operands(q, p)
+        return p, q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (q - r)(q + r) for E < 0, turning at lo = r or hi = -r
@@ -759,16 +846,13 @@ class MechanicalModel(HamiltonianModel):
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)
-        out = 0.5 * p * p + np.asarray(self.system.potential(q), dtype=np.float64)
-        return out if out.ndim else float(out)
+        return _value(0.5 * p * p + np.asarray(self.system.potential(q), dtype=np.float64))
 
     def radicand(self, q, E):
-        out = 2.0 * (E - np.asarray(self.system.potential(q), dtype=np.float64))
-        return out if np.ndim(out) else float(out)
+        return _value(2.0 * (E - np.asarray(self.system.potential(q), dtype=np.float64)))
 
     def radicand_dq(self, q):
-        out = -2.0 * np.asarray(self.system.potential_slope(q), dtype=np.float64)
-        return out if np.ndim(out) else float(out)
+        return _value(-2.0 * np.asarray(self.system.potential_slope(q), dtype=np.float64))
 
     def vector_field(self, q, p):
         slope = self.system.potential_slope(q)

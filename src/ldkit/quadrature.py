@@ -105,7 +105,7 @@ def _integrand(model, rows, t):
     E, lo, hi, t_lo, t_hi = rows
     cos_var = (t_lo | t_hi)[:, 0]
     if not cos_var.any():
-        return K.arc_integrand(model.radicand(t, E), model.radicand_dq(t))
+        return K.integrand_values(model, t, E)
     if not cos_var.all():
         f = np.empty(t.shape)
         plain = ~cos_var

@@ -117,7 +117,7 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     E, h, eps = E[ok], h[ok], eps[ok]
     b = ell_batch(model, np.column_stack([E + h, E - h]).ravel(), trunc, cfg)
     with np.errstate(invalid="ignore"):
-        d = np.abs((b.values[0::2] - b.values[1::2]) / (2.0 * h))
+        d = np.abs((b.values[0::2] - b.values[1::2]) / ((E + h) - (E - h)))
     raised = np.array([exc is not None for exc in b.errors], dtype=bool).reshape(-1, 2)
     good = ~raised.any(axis=1) & np.isfinite(d) & (d > 0.0)
     both = b.converged[0::2] & b.converged[1::2]
@@ -125,8 +125,11 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     samples = [RateSample(e, v) for e, v in zip(eps[kept].tolist(), d[kept].tolist())]
     n_failed = int(np.count_nonzero(~ok) + np.count_nonzero(~good))
     n_unconverged = int(np.count_nonzero(good & ~both))
-    if not samples:
+    if not samples and n_failed:
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")
+    if not samples:
+        raise EmptyLadder(f"{model.name}: none of the {n_unconverged} "
+                          f"{critical}/{side} samples converged")
     return RateLadder(samples, n_failed, n_unconverged)
 
 

@@ -3,15 +3,16 @@
 The flow is integrated with an adaptive Dormand-Prince 5(4) stepper carrying
 the arc length as an augmented state component, so the step-size control
 bounds the error of the descriptor itself. The forward piece integrates the
-vector field from the initial condition over [0, t]; the backward piece
-integrates the time-reversed field over the same window. No deviation
-vectors are involved anywhere: the descriptor is orbit-based only.
+vector field from the initial condition over [0, t]; the backward piece is
+the time-reversed flow over the same window. No deviation vectors are
+involved anywhere: the descriptor is orbit-based only.
 
-A single initial condition (:func:`temporal_ld`) runs the scalar stepper.
+Every model is H = αp² + V(q), which is time-reversal symmetric, so the
+backward piece from (q, p) is the forward piece from (q, −p), bit for bit;
+both steppers run forward only. A single initial condition
+(:func:`temporal_ld`) runs the scalar stepper on its start and its mirror.
 Lines (:func:`ld_landscape_line`) and grids (``maps.temporal_map``) run one
-batched stepper over all their initial conditions, forward only: every model
-is H = αp² + V(q), which is time-reversal symmetric, so the backward piece
-from (q, p) is the forward piece from (q, −p), bit for bit. Each distinct
+batched stepper over all their initial conditions and mirrors. Each distinct
 start runs once, so a grid symmetric in p integrates one lane per node, not
 two. Each lane does the scalar stepper's arithmetic on its own values only,
 so its result does not depend on which other initial conditions share the
@@ -88,32 +89,11 @@ class LdLine:
     steps: np.ndarray  # attempted DP5(4) steps, both pieces together
 
 
-def _one_sided(model, q0, p0, t, cfg, reverse):
-    code = model.kernel_code
-    if code is not None:
-        s, _, _, status, nsteps = K.dp45_arclength(
-            code, float(q0), float(p0), float(t),
-            cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps, reverse,
-        )
-        return s, status, nsteps
-    sgn = -1.0 if reverse else 1.0
-
-    def f(q, p):
-        fq, fp = model.vector_field(q, p)
-        return sgn * fq, sgn * fp
-
-    s, _, _, status, nsteps = K.dp45_callable(
-        f, float(q0), float(p0), float(t),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
-    )
-    return s, status, nsteps
-
-
 def temporal_ld(model, x0, t, cfg=None):
     """Arc length of the trajectory through ``x0`` over the window [-t, t].
 
     Returns an :class:`LdResult` with the forward piece (over [0, t]), the
-    backward piece (time-reversed field over [0, t]), their sum and the
+    backward piece (the time-reversed flow over [0, t]), their sum and the
     attempted steps of each piece. Blow-up (unbounded models) and
     step-limit conditions are flagged, not raised, and leave partial values
     in place.
@@ -123,8 +103,9 @@ def temporal_ld(model, x0, t, cfg=None):
     if cfg is None:
         cfg = IntegratorConfig()
     q0, p0 = float(x0[0]), float(x0[1])
-    plus, st_p, n_p = _one_sided(model, q0, p0, t, cfg, reverse=False)
-    minus, st_m, n_m = _one_sided(model, q0, p0, t, cfg, reverse=True)
+    opts = (float(t), cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    plus, _, _, st_p, n_p = K.dp45_arclength(model, q0, p0, *opts, False)
+    minus, _, _, st_m, n_m = K.dp45_arclength(model, q0, p0, *opts, True)
     return LdResult(plus + minus, plus, minus, st_p, st_m, n_p, n_m)
 
 
@@ -145,9 +126,9 @@ def _ld_lanes(model, q0, p0, t, cfg):
     :func:`temporal_ld` to ~1e-12 relative or better. A lane stopped early
     (blow-up, step limit) stops where its step sizes add up to, which last-bit
     differences between numpy and ``math`` can move (see
-    :func:`_kernels.dp45_lanes`); such lanes are few, so each of their pieces
-    is run again on the scalar stepper in its own direction and then equals
-    :func:`temporal_ld` bit for bit.
+    :func:`_kernels.dp45_lanes`); such lanes are few, so each distinct
+    stopped start is run again, once, on the scalar stepper, and its pieces
+    then equal :func:`temporal_ld` bit for bit.
     """
     if t <= 0.0:
         raise ValueError("horizon t must be positive")
@@ -161,15 +142,13 @@ def _ld_lanes(model, q0, p0, t, cfg):
     starts[:, 1] += 0.0  # -0.0 + 0.0 is +0.0: one lane for both zeros
     lanes, inverse = np.unique(starts.view(np.uint64), axis=0, return_inverse=True)
     lanes = lanes.view(np.float64)
-    s, _, _, status, nsteps = K.dp45_lanes(
-        model.vector_field, lanes[:, 0], lanes[:, 1], float(t),
-        cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps,
-    )
-    s, status, nsteps = s[inverse], status[inverse], nsteps[inverse]
+    opts = (float(t), cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    s, _, _, status, nsteps = K.dp45_lanes(model.vector_field, lanes[:, 0],
+                                           lanes[:, 1], *opts)
     for i in np.flatnonzero(status != K.STATUS_OK):
-        j = i % n
-        s[i], status[i], nsteps[i] = _one_sided(model, q0[j], p0[j], t, cfg,
-                                                reverse=i >= n)
+        s[i], _, _, status[i], nsteps[i] = K.dp45_arclength(
+            model, lanes[i, 0], lanes[i, 1], *opts, False)
+    s, status, nsteps = s[inverse], status[inverse], nsteps[inverse]
     return s[:n], s[n:], status[:n], status[n:], nsteps[:n], nsteps[n:]
 
 

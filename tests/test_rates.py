@@ -112,6 +112,16 @@ def test_empty_ladder_raised():
                         pts_per_decade=5)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_empty_ladder_names_unconverged_samples(pend, side):
+    # no sample fails, but none of the 13 converges at this cap
+    cfg = lk.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-15, max_levels=4)
+    with pytest.raises(lk.EmptyLadder, match="none of the 13 separatrix/"
+                       f"{side} samples converged"):
+        lk.sample_rates(pend, "separatrix", side, eps_hi=1e-2, eps_lo=1e-5,
+                        pts_per_decade=4, cfg=cfg)
+
+
 def test_repulsor_exponent_exact(rep):
     report = lk.rate_report(rep, eps_hi=1e-2, eps_lo=1e-4, pts_per_decade=10)
     assert [f["side"] for f in report["fits"]] == ["below", "above"]
@@ -211,3 +221,16 @@ def test_default_ladders_converge(name):
         ladder = lk.sample_rates(model, critical, side, trunc=trunc)
         assert ladder.n_failed == 0
         assert ladder.n_unconverged == 0, (critical, side)
+
+
+@pytest.mark.parametrize("name", ["pendulum", "fishtail"])
+def test_elliptic_exponent_on_deep_ladder(name):
+    # near e_min (-32 for the fish-tail) E +/- h rounds in units far above
+    # h = 1e-3 eps at eps = 1e-10; dividing by the step E + h and E - h
+    # really span keeps the fitted exponent at -1/2
+    model = lk.get_model(name)
+    trunc = lk.Truncation(-5.0) if name == "fishtail" else None
+    ladder = lk.sample_rates(model, "elliptic", "above", eps_lo=1e-10, trunc=trunc)
+    assert (ladder.n_failed, ladder.n_unconverged) == (0, 0)
+    fit = lk.fit_power_law(ladder.samples, "elliptic", "above")
+    assert abs(fit.exponent + 0.5) <= 1e-6

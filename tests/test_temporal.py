@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import ldkit as lk
-from ldkit._kernels import dp45_lanes
+from ldkit import _kernels
+from ldkit._kernels import dp45_arclength, dp45_callable, dp45_lanes
 from ldkit.temporal import IntegratorConfig, _ld_lanes
 
 
@@ -44,10 +45,8 @@ def test_circulation_matches_curve_length(pend):
     t = 20.0
     q0, p0 = 0.0, 2.5
     E = pend.energy(q0, p0)
-    from ldkit._kernels import dp45_arclength
-
     s, q_end, _, status, _ = dp45_arclength(
-        pend.kernel_code, q0, p0, t, 1e-10, 1e-12, math.inf, 10_000_000, False
+        pend, q0, p0, t, 1e-10, 1e-12, math.inf, 10_000_000, False
     )
     assert status == 0
     assert q_end > q0
@@ -66,12 +65,10 @@ def test_circulation_matches_curve_length(pend):
 def test_energy_conservation_bounded_models(pend, duff, ho):
     cases = [(pend, (0.5, 1.0)), (pend, (0.0, 2.1)), (duff, (0.2, 0.4)),
              (ho, (1.0, 0.3))]
-    from ldkit._kernels import dp45_arclength
-
     for m, (q0, p0) in cases:
         for reverse in (False, True):
             _, q, p, status, _ = dp45_arclength(
-                m.kernel_code, q0, p0, 20.0, 1e-10, 1e-12, math.inf,
+                m, q0, p0, 20.0, 1e-10, 1e-12, math.inf,
                 10_000_000, reverse
             )
             assert status == 0
@@ -79,12 +76,34 @@ def test_energy_conservation_bounded_models(pend, duff, ho):
 
 
 def test_time_reversal_symmetry(pend, duff):
-    # H even in momentum: the backward piece equals the forward piece of the
-    # momentum-reflected initial condition
+    # H even in momentum: the backward piece is the forward piece of the
+    # momentum-reflected initial condition, bit for bit
     for m, x0 in ((pend, (0.7, 0.9)), (duff, (0.9, 0.25))):
         a = lk.temporal_ld(m, x0, 15.0)
         b = lk.temporal_ld(m, (x0[0], -x0[1]), 15.0)
-        assert a.minus == pytest.approx(b.plus, rel=1e-9)
+        assert a.minus.hex() == b.plus.hex()
+        assert (a.status_minus, a.steps_minus) == (b.status_plus, b.steps_plus)
+
+
+def test_reverse_piece_matches_reversed_field_bitwise(pend, duff, fish, ho, rep):
+    # dp45_arclength runs the backward piece as the forward piece from
+    # (q, -p) and mirrors the end momentum back; no bit differs from
+    # integrating the time-reversed field itself (a fish-tail blow-up included)
+    well = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                         lambda q: q ** 3 - q, (-2.0, 2.0))
+    cfg = IntegratorConfig()
+    opts = (10.0, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+    for m, q0, p0 in ((pend, 0.7, 0.9), (duff, 0.9, 0.25), (fish, -5.0, 1.0),
+                      (fish, 0.5, -0.75), (ho, 1.0, 0.3), (rep, 0.5, -0.2),
+                      (well, 0.3, 0.4)):
+        def reversed_field(q, p):
+            fq, fp = m.vector_field(q, p)
+            return -fq, -fp
+
+        s, q, p, status, nsteps = dp45_arclength(m, q0, p0, *opts, True)
+        want = dp45_callable(reversed_field, q0, p0, *opts)
+        assert [s.hex(), q.hex(), p.hex(), status, nsteps] == [
+            want[0].hex(), want[1].hex(), want[2].hex(), want[3], want[4]]
 
 
 def test_tolerance_tightening(pend):
@@ -303,6 +322,36 @@ def test_nan_field_at_start_stops_at_once():
 def test_line_runs_each_distinct_start_once(pend, lane_counts, line, lanes):
     lk.ld_landscape_line(pend, line, 2.0)
     assert lane_counts == [lanes]
+
+
+def test_stopped_lanes_rerun_once_per_distinct_start(fish, monkeypatch):
+    # p nodes step by 0.75, exact in binary and symmetric about 0, so each
+    # start's mirror (q, -p) is a node too: the forward piece of one node is
+    # the backward piece of another, and a stopped start runs again once
+    spec = lk.GridSpec(-6.0, 2.0, -3.0, 3.0, 9, 9)
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    q0, p0 = Q.ravel(), P.ravel()
+    reruns = []
+    real = _kernels.dp45_callable
+
+    def spy(f, q, p, *args):
+        reruns.append((float(q), float(p)))
+        return real(f, q, p, *args)
+
+    monkeypatch.setattr(_kernels, "dp45_callable", spy)
+    plus, minus, st_p, st_m, n_p, n_m = _ld_lanes(fish, q0, p0, 20.0, None)
+    monkeypatch.undo()
+    nodes = list(zip(q0.tolist(), p0.tolist()))
+    stopped = ({(q, p + 0.0) for (q, p), st in zip(nodes, st_p) if st}
+               | {(q, -p + 0.0) for (q, p), st in zip(nodes, st_m) if st})
+    pieces = np.count_nonzero(st_p) + np.count_nonzero(st_m)
+    assert sorted(reruns) == sorted(stopped)
+    assert 0 < len(reruns) < pieces
+    for i in np.flatnonzero((st_p != 0) | (st_m != 0)):
+        r = lk.temporal_ld(fish, (q0[i], p0[i]), 20.0)
+        assert (plus[i].hex(), minus[i].hex()) == (r.plus.hex(), r.minus.hex())
+        assert (st_p[i], st_m[i], n_p[i], n_m[i]) == (
+            r.status_plus, r.status_minus, r.steps_plus, r.steps_minus)
 
 
 def _unmirrored(model, q0, p0, t, cfg):
