@@ -3,9 +3,9 @@
 Subcommands: landscape, map, bmap, temporal, rates, models. Exit codes:
 0 success, 1 usage error, 2 numeric failure (unconverged quadrature, or an
 ell map node masked by it or by a domain error, without --best-effort).
-Identical argument vectors produce byte-identical output files. Maps, landscapes, rate ladders and lines are each one batched run
-in one thread; ``map --threads`` is accepted for compatibility and does
-nothing.
+Identical argument vectors produce byte-identical output files. Maps,
+landscapes, rate ladders and lines are batched runs in one thread; ``map
+--table-mode`` and ``--threads`` are accepted for compatibility and ignored.
 """
 
 import argparse
@@ -78,7 +78,7 @@ def _build_parser():
     p.add_argument("--t", type=float, default=20.0,
                    help="horizon for temporal maps")
     p.add_argument("--table-mode", action="store_true",
-                   help="interpolate ell from a dense 1-D energy table")
+                   help="accepted and ignored: every ell map is one path")
     p.add_argument("--threads", type=int, default=None,
                    help="accepted and ignored: every map is one batched "
                         "run in one thread")

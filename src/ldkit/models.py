@@ -7,7 +7,8 @@ Python floats, for the scalar stepper). It also knows the radicand with its
 turning-point roots divided out (the "deflated radicand" the quadrature
 integrates with), a symmetry multiplier relating the single-branch arc
 length to the full level-curve length, its critical energies (elliptic
-minimum and separatrix) and the abscissae of its saddles.
+minimum and separatrix), the abscissae of its saddles, and the energies at
+which ell(E) is singular (:meth:`HamiltonianModel.breakpoints`).
 ``HamiltonianModel.kernel_code`` is the model itself (None for custom
 models); it stays only because ``ldbench/`` passes it to the kernels.
 
@@ -275,6 +276,13 @@ class HamiltonianModel:
 
     def critical_energies(self):
         return self.e_min, self.e_sx
+
+    def breakpoints(self, trunc=None):
+        """Sorted finite energies where ell(E) is singular: e_min, e_sx, the
+        saddle energies and that of a turning point at the cut ``trunc``."""
+        qs = [*self.saddles, *([] if trunc is None else [trunc.a])]
+        es = [self.e_min, self.e_sx, *(self.energy(q, 0.0) for q in qs)]
+        return np.unique([e for e in es if math.isfinite(e)])
 
     def _below_minimum(self, E):
         return _errors_at(E < self.e_min, lambda e: BelowMinimum(
@@ -806,9 +814,10 @@ class MechanicalModel(HamiltonianModel):
     sign-change cells with one ``searchsorted`` per run. Each bracket is
     solved with Brent's method (tolerance 1e-12) and the root polished with
     Newton steps to full precision, which the quadrature's deflated
-    radicand needs; roots are solved one at a time on floats. Interior
-    local maxima of V on the scan grid, refined by a bounded minimization,
-    are the model's saddles and split the quadrature panels.
+    radicand needs; roots are solved one at a time on floats. ``e_min`` is
+    V at the root of V' beside the scan's lowest node. Interior local
+    maxima of V on the scan grid, refined by a bounded minimization, are
+    the model's saddles and split the quadrature panels.
     """
 
     kernel_code = None
@@ -829,12 +838,14 @@ class MechanicalModel(HamiltonianModel):
         i = int(np.argmin(self._vs))
         lo = self._qs[max(i - 1, 0)]
         hi = self._qs[min(i + 1, self.scan_points)]
-        if lo < hi:
-            res = minimize_scalar(system.potential, bounds=(lo, hi), method="bounded",
-                                  options={"xatol": 1e-12})
-            self.e_min = float(res.fun)
-        else:
-            self.e_min = float(self._vs[i])
+        self.e_min = float(self._vs[i])
+
+        def slope(x):  # V' on arrays, as promised to take them
+            return float(np.ravel(system.potential_slope(np.array([x])))[0])
+
+        if np.sign(slope(lo)) * np.sign(slope(hi)) <= 0.0:  # else a minimum at an end
+            root = brentq(slope, lo, hi, xtol=1e-12, rtol=9e-16)
+            self.e_min = min(float(system.potential(root)), self.e_min)
         self.e_sx = math.nan if e_sx is None else float(e_sx)
         v = self._vs
         tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
@@ -843,6 +854,11 @@ class MechanicalModel(HamiltonianModel):
                                   bounds=(self._qs[j - 1], self._qs[j + 1]),
                                   method="bounded", options={"xatol": 1e-12}).x)
             for j in tops.tolist())
+
+    def breakpoints(self, trunc=None):
+        # the search ends cut the level curves like a truncation
+        ends = [e for e in (self._vs[0], self._vs[-1]) if math.isfinite(e)]
+        return np.union1d(super().breakpoints(trunc), ends)
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)

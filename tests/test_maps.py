@@ -13,14 +13,68 @@ def test_grid_spec_validation():
         lk.GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
 
 
+def _within_tolerance(got, want, cfg=lk.QuadratureConfig()):
+    return np.abs(got - want) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(want))
+
+
 def test_tiny_grid_matches_pointwise_ell(pend):
+    # ell_map interpolates ell(E), certified to the quadrature's tolerance
     spec = lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 2, 2)
     g = lk.ell_map(pend, spec)
     for jp, p in enumerate(spec.p_nodes()):
         for iq, q in enumerate(spec.q_nodes()):
-            assert g.values[jp, iq] == lk.ell(pend, float(pend.energy(q, p)))
+            assert _within_tolerance(g.values[jp, iq], lk.ell(pend, float(pend.energy(q, p))))
     assert g.mask.all()
     assert g.quantity == "ell"
+
+
+def double_well():
+    return lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                         lambda q: -q + q ** 3, (-2.0, 2.0), name="double-well", e_sx=0.0)
+
+
+# dyadic grids holding each elliptic minimum, the separatrix energy and the
+# other breakpoints as exact nodes, and nodes on both sides of each
+CONTRACT_CASES = {
+    "pendulum": (lk.pendulum, None, (-math.pi, math.pi, -2.5, 2.5, 33, 41)),
+    "duffing": (lk.duffing, None, (-2.0, 2.0, -1.0, 1.0, 33, 17)),
+    "fishtail-cut": (lk.fishtail, -5.0, (-7.0, 1.0, -4.0, 4.0, 33, 33)),
+    "fishtail-bounded": (lambda: lk.fishtail(bounded_librations=True), None,
+                         (-6.0, 2.0, -4.0, 4.0, 33, 33)),
+    "harmonic-oscillator": (lk.harmonic_oscillator, None, (-2.0, 2.0, -2.0, 2.0, 17, 17)),
+    "harmonic-repulsor": (lk.harmonic_repulsor, None, (-2.0, 2.0, -2.0, 2.0, 17, 17)),
+    "double-well": (double_well, None, (-2.0, 2.0, -1.0, 1.0, 33, 17)),
+    # the upper well's minimum is no breakpoint: panels across its energy
+    # fail the nested test and are split or evaluated directly
+    "tilted-well": (lambda: lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4 + 0.1 * q,
+                                          lambda q: -q + q ** 3 + 0.1, (-2.0, 2.0)),
+                    None, (-2.0, 2.0, -1.0, 1.0, 33, 17)),
+}
+
+
+@pytest.mark.parametrize("case", list(CONTRACT_CASES))
+def test_ell_map_per_node_contract(case):
+    make, cut, bounds = CONTRACT_CASES[case]
+    model, trunc, spec = make(), cut and lk.Truncation(cut), lk.GridSpec(*bounds)
+    g = lk.ell_map(model, spec, trunc)
+    E = lk.energy_map(model, spec).values
+    energies, inverse = np.unique(E.ravel(), return_inverse=True)
+    ref = lk.ell_batch(model, energies, trunc)
+    want = ref.values[inverse].reshape(E.shape)
+    valid = ref.converged[inverse].reshape(E.shape)
+    assert not (~g.mask & valid).any()  # masked only where direct fails
+    both = g.mask & valid
+    assert both.sum() > E.size // 2
+    assert _within_tolerance(g.values[both], want[both]).all()
+    # nodes at a breakpoint sit on a panel end and equal ell there bit for bit
+    at = np.isin(E, model.breakpoints(trunc))
+    assert at.any()
+    for b in np.unique(E[at]):
+        one = lk.ell_batch(model, [b], trunc)
+        sel = E == b
+        assert np.array_equal(g.mask[sel], np.broadcast_to(one.converged[0], sel.sum()))
+        if one.converged[0]:
+            assert np.all(g.values[sel] == one.values[0])
 
 
 def test_momentum_reflection_symmetry(pend):
@@ -47,10 +101,12 @@ def test_map_determinism(pend):
     a = lk.ell_map(pend, spec)
     b = lk.ell_map(pend, spec)
     c = lk.ell_map(pend, spec, threads=3)  # accepted and ignored
+    d = lk.ell_map(pend, spec, table=True)  # likewise
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.values, c.values)
-    # ell and temporal maps are each one batched run: a node must not depend
-    # on which other nodes share it (q nodes step by 1/2, exact in binary)
+    assert a.values.tobytes() == d.values.tobytes() and np.array_equal(a.mask, d.mask)
+    # ell and temporal maps run batched: a node must not depend on which
+    # other nodes share its batches (q nodes step by 1/2, exact in binary)
     sub = lk.GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 8)
     assert np.array_equal(sub.q_nodes(), spec.q_nodes()[2:7])
     eb = lk.ell_map(pend, sub)
@@ -60,6 +116,37 @@ def test_map_determinism(pend):
     tb = lk.temporal_map(pend, sub, 3.0)
     assert np.array_equal(ta.values[:, 2:7], tb.values)
     assert np.array_equal(ta.mask[:, 2:7], tb.mask)
+    # an ell map's panels do not depend on the grid either; these grids
+    # hold breakpoints as nodes and nodes masked by a domain error
+    for case in ("fishtail-cut", "double-well"):
+        make, cut, bounds = CONTRACT_CASES[case]
+        model, trunc, spec = make(), cut and lk.Truncation(cut), lk.GridSpec(*bounds)
+        sub = lk.GridSpec(*spec.q_nodes()[[0, 20]], *spec.p_nodes()[[6, 16]], 21, 11)
+        assert np.array_equal(sub.q_nodes(), spec.q_nodes()[:21])
+        assert np.array_equal(sub.p_nodes(), spec.p_nodes()[6:17])
+        ea, eb = lk.ell_map(model, spec, trunc), lk.ell_map(model, sub, trunc)
+        assert np.array_equal(ea.values[6:17, :21], eb.values, equal_nan=True)
+        assert np.array_equal(ea.mask[6:17, :21], eb.mask)
+
+
+def test_ell_map_evaluates_few_energies(pend, monkeypatch):
+    # a 500x500 grid symmetric in q and p, node for node (dyadic steps)
+    from ldkit import maps
+
+    seen = []
+    real = maps.ell_batch
+
+    def spy(model, energies, *args):
+        seen.append(np.size(energies))
+        return real(model, energies, *args)
+
+    monkeypatch.setattr(maps, "ell_batch", spy)
+    h = 249.5 / 64.0
+    spec = lk.GridSpec(-h, h, -h, h, 500, 500)
+    g = lk.ell_map(pend, spec)
+    assert g.mask.all()
+    assert np.unique(lk.energy_map(pend, spec).values).size == 250 * 250
+    assert sum(seen) < 1000
 
 
 def test_table_mode_close_to_exact(pend):
@@ -89,10 +176,10 @@ def test_unconverged_nodes_masked(pend):
     spec = lk.GridSpec(-3.0, 3.0, -2.2, 2.2, 12, 10)
     tight = lk.QuadratureConfig(rel_tol=1e-15, abs_tol=1e-15, max_levels=4)
     assert not lk.ell_map(pend, spec, cfg=tight).mask.any()
-    # table mode: every knot is unconverged, so every node is bracketed by one
-    assert not lk.ell_map(pend, spec, cfg=tight, table=True, table_size=16).mask.any()
+    assert not lk.ell_map(pend, spec, cfg=tight, table=True).mask.any()
     loose = lk.QuadratureConfig(rel_tol=1e-6)
-    assert lk.ell_map(pend, spec, cfg=loose, table=True, table_size=16).mask.all()
+    assert lk.ell_map(pend, spec, cfg=loose).mask.all()
+    assert lk.ell_map(pend, spec, cfg=loose, table=True).mask.all()
 
 
 def test_energy_map(pend):
@@ -145,8 +232,8 @@ def test_b_map_refinement_converges(pend):
     # away from the separatrix ridge the finite differences are second order
     coarse_spec = lk.GridSpec(-1.2, 1.2, 0.2, 1.1, 31, 31)
     fine_spec = lk.GridSpec(-1.2, 1.2, 0.2, 1.1, 61, 61)
-    bc = lk.b_map(lk.ell_map(pend, coarse_spec, table=True, table_size=8192))
-    bf = lk.b_map(lk.ell_map(pend, fine_spec, table=True, table_size=8192))
+    bc = lk.b_map(lk.ell_map(pend, coarse_spec, table=True))
+    bf = lk.b_map(lk.ell_map(pend, fine_spec, table=True))
     # fine grid contains the coarse nodes at even indices
     sub = bf.values[::2, ::2]
     interior = (slice(2, -2), slice(2, -2))

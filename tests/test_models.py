@@ -343,6 +343,19 @@ def test_mechanical_root_on_the_search_end_is_a_turning_point():
     assert length == pytest.approx(2.0 * math.pi, rel=0, abs=1e-12)
 
 
+def test_mechanical_minimum_is_not_above_the_true_one():
+    # V's minimum q = 0 lies between scan nodes: e_min is V at the root of V'
+    m = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2, lambda q: np.asarray(q),
+                      (-1.5, 1.0))
+    assert m.e_min == 0.0
+    assert lk.ell(m, 0.0) == 0.0
+    g = lk.ell_map(m, lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5))
+    assert g.mask[2, 2] and g.values[2, 2] == 0.0
+    well = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4, lambda q: -q + q ** 3,
+                         (-2.0, 2.0))
+    assert well.e_min == -0.25
+
+
 def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     # the batched stepper evaluates the field on arrays and the scalar
     # stepper on floats; every model must give the same bits on both
