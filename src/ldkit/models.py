@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from . import _kernels as K
 from .errors import (
@@ -777,6 +776,75 @@ class MechanicalSystem:
     potential_slope: Callable
 
 
+# relative tolerance of every bracketed root (scipy's brentq floor is 4 eps)
+_RTOL = 9e-16
+
+
+def _brentq(f, a, b, xtol=1e-12, maxiter=100):
+    """Root of ``f`` on the bracket [a, b] by Brent's method, on floats.
+
+    A line-for-line port of the C loop behind ``scipy.optimize.brentq``
+    (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4), taking the same iterates and returning the same float. Each
+    step interpolates (secant, or inverse quadratic through the last three
+    points) and bisects instead when the step is not short enough; the
+    loop stops when the bracket is within (xtol + _RTOL |x|) / 2 of x or f
+    vanishes. ``f`` sees Python floats. Raises ValueError when f(a) and
+    f(b) have the same sign or f is NaN, RuntimeError after ``maxiter``
+    iterations.
+    """
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and \
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless an interpolation step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's quotient is inf or NaN: bisect
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _monotone_runs(vs):
     """Maximal runs of scan cells over which ``vs`` is monotone.
 
@@ -812,12 +880,13 @@ class MechanicalModel(HamiltonianModel):
     ``search_interval`` from a fine scan grid. The grid's values are split
     into monotone runs once; a batch of energies then finds every energy's
     sign-change cells with one ``searchsorted`` per run. Each bracket is
-    solved with Brent's method (tolerance 1e-12) and the root polished with
+    solved with :func:`_brentq` (tolerance 1e-12) and the root polished with
     Newton steps to full precision, which the quadrature's deflated
     radicand needs; roots are solved one at a time on floats. ``e_min`` is
-    V at the root of V' beside the scan's lowest node. Interior local
-    maxima of V on the scan grid, refined by a bounded minimization, are
-    the model's saddles and split the quadrature panels.
+    V at the root of V' beside the scan's lowest node. Each interior local
+    maximum of V on the scan grid is polished to the root of V' on the
+    cell pair around it, to roundoff; these are the model's saddles, whose
+    energies are breakpoints and which split the quadrature panels.
     """
 
     kernel_code = None
@@ -839,21 +908,30 @@ class MechanicalModel(HamiltonianModel):
         lo = self._qs[max(i - 1, 0)]
         hi = self._qs[min(i + 1, self.scan_points)]
         self.e_min = float(self._vs[i])
-
-        def slope(x):  # V' on arrays, as promised to take them
-            return float(np.ravel(system.potential_slope(np.array([x])))[0])
-
-        if np.sign(slope(lo)) * np.sign(slope(hi)) <= 0.0:  # else a minimum at an end
-            root = brentq(slope, lo, hi, xtol=1e-12, rtol=9e-16)
+        root = self._slope_root(lo, hi, 1e-12)
+        if root is not None:  # else a minimum at a search end
             self.e_min = min(float(system.potential(root)), self.e_min)
         self.e_sx = math.nan if e_sx is None else float(e_sx)
         v = self._vs
         tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
-        self.saddles = tuple(
-            float(minimize_scalar(lambda x: -float(system.potential(x)),
-                                  bounds=(self._qs[j - 1], self._qs[j + 1]),
-                                  method="bounded", options={"xatol": 1e-12}).x)
-            for j in tops.tolist())
+        saddles = []
+        for j in tops.tolist():
+            # to roundoff: one machine epsilon of the cell pair's width
+            lo, hi = self._qs[j - 1], self._qs[j + 1]
+            root = self._slope_root(lo, hi, np.finfo(float).eps * (hi - lo))
+            saddles.append(float(self._qs[j] if root is None else root))
+        self.saddles = tuple(saddles)
+
+    def _slope_root(self, lo, hi, xtol):
+        """The root of V' on [lo, hi] by :func:`_brentq`, or None when V'
+        has one sign at both ends; V' is called on one-element arrays,
+        since only array calls are promised."""
+        def slope(x):
+            return float(np.ravel(self.system.potential_slope(np.array([x])))[0])
+
+        if not np.sign(slope(lo)) * np.sign(slope(hi)) <= 0.0:
+            return None
+        return _brentq(slope, lo, hi, xtol=xtol)
 
     def breakpoints(self, trunc=None):
         # the search ends cut the level curves like a truncation
@@ -936,8 +1014,8 @@ class MechanicalModel(HamiltonianModel):
     def _polish_root(self, q, E, outward):
         """:meth:`_polish_turning` of one root, on floats.
 
-        The user's potential sees Python floats here, as in ``brentq`` and
-        :meth:`_newton`; on arrays its powers can round differently.
+        The user's potential sees Python floats here, as in :func:`_brentq`
+        and :meth:`_newton`; on arrays its powers can round differently.
         """
         q = float(q)
         target = math.inf if outward > 0 else -math.inf
@@ -963,8 +1041,7 @@ class MechanicalModel(HamiltonianModel):
                 roots.append(qs[i])
             else:
                 a, b = qs[i], qs[i + 1]
-                x = brentq(lambda x: Ef - float(potential(x)), a, b,
-                           xtol=1e-12, rtol=9e-16)
+                x = _brentq(lambda x: Ef - float(potential(x)), a, b)
                 roots.append(self._newton(x, Ef, a, b))
 
         # edges of an energy: search_lo, its roots, search_hi; consecutive

@@ -356,6 +356,26 @@ def test_mechanical_minimum_is_not_above_the_true_one():
     assert well.e_min == -0.25
 
 
+def test_mechanical_saddle_is_a_critical_point():
+    # the double well's saddle is the root of V' at q = 0, not a maximizer
+    # a few 1e-20 off it, so its energy is exactly e_sx = 0 and no second
+    # breakpoint sits beside it
+    well = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4, lambda q: -q + q ** 3,
+                         (-2.0, 2.0))
+    assert well.saddles == (0.0,)
+    assert well.breakpoints().tolist() == [-0.25, 0.0, 2.0]
+    # a tilted well's saddle is off every scan node; V' vanishes there to
+    # roundoff and the saddle is within an ulp of the 40-digit root
+    mpmath = pytest.importorskip("mpmath")
+    tilted = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4 + 0.1 * q,
+                           lambda q: -q + q ** 3 + 0.1, (-2.0, 2.0))
+    (qs,) = tilted.saddles
+    assert abs(-qs + qs ** 3 + 0.1) <= 2.0 * np.finfo(float).eps * 0.1
+    with mpmath.workdps(40):
+        exact = mpmath.findroot(lambda x: -x + x ** 3 + mpmath.mpf(0.1), 0.1)
+        assert abs(qs - exact) <= math.ulp(qs)
+
+
 def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     # the batched stepper evaluates the field on arrays and the scalar
     # stepper on floats; every model must give the same bits on both
