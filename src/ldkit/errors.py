@@ -34,7 +34,7 @@ class InvalidInterval(LdkitError):
 
 
 class StraddlesCritical(LdkitError):
-    """Finite-difference step would cross a critical energy."""
+    """Energy derivative requested at a breakpoint, where ell(E) has none."""
 
 
 class EmptyLadder(LdkitError):

@@ -5,14 +5,15 @@ one :meth:`HamiltonianModel.domains` call builds the quadrature rows (every
 domain panel of every energy, as flat arrays), one batched quadrature run
 (:func:`quadrature.arclength_rows`) integrates them, and per-energy sums
 apply the model's symmetry multiplier. Each energy's result depends on that
-energy alone, so a batch equals its parts bit for bit. ``ell`` and
-``dell_dE`` are batches of one and two energies; ``landscape`` evaluates
-all its samples and their difference points E +/- h in one batch.
-``dell_dE`` central-differences ell with a step that shrinks with the
-distance to the separatrix energy, so the divergence of the derivative near
-critical energies can be sampled without differencing across the cusp; the
-steps and their straddle tests are computed on arrays (``_dell_steps``),
-for one energy or a whole landscape or ladder.
+energy alone, so a batch equals its parts bit for bit. ``ell`` is a batch
+of one energy, and a landscape's samples are one batch.
+
+``_ell_function`` is the one ell(E) function behind maps, landscape
+derivatives, ``dell_dE`` and rate ladders: ell as a certified
+piecewise-Chebyshev function of u = sqrt(|E - b|) beside each breakpoint b,
+whose panels give d ell/dE from their barycentric differentiation matrix.
+The derivative is undefined (NaN, or ``StraddlesCritical`` from
+``dell_dE``) exactly at the breakpoints.
 """
 
 import math
@@ -23,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidInterval, StraddlesCritical
 from .models import FLAG_NAMES, DomainRows
-from .quadrature import arclength_rows
+from .quadrature import QuadratureConfig, arclength_rows
 
 
 @dataclass
@@ -57,7 +58,8 @@ class EllBatch:
 
 @dataclass
 class Landscape:
-    """Sampled (E, ell(E)) arrays; ``derivs`` holds NaN where the derivative is skipped."""
+    """Sampled (E, ell(E)) arrays; ``derivs`` holds NaN at breakpoints and
+    where a sample's panel is not certified."""
 
     energies: np.ndarray
     lengths: np.ndarray
@@ -137,67 +139,181 @@ def ell(model, E, trunc=None, cfg=None, full_output=False):
     return total
 
 
-# why a central-difference step is invalid, by code (0: valid)
-_AT_SEPARATRIX, _BELOW_MIN, _STRADDLES = 1, 2, 3
+# the lattice of a side in u = sqrt(|E - b|): panels graded by _RATIO toward
+# b down to _FLOOR of the side's extent, one on to u = 0, and doubling past
+# the extent; each has _N + 1 Chebyshev points of the second kind (_T, on
+# [0, 1] from 1 down to 0)
+_N, _RATIO, _FLOOR, _MAX_SPLITS = 16, 0.25, 1e-9, 8
+_INNER = _RATIO ** np.arange(math.ceil(math.log(_FLOOR, _RATIO)), 0, -1)
+_T = 0.5 + 0.5 * np.cos(np.pi * np.arange(_N + 1) / _N)
 
 
-def _dell_steps(model, E, h=None):
-    """Central-difference steps of :func:`dell_dE` at the energies E, and
-    per energy a code: 0 where E +/- h is valid, else why not (E at the
-    separatrix energy, E - h at or below the elliptic minimum, or the step
-    straddling the separatrix energy, tested in that order).
+def _ell_function(model, energies, trunc, cfg, derivs=False):
+    """ell(E) as a certified piecewise-Chebyshev function of energy.
 
-    Without ``h`` the step shrinks with the distance to the separatrix
-    energy, or with a model without one, to the minimum.
+    Returns ``(values, mask, d)`` at the energies: the length, whether it is
+    valid, and with ``derivs`` d ell/dE (else None).
+
+    An energy belongs to its nearest breakpoint b of
+    :meth:`HamiltonianModel.breakpoints`, on its own side, and to a panel of
+    that side's lattice in u = sqrt(|E - b|). Each round evaluates the 17
+    Chebyshev points of every panel holding an energy in one ``ell_batch``.
+    A panel interpolates in the u of the energies it really evaluated
+    (b +/- u^2 rounds), with those points' barycentric weights. It is
+    bisected while its nested 9-point interpolant misses the other 8 values
+    by more than max(abs_tol, rel_tol |ell|) of ``cfg``; once it meets them
+    its energies are interpolated barycentrically (Berrut & Trefethen,
+    SIAM Rev. 46 (2004) 501), and d ell/dE = +/-(d ell/du) / (2u)
+    interpolates the panel's differentiation matrix applied to its values.
+    Breakpoints, non-finite energies, and the energies of a panel with a
+    value that raised or did not converge, with points that rounded
+    together, or that still misses after ``_MAX_SPLITS`` bisections, are
+    evaluated directly in one last batch, valid exactly where that
+    converges, and get no derivative (NaN). A panel depends on the model,
+    ``trunc`` and ``cfg`` alone, so no result depends on the other
+    energies, and an energy at a breakpoint b has the value
+    ``ell(model, b)`` bit for bit.
     """
-    e_min, e_sx = model.critical_energies()
-    E = np.asarray(E, dtype=np.float64)
-    if h is None:
-        if math.isfinite(e_sx):
-            h = np.maximum(1e-6 * np.abs(E - e_sx), 1e-12)
-        else:
-            # no separatrix: the quadrature-noise floor dominates tiny steps,
-            # so a larger proximity scale conditions the difference better
-            d = np.abs(E - e_min) if math.isfinite(e_min) else np.abs(E)
-            h = np.maximum(1e-3 * d, 1e-12)
-    h = np.broadcast_to(np.asarray(h, dtype=np.float64), E.shape)
-    straddles = np.zeros(E.shape, dtype=bool)
-    if math.isfinite(e_sx):
-        straddles = (((E - e_sx) * (E + h - e_sx) <= 0.0)
-                     | ((E - e_sx) * (E - h - e_sx) <= 0.0))
-    code = np.select([E == e_sx, E - h <= e_min, straddles],
-                     [_AT_SEPARATRIX, _BELOW_MIN, _STRADDLES], 0)
-    return h, code
+    cfg = cfg or QuadratureConfig()
+    e, inverse = np.unique(np.asarray(energies, dtype=np.float64).reshape(-1),
+                           return_inverse=True)
+    values, mask = np.full(e.size, math.nan), np.zeros(e.size, dtype=bool)
+    d = np.full(e.size, math.nan)
+    B = model.breakpoints(trunc)
+    direct = ~np.isfinite(e) | (B.size == 0) | np.isin(e, B)
+    node = np.flatnonzero(~direct)
+    # side 2i lies below B[i] and side 2i + 1 above it; a side's extent U is
+    # the root of half the gap to the breakpoint beyond it (an outer side
+    # takes the gap on its breakpoint's other side)
+    mids = 0.5 * (B[:-1] + B[1:])
+    i = np.searchsorted(mids, e[node])
+    side = 2 * i + (e[node] >= B[i])
+    u = np.sqrt(np.abs(e[node] - B[i]))
+    h = 0.5 * np.diff(B)
+    U = np.sqrt(np.r_[h[:1], h, h[-1:]] if h.size else np.ones(2))[(side + 1) // 2]
+    # the lattice in u / U; e is sorted, so a panel's energies are one run
+    t = u / U
+    lattice = np.r_[0.0, _INNER, 2.0 ** np.arange(max(np.log2(t.max(initial=1.0)), 0.0) + 2)]
+    # a lattice point belongs to the panel below it, so the midpoint between
+    # two breakpoints (t = 1) stays in a panel on its side
+    k = np.clip(np.searchsorted(lattice, t) - 1, 0, lattice.size - 2)
+    a, b = U * lattice[k], U * lattice[k + 1]
+    panels = [(side[ix[0]], a[ix[0]], b[ix[0]], ix) for ix in np.split(
+        np.arange(node.size), np.flatnonzero(np.diff(side) | np.diff(k)) + 1) if ix.size]
+    for depth in range(_MAX_SPLITS + 1):
+        if not panels:
+            break
+        s, a, b = (np.array([p[j] for p in panels]) for j in range(3))
+        bp, sign = B[s // 2, None], np.where(s % 2, 1.0, -1.0)
+        pts = a[:, None] * (1.0 - _T) + b[:, None] * _T
+        E = bp + sign[:, None] * pts * pts
+        energies, at = np.unique(E, return_inverse=True)
+        res = ell_batch(model, energies, trunc, cfg)
+        F = res.values[at].reshape(pts.shape)
+        # the points' own u: beside a breakpoint b +/- u^2 rounds, and points
+        # that rounded together cannot be interpolated through
+        x = _unit(np.sqrt(np.abs(E - bp)), a[:, None], b[:, None])
+        ok = (res.converged[at].reshape(pts.shape).all(axis=1)
+              & (np.diff(x, axis=1) < 0.0).all(axis=1))
+        w = _weights(x)
+        # the nested interpolant through the even points, at the odd ones
+        even = (x[:, ::2], _weights(x[:, ::2]), F[:, ::2])
+        xe, we, fe = (np.repeat(v, _N // 2, axis=0).T for v in even)
+        nested, = _barycentric(xe, we, x[:, 1::2].ravel(), fe)
+        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(F[:, 1::2]))
+        good = ok & (np.abs(nested.reshape(-1, _N // 2) - F[:, 1::2]) <= tol).all(axis=1)
+        dF = _differentiate(x, w, F) if derivs else F
+        split = []
+        for (sj, aj, bj, ix), sg, xj, wj, f, g, ok_j, good_j in zip(panels, sign, x, w, F, dF,
+                                                                 ok, good):
+            if good_j:
+                cols = (f, g) if derivs else (f,)
+                fs = _barycentric(xj[:, None], wj[:, None], _unit(u[ix], aj, bj),
+                                  *(c[:, None] for c in cols))
+                values[node[ix]], mask[node[ix]] = fs[0], True
+                if derivs:
+                    # dE/du = +/-2u and dx/du = 2/(bj - aj)
+                    d[node[ix]] = sg * fs[1] / ((bj - aj) * u[ix])
+            elif ok_j and depth < _MAX_SPLITS:
+                m = 0.5 * (aj + bj)
+                low = u[ix] <= m
+                split += [(sj, *c) for c in ((aj, m, ix[low]), (m, bj, ix[~low])) if c[2].size]
+            else:
+                direct[node[ix]] = True
+        panels = split
+    if direct.any():
+        res = ell_batch(model, e[direct], trunc, cfg)
+        values[direct], mask[direct] = res.values, res.converged
+    return values[inverse], mask[inverse], d[inverse] if derivs else None
+
+
+def _unit(u, a, b):
+    """u in [a, b] mapped onto [-1, 1]."""
+    return ((u - a) - (b - u)) / (b - a)
+
+
+def _weights(x):
+    """Barycentric weights 1 / prod_{k != j} (x_j - x_k) of each row's points."""
+    diff = x[:, :, None] - x[:, None, :]
+    diff[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = 1.0
+    with np.errstate(divide="ignore"):
+        return 1.0 / diff.prod(axis=-1)
+
+
+def _differentiate(x, w, F):
+    """Each row's interpolant's derivative at its points: the barycentric
+    differentiation matrix D_ij = (w_j / w_i) / (x_i - x_j), with D_ii the
+    negative sum of the row's others, applied as sum_j D_ij (F_j - F_i)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        D = (w[:, None, :] / w[:, :, None]) / (x[:, :, None] - x[:, None, :])
+    D[:, np.arange(x.shape[1]), np.arange(x.shape[1])] = 0.0
+    return (D * (F[:, None, :] - F[:, :, None])).sum(axis=-1)
+
+
+def _barycentric(xn, w, x, *fs):
+    """At each point x[i], the interpolant of each f in fs through the
+    values f[:, i] at the points xn[:, i] with barycentric weights w[:, i];
+    exactly f[j, i] at x[i] = xn[j, i]. Arguments of one column serve every
+    point."""
+    den, nums = np.zeros(x.shape), [np.zeros(x.shape) for _ in fs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(xn.shape[0]):
+            c = w[j] / (x - xn[j])
+            den += c
+            for num, f in zip(nums, fs):
+                num += c * f[j]
+        outs = [num / den for num in nums]
+    # at a point, its term is infinite
+    hit = np.flatnonzero(np.isinf(den))
+    xn, *fs = np.broadcast_arrays(xn, *fs, x[None])[:-1]
+    j = (xn[:, hit] == x[hit]).argmax(axis=0)
+    for out, f in zip(outs, fs):
+        out[hit] = f[j, hit]
+    return outs
 
 
 def dell_dE(model, E, trunc=None, h=None, cfg=None):
-    """Central difference d(ell)/dE with a proximity-scaled step.
+    """d(ell)/dE from the certified panel of E (see :func:`_ell_function`);
+    NaN where that panel is not certified. ``h`` is accepted and ignored.
 
-    Raises :class:`StraddlesCritical` if E +/- h would cross the separatrix
-    energy or fall below the elliptic minimum.
+    Raises :class:`StraddlesCritical` at a breakpoint of
+    :meth:`HamiltonianModel.breakpoints`, and the model's error where E has
+    no level curve.
     """
-    steps, code = _dell_steps(model, np.array([E], dtype=np.float64), h)
-    h, code = float(steps[0]), int(code[0])
-    if code == _AT_SEPARATRIX:
-        raise StraddlesCritical("derivative undefined at the separatrix energy")
-    if code == _BELOW_MIN:
-        e_min = model.critical_energies()[0]
-        raise StraddlesCritical(f"E-h={E - h} falls below e_min={e_min}")
-    if code == _STRADDLES:
-        raise StraddlesCritical("step straddles the separatrix energy")
-    b = ell_batch(model, [E + h, E - h], trunc, cfg)
-    b.raise_first()
-    # the step E +/- h really spans, which rounding can move off 2h
-    return (float(b.values[0]) - float(b.values[1])) / ((E + h) - (E - h))
+    if np.isin(E, model.breakpoints(trunc)):
+        raise StraddlesCritical(f"derivative undefined at the breakpoint E={E}")
+    model.domain(E, trunc)
+    return float(_ell_function(model, [E], trunc, cfg, derivs=True)[2][0])
 
 
 def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     """Uniform ell(E) samples on [e_lo, e_hi]; the separatrix energy is
     inserted as an explicit sample when it falls strictly inside the range.
 
-    All samples and, with ``with_derivs``, their difference points E +/- h
-    are one :func:`ell_batch`; a derivative whose step would straddle a
-    critical energy stays NaN.
+    The samples are one :func:`ell_batch`. With ``with_derivs`` their
+    derivatives come from :func:`_ell_function`: NaN at a breakpoint, and
+    NaN where the sample's panel is not certified, which then counts as not
+    converged.
     """
     e_min, e_sx = model.critical_energies()
     if not e_lo < e_hi:
@@ -211,30 +327,14 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     energies = np.linspace(e_lo, e_hi, int(n))
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(energies == e_sx):
         energies = np.sort(np.append(energies, e_sx))
-
-    # batch order: each sample, then its E + h and E - h if it has a derivative
-    if with_derivs:
-        h, code = _dell_steps(model, energies)
-        deriv = code == 0
-    else:
-        deriv = np.zeros(energies.size, dtype=bool)
-    width = 1 + 2 * deriv
-    at_sample = np.cumsum(width) - width
-    plus = at_sample[deriv] + 1
-    batch = np.empty(int(width.sum()))
-    batch[at_sample] = energies
-    if with_derivs:
-        h = h[deriv]
-        batch[plus] = energies[deriv] + h
-        batch[plus + 1] = energies[deriv] - h
-    b = ell_batch(model, batch, trunc, cfg)
+    b = ell_batch(model, energies, trunc, cfg)
     b.raise_first()
-    derivs = None
+    converged, derivs = b.converged, None
     if with_derivs:
-        derivs = np.full(energies.shape, math.nan)
-        derivs[deriv] = ((b.values[plus] - b.values[plus + 1])
-                         / (batch[plus] - batch[plus + 1]))
-    return Landscape(energies, b.values[at_sample], derivs, b.converged[at_sample])
+        derivs = _ell_function(model, energies, trunc, cfg, derivs=True)[2]
+        at_breakpoint = np.isin(energies, model.breakpoints(trunc))
+        converged = converged & (np.isfinite(derivs) | at_breakpoint)
+    return Landscape(energies, b.values, derivs, converged)
 
 
 def ray_arc_factor(lam, q):

@@ -28,8 +28,7 @@ from itertools import repeat
 import numpy as np
 
 from ._kernels import STATUS_OK
-from .geometric import ell_batch
-from .quadrature import QuadratureConfig
+from .geometric import _ell_function
 from .temporal import _ld_lanes
 
 
@@ -79,111 +78,17 @@ def energy_map(model, spec):
     return GridMap(spec, _energy_grid(model, spec), "energy")
 
 
-# the lattice of a side in u = sqrt(|E - b|): panels graded by _RATIO toward
-# b down to _FLOOR of the side's extent, one on to u = 0, and doubling past
-# the extent; each has _N + 1 Chebyshev points of the second kind (_X)
-_N, _RATIO, _FLOOR, _MAX_SPLITS = 16, 0.25, 1e-9, 8
-_INNER = _RATIO ** np.arange(math.ceil(math.log(_FLOOR, _RATIO)), 0, -1)
-_X = np.cos(np.pi * np.arange(_N + 1) / _N)
-_T = 0.5 + 0.5 * _X  # the points on [0, 1], from 0 at x = -1
-_W = (-1.0) ** np.arange(_N + 1) * np.r_[0.5, np.ones(_N - 1), 0.5]  # barycentric
-_NESTED = _W[::2] * (-1.0) ** np.arange(_N // 2 + 1) / (_X[1::2, None] - _X[::2])
-_NESTED /= _NESTED.sum(axis=1, keepdims=True)  # row k: the nested interpolant at _X[2k + 1]
-
-
 def ell_map(model, spec, trunc=None, cfg=None, table=False, threads=None):
     """Per-node ell(E(q, p)), from ell(E) as a certified piecewise-Chebyshev
-    function of energy.
-
-    A node energy belongs to its nearest breakpoint b of
-    :meth:`HamiltonianModel.breakpoints`, on its own side, and to a panel of
-    that side's lattice in u = sqrt(|E - b|). Each round evaluates the 17
-    Chebyshev points of every panel holding a node in one ``ell_batch``; a
-    panel is bisected while its nested 9-point interpolant misses the other
-    8 values by more than max(abs_tol, rel_tol |ell|) of ``cfg``, else its
-    nodes are interpolated barycentrically (Berrut & Trefethen, SIAM Rev. 46
-    (2004) 501). Non-finite energies, and the nodes of a panel with a value
-    that raised or did not converge or that still misses after
-    ``_MAX_SPLITS`` bisections, are evaluated directly in one last batch and
-    masked exactly where that fails. A panel depends on the model, ``trunc``
-    and ``cfg`` alone: a node's value does not depend on the other nodes, and
-    a node at a breakpoint b equals ``ell(model, b)`` bit for bit. ``table``
-    and ``threads`` are accepted for compatibility and ignored.
+    function of energy (:func:`geometric._ell_function`, without
+    derivatives). A node is masked exactly where its direct evaluation fails;
+    its value does not depend on the other nodes, and a node at a breakpoint
+    b equals ``ell(model, b)`` bit for bit. ``table`` and ``threads`` are
+    accepted for compatibility and ignored.
     """
     E = _energy_grid(model, spec)
-    energies, inverse = np.unique(E.ravel(), return_inverse=True)
-    values, mask = _ell_function(model, energies, trunc, cfg or QuadratureConfig())
-    return GridMap(spec, values[inverse].reshape(E.shape), "ell",
-                   mask[inverse].reshape(E.shape))
-
-
-def _ell_function(model, e, trunc, cfg):
-    """ell and validity at the sorted unique energies e (see :func:`ell_map`)."""
-    values, mask = np.full(e.size, math.nan), np.zeros(e.size, dtype=bool)
-    B = model.breakpoints(trunc)
-    direct = ~np.isfinite(e) | (B.size == 0)
-    node = np.flatnonzero(~direct)
-    # side 2i lies below B[i] and side 2i + 1 above it; a side's extent U is
-    # the root of half the gap to the breakpoint beyond it (an outer side
-    # takes the gap on its breakpoint's other side)
-    mids = 0.5 * (B[:-1] + B[1:])
-    i = np.searchsorted(mids, e[node])
-    side = 2 * i + (e[node] >= B[i])
-    u = np.sqrt(np.abs(e[node] - B[i]))
-    h = 0.5 * np.diff(B)
-    U = np.sqrt(np.r_[h[:1], h, h[-1:]] if h.size else np.ones(2))[(side + 1) // 2]
-    # the lattice in u / U; e is sorted, so a panel's nodes are one run
-    t = u / U
-    lattice = np.r_[0.0, _INNER, 2.0 ** np.arange(max(np.log2(t.max(initial=1.0)), 0.0) + 2)]
-    k = np.clip(np.searchsorted(lattice, t, side="right") - 1, 0, lattice.size - 2)
-    a, b = U * lattice[k], U * lattice[k + 1]
-    panels = [(side[ix[0]], a[ix[0]], b[ix[0]], ix) for ix in np.split(
-        np.arange(node.size), np.flatnonzero(np.diff(side) | np.diff(k)) + 1) if ix.size]
-    for depth in range(_MAX_SPLITS + 1):
-        if not panels:
-            break
-        s, a, b = (np.array([p[j] for p in panels]) for j in range(3))
-        pts = a[:, None] * (1.0 - _T) + b[:, None] * _T
-        # beside a breakpoint the points can round to equal energies
-        energies, at = np.unique(B[s // 2, None] + np.where(s % 2, 1.0, -1.0)[:, None]
-                                 * pts * pts, return_inverse=True)
-        res = ell_batch(model, energies, trunc, cfg)
-        F = res.values[at].reshape(pts.shape)
-        ok = res.converged[at].reshape(pts.shape).all(axis=1)
-        nested = sum(F[:, 2 * j, None] * _NESTED[:, j] for j in range(_N // 2 + 1))
-        tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(F[:, 1::2]))
-        good = ok & (np.abs(nested - F[:, 1::2]) <= tol).all(axis=1)
-        split = []
-        for (sj, aj, bj, ix), f, ok_j, good_j in zip(panels, F, ok, good):
-            if good_j:
-                values[node[ix]] = _barycentric(f, ((u[ix] - aj) - (bj - u[ix])) / (bj - aj))
-                mask[node[ix]] = True
-            elif ok_j and depth < _MAX_SPLITS:
-                m = 0.5 * (aj + bj)
-                low = u[ix] <= m
-                split += [(sj, *c) for c in ((aj, m, ix[low]), (m, bj, ix[~low])) if c[2].size]
-            else:
-                direct[node[ix]] = True
-        panels = split
-    if direct.any():
-        res = ell_batch(model, e[direct], trunc, cfg)
-        values[direct], mask[direct] = res.values, res.converged
-    return values, mask
-
-
-def _barycentric(f, x):
-    """The interpolant of the values f at the points _X, at the points x;
-    exactly f[j] at x = _X[j]."""
-    num, den = np.zeros(x.size), np.zeros(x.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for xj, wj, fj in zip(_X, _W, f):
-            w = wj / (x - xj)
-            num += w * fj
-            den += w
-        out = num / den
-    for xj, fj in zip(_X, f):
-        out[x == xj] = fj
-    return out
+    values, mask, _ = _ell_function(model, E, trunc, cfg)
+    return GridMap(spec, values.reshape(E.shape), "ell", mask.reshape(E.shape))
 
 
 def temporal_map(model, spec, t, cfg=None):

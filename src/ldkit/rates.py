@@ -1,8 +1,9 @@
 """Power-law divergence rates of |d ell/dE| near critical energies.
 
 A geometric ladder of distances eps = |E - E_c| is walked toward the
-critical energy (separatrix or elliptic minimum) and |d ell/dE| is sampled
-with a step proportional to eps. The exponent is the asymptotic one, the
+critical energy (separatrix or elliptic minimum) and |d ell/dE| is read at
+each rung from the certified Chebyshev panels of ell(E)
+(:func:`geometric._ell_function`). The exponent is the asymptotic one, the
 limit E -> E_c: log|d ell/dE| is fitted by least squares on log(eps) plus
 the leading corrections of the critical point's expansion, so curvature
 that is real on the ladder is not averaged into a secant slope.
@@ -14,13 +15,6 @@ that is real on the ladder is not averaged into a secant slope.
   which leaves a single eps correction.
 
 The plain log-log OLS slope is kept next to it (``ols_slope``).
-
-The differencing step is h = 1e-3 * eps. Quadrature error is only bounded
-by its tolerance, 1e-10 * ell by default, so a smaller step (1e-6 * eps
-reaches the 1e-12 floor at the bottom of the default ladder) could amplify
-that error past the local derivative signal; at 1e-3 * eps the
-central-difference truncation error is still only ~1e-7 relative for an
-inverse-sqrt divergence.
 """
 
 import math
@@ -29,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit, EmptyLadder, LdkitError
-from .geometric import _dell_steps, ell_batch
+from .geometric import _ell_function
 
 CRITICALS = ("separatrix", "elliptic")
 SIDES = ("below", "above")
@@ -43,9 +37,9 @@ class RateSample:
 
 @dataclass
 class RateLadder:
-    """Kept samples, each from two converged quadratures. ``n_failed``
-    counts the samples omitted as failed, ``n_unconverged`` those omitted
-    because their E + h or E - h quadrature did not converge."""
+    """Kept samples, each from a certified panel. ``n_failed`` counts the
+    samples omitted as failed, ``n_unconverged`` those omitted because
+    their panel was not certified."""
 
     samples: list
     n_failed: int
@@ -78,11 +72,11 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
                  pts_per_decade=25, trunc=None, cfg=None):
     """|d ell/dE| on a geometric eps ladder approaching a critical energy.
 
-    The E +/- h points of the whole ladder are one batched ell evaluation.
-    Only converged differences are fitted: failed ones (straddles, domain
-    errors, non-finite values) are omitted and counted in ``n_failed``, and
-    the others whose E + h or E - h quadrature did not converge are omitted
-    and counted in ``n_unconverged``.
+    The whole ladder is one :func:`geometric._ell_function` call. Only
+    derivatives of certified panels are fitted: failed samples (a
+    breakpoint, a domain error, a zero derivative) are omitted and counted
+    in ``n_failed``, and those whose panel was not certified are omitted and
+    counted in ``n_unconverged``.
     """
     if not 0.0 < eps_lo < eps_hi:
         raise ValueError("need 0 < eps_lo < eps_hi")
@@ -111,20 +105,14 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     eps = np.geomspace(eps_hi, eps_lo, n)
 
     E = e_c + sign * eps
-    h = np.maximum(1e-3 * eps, 1e-12)
-    _, code = _dell_steps(model, E, h)
-    ok = code == 0
-    E, h, eps = E[ok], h[ok], eps[ok]
-    b = ell_batch(model, np.column_stack([E + h, E - h]).ravel(), trunc, cfg)
-    with np.errstate(invalid="ignore"):
-        d = np.abs((b.values[0::2] - b.values[1::2]) / ((E + h) - (E - h)))
-    raised = np.array([exc is not None for exc in b.errors], dtype=bool).reshape(-1, 2)
-    good = ~raised.any(axis=1) & np.isfinite(d) & (d > 0.0)
-    both = b.converged[0::2] & b.converged[1::2]
-    kept = good & both
+    values, _, d = _ell_function(model, E, trunc, cfg, derivs=True)
+    d = np.abs(d)
+    kept = np.isfinite(d) & (d > 0.0)
+    # a finite value without a derivative: its panel was not certified
+    unconverged = np.isnan(d) & np.isfinite(values) & ~np.isin(E, model.breakpoints(trunc))
     samples = [RateSample(e, v) for e, v in zip(eps[kept].tolist(), d[kept].tolist())]
-    n_failed = int(np.count_nonzero(~ok) + np.count_nonzero(~good))
-    n_unconverged = int(np.count_nonzero(good & ~both))
+    n_unconverged = int(np.count_nonzero(unconverged))
+    n_failed = int(np.count_nonzero(~kept & ~unconverged))
     if not samples and n_failed:
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")
     if not samples:

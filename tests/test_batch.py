@@ -128,6 +128,34 @@ def test_landscape_matches_scalar_calls(name):
             assert d == ref
 
 
+@pytest.mark.parametrize("name,hi,n", [("pendulum", 1.0, 31), ("duffing", 1.0, 6),
+                                        ("fishtail", 10.0, 43), ("double-well", 2.0, 10)])
+def test_derivative_undefined_exactly_at_breakpoints(name, hi, n):
+    # every breakpoint is a landscape sample: the fish-tail's cut energy (-7
+    # at q = -5) and the double well's search end (V(2) = 2) too
+    model, trunc, _ = _cases()[name]
+    B = model.breakpoints(trunc)
+    for b in B.tolist():
+        with pytest.raises(lk.StraddlesCritical):
+            lk.dell_dE(model, b, trunc)
+    ls = lk.landscape(model, B[0], hi, n, trunc, with_derivs=True)
+    assert np.isin(B, ls.energies).all()
+    assert np.array_equal(np.isnan(ls.derivs), np.isin(ls.energies, B))
+    assert ls.converged.all()
+
+
+def test_custom_double_well_derivative_matches_duffing():
+    # the same potential, -q^2/2 + q^4/4, as Python callables and built in
+    well, duff = _cases()["double-well"][0], lk.duffing()
+    a = lk.landscape(well, -0.25, 1.0, 201, with_derivs=True)
+    b = lk.landscape(duff, -0.25, 1.0, 201, with_derivs=True)
+    assert np.array_equal(a.energies, b.energies)
+    at = np.isin(a.energies, well.breakpoints())
+    assert at.sum() == 2 and np.isnan(a.derivs[at]).all()
+    rel = np.abs(a.derivs[~at] / b.derivs[~at] - 1.0)
+    assert rel.max() <= 1e-9, rel.max()
+
+
 _LADDERS = pytest.mark.parametrize("critical,side", [("separatrix", "below"),
                                                     ("separatrix", "above"),
                                                     ("elliptic", "above")])
@@ -136,10 +164,11 @@ _LADDERS = pytest.mark.parametrize("critical,side", [("separatrix", "below"),
 def _ladder_vs_scalar(model, critical, side, cfg):
     """A rate ladder checked against scalar calls, and its omitted count.
 
-    The ladder keeps exactly the samples whose E + h and E - h quadratures
-    both converge, each with the scalar derivative; the others are omitted.
-    Returns the ladder (None when every sample is omitted, in which case
-    ``sample_rates`` raises ``EmptyLadder``) and the omitted count.
+    The ladder keeps exactly the samples whose scalar ``dell_dE`` is finite
+    (their panel is certified), each with that derivative bit for bit; the
+    others are omitted. Returns the ladder (None when every sample is
+    omitted, in which case ``sample_rates`` raises ``EmptyLadder``) and the
+    omitted count.
     """
     kw = dict(eps_hi=1e-2, eps_lo=1e-5, pts_per_decade=4, cfg=cfg)
     e_min, e_sx = model.critical_energies()
@@ -147,14 +176,11 @@ def _ladder_vs_scalar(model, critical, side, cfg):
     sign = -1.0 if side == "below" else 1.0
     kept, omitted = [], 0
     for eps in np.geomspace(1e-2, 1e-5, 13).tolist():
-        E = e_c + sign * eps
-        h = max(1e-3 * eps, 1e-12)
-        flags = [lk.ell(model, x, cfg=cfg, full_output=True)[1].converged
-                 for x in (E + h, E - h)]
-        if all(flags):
-            kept.append((eps, abs(lk.dell_dE(model, E, h=h, cfg=cfg))))
-        else:
+        d = lk.dell_dE(model, e_c + sign * eps, cfg=cfg)
+        if math.isnan(d):
             omitted += 1
+        else:
+            kept.append((eps, abs(d)))
     if not kept:
         with pytest.raises(lk.EmptyLadder):
             lk.sample_rates(model, critical, side, **kw)
@@ -174,8 +200,9 @@ def test_sample_rates_match_scalar_calls(pend, critical, side):
 @_LADDERS
 def test_sample_rates_count_unconverged(pend, critical, side):
     # rows capped at four levels below their seeds cannot meet 1e-15: the
-    # samples they serve are left out of the fit and counted (on the
-    # separatrix ladders every sample is, so the ladder is empty)
+    # panels they serve are not certified, so their samples are left out of
+    # the fit and counted (on the separatrix ladders every sample is, so the
+    # ladder is empty)
     ladder, omitted = _ladder_vs_scalar(pend, critical, side, _TIGHT)
     assert omitted > 0
     if ladder is not None:

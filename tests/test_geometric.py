@@ -76,8 +76,8 @@ def test_dell_repulsor_closed_form(rep):
 def test_dell_errors(pend):
     with pytest.raises(lk.StraddlesCritical):
         lk.dell_dE(pend, 0.0)
-    with pytest.raises(lk.StraddlesCritical):
-        lk.dell_dE(pend, 1e-13)
+    # beside a breakpoint the derivative is defined: its panel ends there
+    assert math.isfinite(lk.dell_dE(pend, 1e-13))
     with pytest.raises(lk.StraddlesCritical):
         lk.dell_dE(pend, -2.0)
 

@@ -131,16 +131,16 @@ def test_map_determinism(pend):
 
 def test_ell_map_evaluates_few_energies(pend, monkeypatch):
     # a 500x500 grid symmetric in q and p, node for node (dyadic steps)
-    from ldkit import maps
+    from ldkit import geometric
 
     seen = []
-    real = maps.ell_batch
+    real = geometric.ell_batch
 
     def spy(model, energies, *args):
         seen.append(np.size(energies))
         return real(model, energies, *args)
 
-    monkeypatch.setattr(maps, "ell_batch", spy)
+    monkeypatch.setattr(geometric, "ell_batch", spy)
     h = 249.5 / 64.0
     spec = lk.GridSpec(-h, h, -h, h, 500, 500)
     g = lk.ell_map(pend, spec)

@@ -225,9 +225,9 @@ def test_default_ladders_converge(name):
 
 @pytest.mark.parametrize("name", ["pendulum", "fishtail"])
 def test_elliptic_exponent_on_deep_ladder(name):
-    # near e_min (-32 for the fish-tail) E +/- h rounds in units far above
-    # h = 1e-3 eps at eps = 1e-10; dividing by the step E + h and E - h
-    # really span keeps the fitted exponent at -1/2
+    # near e_min (-32 for the fish-tail) the panels' energies e_min + u^2
+    # round in units of 7e-15; interpolating in the u they really have keeps
+    # the fitted exponent at -1/2 down to eps = 1e-10
     model = lk.get_model(name)
     trunc = lk.Truncation(-5.0) if name == "fishtail" else None
     ladder = lk.sample_rates(model, "elliptic", "above", eps_lo=1e-10, trunc=trunc)

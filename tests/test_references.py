@@ -6,6 +6,10 @@
 * ``tests/data/ell_deep_separatrix.json`` (``tests/data/make_deep_refs.py``):
   eps = 1e-10 ... 1e-16 on both sides of the pendulum, Duffing and fish-tail
   separatrices, where a level curve's neck at the saddle is ~1e-8 wide.
+* ``tests/data/dell_mpmath.json`` (``tests/data/make_dell_refs.py``):
+  d ell/dE at 50 digits of working precision, eps = 1e-2 ... 1e-8 below
+  and above the pendulum, Duffing and fish-tail separatrices and above
+  their elliptic minima.
 """
 
 import json
@@ -55,3 +59,15 @@ def test_deep_separatrix_accuracy():
     # neck missed (pendulum, E = +1e-14: 105 evaluations, error 2.2e-8)
     assert _check(ROOT / "tests" / "data" / "ell_deep_separatrix.json",
                   rel_bound=1e-12) == 24
+
+
+def test_dell_against_mpmath():
+    entries = json.loads((ROOT / "tests" / "data" / "dell_mpmath.json").read_text())["entries"]
+    models = _models()
+    for e in entries:
+        trunc = None if e["trunc"] is None else lk.Truncation(e["trunc"])
+        got = lk.dell_dE(models[e["model"]], e["E"], trunc)
+        ref = float(e["dell_dE"])
+        bound = 1e-9 if e["eps"] >= 1e-6 else 5e-9
+        assert abs(got - ref) <= bound * abs(ref), (e["model"], e["E"], abs(got / ref - 1.0))
+    assert len(entries) == 36
