@@ -5,9 +5,10 @@ matching the CSV layout. Node computations are independent, and each map is
 batched: an ell map evaluates ell(E) as a piecewise-Chebyshev function of
 energy, one ``ell_batch`` per refinement round, and a temporal map is one
 forward stepper run over its distinct starts (q, p) and (q, -p), since
-each backward piece is the forward piece of the start mirrored in p. A node's
-value does not depend on which other nodes share the batch (the quadrature's
-sums are row-local, its temporaries are chunked by rows, and each stepper lane
+each backward piece is the forward piece of the start mirrored in p; for a
+model with an even V, (q, p) and (-q, -p) also share a lane. A node's value
+does not depend on which other nodes share the batch (the quadrature's sums
+are row-local, its temporaries are chunked by rows, and each stepper lane
 runs on its own values), so a sub-grid reproduces the grid's nodes bit for bit.
 
 Output formats:
@@ -94,8 +95,8 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, threads=None):
 def temporal_map(model, spec, t, cfg=None):
     """Per-node temporal LD total over the grid, as one batched forward run
     over the distinct starts (q, p) and (q, -p); on a grid symmetric in p
-    that is one lane per node. Failed nodes keep their partial value but are
-    masked."""
+    that is one lane per node, per two if V is even and q is symmetric too.
+    Failed nodes keep their partial value but are masked."""
     Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
     plus, minus, st_p, st_m, _, _ = _ld_lanes(model, Q.ravel(), P.ravel(), t, cfg)
     shape = (spec.np, spec.nq)

@@ -189,6 +189,7 @@ class HamiltonianModel:
     e_sx = math.inf
     bounded = True
     saddles = ()  # abscissae of the hyperbolic points (p = 0)
+    point_symmetric = False  # V(-q) == V(q): the field is odd, see vector_field
 
     # -- formulas ------------------------------------------------------
 
@@ -215,6 +216,11 @@ class HamiltonianModel:
         −fq(q, p)`` and ``fp(q, −p) == fp(q, p)``, on arrays and on floats.
         Both steppers rely on it to run each backward piece as the forward
         piece from (q, −p).
+
+        With ``point_symmetric`` set (V even), the field is odd bit for bit
+        up to a zero's sign (q − q³ is +0.0 at ±0.0): ``fq(−q, −p) ==
+        −fq(q, p)`` and ``fp(−q, −p) == −fp(q, p)``, on arrays and floats;
+        the batched stepper runs (q, p) and (−q, −p) as one lane.
         """
         raise NotImplementedError
 
@@ -396,6 +402,7 @@ class Pendulum(HamiltonianModel):
     e_sx = 0.0
     bounded = True
     saddles = (-math.pi, math.pi)
+    point_symmetric = True
 
     def energy(self, q, p):
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
@@ -448,6 +455,7 @@ class Duffing(HamiltonianModel):
     e_sx = 0.0
     bounded = True
     saddles = (0.0,)
+    point_symmetric = True
 
     def energy(self, q, p):
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
@@ -683,6 +691,7 @@ class HarmonicOscillator(HamiltonianModel):
     e_min = 0.0
     e_sx = math.inf
     bounded = True
+    point_symmetric = True
 
     def energy(self, q, p):
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
@@ -729,6 +738,7 @@ class HarmonicRepulsor(HamiltonianModel):
     e_sx = 0.0
     bounded = False
     saddles = (0.0,)
+    point_symmetric = True
 
     def __init__(self, t_star=1.0):
         if t_star <= 0.0:

@@ -85,7 +85,7 @@ class QuadratureConfig:
     max_levels: int = 12
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # NaN too
             raise ValueError("tolerances must be positive")
         if self.max_levels < 4:
             raise ValueError("max_levels must be at least 4")

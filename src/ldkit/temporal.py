@@ -14,9 +14,11 @@ both steppers run forward only. A single initial condition
 Lines (:func:`ld_landscape_line`) and grids (``maps.temporal_map``) run one
 batched stepper over all their initial conditions and mirrors. Each distinct
 start runs once, so a grid symmetric in p integrates one lane per node, not
-two. Each lane does the scalar stepper's arithmetic on its own values only,
-so its result does not depend on which other initial conditions share the
-batch.
+two. The pendulum, Duffing, oscillator and repulsor have an even V, so the
+lane from (−q, −p) is the lane from (q, p) reflected through the origin,
+and a grid symmetric about the origin runs one lane per two nodes. Each
+lane does the scalar stepper's arithmetic on its own values only, so its
+result does not depend on which other initial conditions share the batch.
 """
 
 from dataclasses import dataclass
@@ -42,7 +44,7 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # NaN too
             raise ValueError("tolerances must be positive")
 
 
@@ -98,8 +100,8 @@ def temporal_ld(model, x0, t, cfg=None):
     step-limit conditions are flagged, not raised, and leave partial values
     in place.
     """
-    if t <= 0.0:
-        raise ValueError("horizon t must be positive")
+    if not 0.0 < t < np.inf:  # NaN too
+        raise ValueError("horizon t must be positive and finite")
     if cfg is None:
         cfg = IntegratorConfig()
     q0, p0 = float(x0[0]), float(x0[1])
@@ -116,10 +118,14 @@ def _ld_lanes(model, q0, p0, t, cfg):
     field's q row is odd in p and its p row does not depend on p
     (``HamiltonianModel.vector_field``), so the mirrored lane computes the
     same step sizes, error norms, arc lengths and q rows, and exactly the
-    negated p rows (a zero may change sign, which no magnitude sees). The 2n starts (q, p) and (q, −p), with −0.0 read as
-    +0.0, are integrated once per distinct start (compared by their bits)
-    and mapped back with the inverse index; on a grid symmetric in p that is
-    n lanes, not 2n.
+    negated p rows (a zero may change sign, which no magnitude sees). The
+    field of a ``point_symmetric`` model is odd in (q, p), so likewise the
+    lane from (−q, −p) mirrors the lane from (q, p); such a model reflects
+    every start with q < 0, or q = 0 and p < 0, and reads a −0.0 q as +0.0.
+    The 2n starts (q, p) and (q, −p), with a −0.0 p read as +0.0, are
+    integrated once per distinct start (compared by their bits) and mapped
+    back with the inverse index; on a grid symmetric in p that is n lanes,
+    not 2n, and about n/2 for such a model if q is symmetric too.
 
     Returns arrays (plus, minus, status_plus, status_minus, steps_plus,
     steps_minus). A lane that runs the whole window matches
@@ -130,8 +136,8 @@ def _ld_lanes(model, q0, p0, t, cfg):
     stopped start is run again, once, on the scalar stepper, and its pieces
     then equal :func:`temporal_ld` bit for bit.
     """
-    if t <= 0.0:
-        raise ValueError("horizon t must be positive")
+    if not 0.0 < t < np.inf:  # NaN too
+        raise ValueError("horizon t must be positive and finite")
     if cfg is None:
         cfg = IntegratorConfig()
     n = q0.size
@@ -139,6 +145,10 @@ def _ld_lanes(model, q0, p0, t, cfg):
     starts[:n, 0] = starts[n:, 0] = q0
     starts[:n, 1] = p0
     starts[n:, 1] = -p0
+    if model.point_symmetric:
+        q, p = starts.T
+        starts[(q < 0.0) | ((q == 0.0) & (p < 0.0))] *= -1.0
+        starts[:, 0] += 0.0  # as p below
     starts[:, 1] += 0.0  # -0.0 + 0.0 is +0.0: one lane for both zeros
     lanes, inverse = np.unique(starts.view(np.uint64), axis=0, return_inverse=True)
     lanes = lanes.view(np.float64)

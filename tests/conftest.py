@@ -36,6 +36,13 @@ def rep():
     return lk.harmonic_repulsor()
 
 
+@pytest.fixture(scope="session")
+def double_well():
+    """A custom model with an even V; only built-ins declare that symmetry."""
+    return lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
+                         lambda q: q ** 3 - q, (-2.0, 2.0))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -215,3 +215,35 @@ def test_threads_flag_identical_output_ell(tmp_path):
     assert run(base + ["--out", str(a)]) == 0
     assert run(base + ["--threads", "4", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["temporal", "--model", "pendulum", "--t", "nan",
+     "--line", "fixed=q:0,range=0:1:3"],
+    ["temporal", "--model", "pendulum", "--t", "inf",
+     "--line", "fixed=q:0,range=0:1:3"],
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3",
+     "--quantity", "temporal", "--t", "inf"],
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3",
+     "--quantity", "temporal", "--t", "nan"],
+    ["temporal", "--model", "pendulum", "--t", "1", "--rel-tol", "nan",
+     "--line", "fixed=q:0,range=0:1:3"],
+    ["temporal", "--model", "pendulum", "--t", "1", "--abs-tol", "nan",
+     "--line", "fixed=q:0,range=0:1:3"],
+    ["landscape", "--model", "pendulum", "--emin", "-1", "--emax", "1",
+     "--n", "3", "--quad-rel-tol", "nan"],
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3",
+     "--quad-abs-tol", "nan"],
+], ids=["temporal-t-nan", "temporal-t-inf", "map-t-inf", "map-t-nan",
+        "rel-tol-nan", "abs-tol-nan", "quad-rel-tol-nan", "quad-abs-tol-nan"])
+def test_non_finite_settings_are_usage_errors(tmp_path, monkeypatch, argv):
+    # a NaN horizon once ran every lane to max_steps (10^7) and wrote OK
+    # zeros; the step cap keeps a regression from hanging
+    from ldkit import _kernels
+
+    real = _kernels.dp45_lanes
+    monkeypatch.setattr(_kernels, "dp45_lanes",
+                        lambda *args: real(*args[:-1], 50))
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()

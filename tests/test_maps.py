@@ -284,16 +284,32 @@ def test_temporal_map_flags_blowup(fish):
     (-1.5, 7, 35),  # a p = 0 row: (q, 0.0) and its mirror (q, -0.0) share a lane
     (0.25, 6, 60),  # p in [0.25, 1.5], no mirror inside: two lanes per node
 ])
-def test_temporal_map_runs_each_distinct_start_once(pend, lane_counts, p_lo, n_p,
-                                                    lanes):
+def test_temporal_map_runs_each_distinct_start_once(double_well, lane_counts,
+                                                    p_lo, n_p, lanes):
     # a backward piece is the forward piece from (q, -p), so the stepper
-    # runs once per distinct start among the nodes and their mirrors
+    # runs once per distinct start among the nodes and their mirrors; a
+    # custom model is not point symmetric, so (-q, -p) is a lane of its own
     spec = lk.GridSpec(-2.0, 2.0, p_lo, 1.5, 5, n_p)
-    g = lk.temporal_map(pend, spec, 2.0)
+    g = lk.temporal_map(double_well, spec, 2.0)
     assert lane_counts == [lanes]
     if p_lo < 0.0:
         # (q, p) and (q, -p) add the same two pieces
         assert np.array_equal(g.values, g.values[::-1])
+
+
+@pytest.mark.parametrize("p_lo, n_p, lanes", [
+    (-1.5, 4, 10),  # every start and its reflection (-q, -p) share a lane
+    (-1.5, 7, 18),  # the origin is its own reflection
+    (0.25, 6, 30),  # the mirrors (q, -p) reflect onto (-q, p), a node
+])
+def test_temporal_map_folds_point_reflected_starts(pend, lane_counts, p_lo, n_p,
+                                                   lanes):
+    # the pendulum's V is even: the lane from (-q, -p) is the lane from
+    # (q, p) reflected through the origin, with the same pieces
+    spec = lk.GridSpec(-2.0, 2.0, p_lo, 1.5, 5, n_p)
+    g = lk.temporal_map(pend, spec, 2.0)
+    assert lane_counts == [lanes]
+    assert np.array_equal(g.values, g.values[:, ::-1])  # (q, p) ~ (-q, -p) ~ (-q, p)
 
 
 # -- serialization -----------------------------------------------------------

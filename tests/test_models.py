@@ -9,6 +9,7 @@ from conftest import interior_points, random_energies
 
 ALL_BUILTINS = ("pendulum", "duffing", "fishtail", "harmonic-oscillator",
                 "harmonic-repulsor")
+EVEN_BUILTINS = ("pendulum", "duffing", "harmonic-oscillator", "harmonic-repulsor")
 
 
 def model_and_trunc(name):
@@ -435,3 +436,38 @@ def test_vector_field_time_reversal_bitwise(name):
             rq, rp = m.vector_field(q, -p)
             assert type(fq) is float and type(rq) is float
             assert _bits(rq) == _bits(-fq) and _bits(rp) == _bits(fp)
+
+
+def test_point_symmetry_declared_on_even_builtins(double_well):
+    # declared per class, never inferred: the fish-tail's V is not even, and
+    # a custom V is a black box even where it happens to be even
+    assert tuple(n for n in ALL_BUILTINS
+                 if lk.get_model(n).point_symmetric) == EVEN_BUILTINS
+    assert not double_well.point_symmetric
+
+
+@pytest.mark.parametrize("name", EVEN_BUILTINS)
+def test_vector_field_point_reflection_bitwise(name, rng):
+    # the batched temporal stepper runs (q, p) and (-q, -p) as one lane; that
+    # is exact because the field is odd under the reflection, bit for bit up
+    # to the sign of a zero (which + 0.0 folds), on arrays of lengths that
+    # take numpy's vector loops and their tails, and on floats; a platform
+    # whose sin is not odd fails here instead of shifting maps
+    m = lk.get_model(name)
+    special = [0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0, math.pi, 3.0, 710.0, 1e5]
+    for size in (1, 2, 3, 4, 7, 8, 9, 16, 17, 64, 1001):
+        qs = rng.uniform(-1.0, 1.0, size) * rng.choice([1e-3, 1.0, 1e2, 1e5], size)
+        ps = rng.uniform(-1.0, 1.0, size) * rng.choice([1e-3, 1.0, 1e2, 1e5], size)
+        if size == 64:
+            qs[:20] = special + [-x for x in special]
+            ps[:20] = special[::-1] + [-x for x in special]
+        fq, fp = m.vector_field(qs, ps)
+        rq, rp = m.vector_field(-qs, -ps)
+        assert np.array_equal(_bits(rq + 0.0), _bits(-fq + 0.0))
+        assert np.array_equal(_bits(rp + 0.0), _bits(-fp + 0.0))
+        for q, p in zip(qs.tolist(), ps.tolist()):
+            fq, fp = m.vector_field(q, p)
+            rq, rp = m.vector_field(-q, -p)
+            assert type(rq) is float and type(rp) is float
+            assert _bits(rq + 0.0) == _bits(-fq + 0.0)
+            assert _bits(rp + 0.0) == _bits(-fp + 0.0)

@@ -115,6 +115,9 @@ def test_invalid_interval(pend):
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=0.0)
+    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.nan}):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**bad)
     with pytest.raises(ValueError):
         QuadratureConfig(max_levels=3)
     with pytest.raises(TypeError):

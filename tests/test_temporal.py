@@ -138,6 +138,25 @@ def test_rejects_nonpositive_horizon(pend):
         lk.temporal_ld(pend, (0.0, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_horizon(pend, t):
+    # a NaN window once gave LD 0.0 with status OK, and every lane of a
+    # batch ran to max_steps; the small limit keeps a regression from hanging
+    cfg = IntegratorConfig(max_steps=50)
+    with pytest.raises(ValueError):
+        lk.temporal_ld(pend, (0.3, 1.0), t, cfg)
+    with pytest.raises(ValueError):
+        lk.temporal_map(pend, lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3), t, cfg)
+    with pytest.raises(ValueError):
+        lk.ld_landscape_line(pend, lk.LineSpec("q", 0.0, 0.0, 1.0, 3), t, cfg)
+
+
+def test_rejects_nan_tolerances():
+    for bad in ({"rel_tol": math.nan}, {"abs_tol": math.nan}, {"rel_tol": 0.0}):
+        with pytest.raises(ValueError):
+            IntegratorConfig(**bad)
+
+
 def test_line_elliptic_point_zero(pend):
     line = lk.LineSpec("q", 0.0, 0.0, 2.5, 6)
     res = lk.ld_landscape_line(pend, line, 20.0)
@@ -319,9 +338,25 @@ def test_nan_field_at_start_stops_at_once():
     (lk.LineSpec("q", 0.0, -2.5, 2.5, 11), 11),  # p and -p both on the line
     (lk.LineSpec("q", 0.0, 0.0, 2.5, 11), 21),  # only p = 0 is mirrored
 ])
-def test_line_runs_each_distinct_start_once(pend, lane_counts, line, lanes):
-    lk.ld_landscape_line(pend, line, 2.0)
+def test_line_runs_each_distinct_start_once(double_well, lane_counts, line, lanes):
+    # a custom model is only time-reversed: (q, p) and (-q, -p) stay apart
+    lk.ld_landscape_line(double_well, line, 2.0)
     assert lane_counts == [lanes]
+
+
+@pytest.mark.parametrize("line, lanes", [
+    (lk.LineSpec("p", 0.0, -2.0, 2.0, 9), 5),  # (q, 0) and (-q, 0) share a lane
+    (lk.LineSpec("q", 0.0, -2.5, 2.5, 11), 6),  # (0, p), (0, -p): one lane
+    (lk.LineSpec("q", 0.0, 0.0, 2.5, 11), 11),
+    (lk.LineSpec("q", 0.5, -2.5, 2.5, 11), 11),  # (0.5, p) and (0.5, -p)
+])
+def test_line_folds_point_reflected_starts(pend, lane_counts, line, lanes):
+    # the pendulum's V is even, so the lane from (-q, -p) is the lane from
+    # (q, p) reflected through the origin and runs once
+    res = lk.ld_landscape_line(pend, line, 2.0)
+    assert lane_counts == [lanes]
+    if line.lo == -line.hi:
+        assert np.array_equal(res.total, res.total[::-1])
 
 
 def test_stopped_lanes_rerun_once_per_distinct_start(fish, monkeypatch):
@@ -412,3 +447,82 @@ def test_mirrored_lanes_match_reversed_field_bitwise(case, pend, fish):
         assert np.any((st_p == 0) & (st_m == 0))
     if case == "step-limit":
         assert np.all(st_p == 2) and np.all(st_m == 2)
+
+
+# -- point-reflected starts as one lane ---------------------------------------
+
+def _fold(q, p):
+    """The start a point-symmetric model runs in place of (q, p)."""
+    if q < 0.0 or (q == 0.0 and p < 0.0):
+        q, p = -q, -p
+    return q + 0.0, p + 0.0
+
+
+# symmetric about the origin (nodes step by 0.75, exact in binary), so every
+# node's reflection (-q, -p) is a node; the repulsor's window is long enough
+# for most of its lanes to blow up
+SYMMETRIC = {"pendulum": (lk.GridSpec(-3.0, 3.0, -1.5, 1.5, 9, 5), 5.0),
+             "duffing": (lk.GridSpec(-1.5, 1.5, -1.5, 1.5, 5, 5), 5.0),
+             "harmonic-oscillator": (lk.GridSpec(-1.5, 1.5, -1.5, 1.5, 5, 5), 5.0),
+             "harmonic-repulsor": (lk.GridSpec(-1.5, 1.5, -0.75, 0.75, 5, 3), 30.0)}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_point_reflected_lanes_match_unmirrored_bitwise(name, lane_counts,
+                                                        monkeypatch):
+    # running (-q, -p) in place of (q, p) changes no bit of any piece, status
+    # or step count; a stopped start reruns once per reflected pair, and the
+    # rerun equals temporal_ld from the node itself
+    model = lk.get_model(name)
+    spec, t = SYMMETRIC[name]
+    cfg = IntegratorConfig()
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    q0, p0 = Q.ravel(), P.ravel()
+    reruns = []
+    real = _kernels.dp45_callable
+
+    def spy(f, q, p, *args):
+        reruns.append((float(q), float(p)))
+        return real(f, q, p, *args)
+
+    monkeypatch.setattr(_kernels, "dp45_callable", spy)
+    got = _ld_lanes(model, q0, p0, t, cfg)
+    monkeypatch.undo()
+    assert lane_counts == [(q0.size + 1) // 2]  # the origin is its own image
+    want = _unmirrored(model, q0, p0, t, cfg)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    st_p, st_m = want[2:4]
+    nodes = list(zip(q0.tolist(), p0.tolist()))
+    stopped = ({_fold(q, p) for (q, p), st in zip(nodes, st_p) if st}
+               | {_fold(q, -p) for (q, p), st in zip(nodes, st_m) if st})
+    assert sorted(reruns) == sorted(stopped)
+    if name == "harmonic-repulsor":
+        assert np.any(st_p == 1) and np.any(st_m == 1)
+        assert np.any((st_p == 0) & (st_m == 0))
+    else:
+        assert not reruns
+    g = lk.temporal_map(model, spec, t, cfg)
+    assert np.array_equal(g.values, g.values[::-1, ::-1])
+    assert np.array_equal(g.mask, g.mask[::-1, ::-1])
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_asymmetric_sub_grid_matches_symmetric_grid(name):
+    # a sub-grid whose q nodes are not symmetric folds fewer starts; each node
+    # still gets the bits it gets in the symmetric grid
+    model = lk.get_model(name)
+    spec, t = SYMMETRIC[name]
+    dq = (spec.q_hi - spec.q_lo) / (spec.nq - 1)
+    sub = dataclasses.replace(spec, q_lo=spec.q_lo + 3 * dq, nq=spec.nq - 3)
+    assert np.array_equal(sub.q_nodes(), spec.q_nodes()[3:])
+    whole = lk.temporal_map(model, spec, t)
+    part = lk.temporal_map(model, sub, t)
+    assert np.array_equal(part.values, whole.values[:, 3:])
+    assert np.array_equal(part.mask, whole.mask[:, 3:])
+    Q, P = np.meshgrid(sub.q_nodes(), sub.p_nodes())
+    lanes = _ld_lanes(model, Q.ravel(), P.ravel(), t, None)
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    ref = _ld_lanes(model, Q.ravel(), P.ravel(), t, None)
+    for a, b in zip(lanes, ref):
+        assert np.array_equal(a, b.reshape(spec.np, spec.nq)[:, 3:].ravel())
