@@ -68,7 +68,6 @@ from .rates import (
     sample_rates,
 )
 from .temporal import (
-    FlowState,
     IntegratorConfig,
     LdLine,
     LdResult,

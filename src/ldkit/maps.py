@@ -45,6 +45,8 @@ class GridSpec:
     def __post_init__(self):
         if not (self.q_lo < self.q_hi and self.p_lo < self.p_hi):
             raise ValueError("grid bounds must satisfy lo < hi")
+        if not np.isfinite([self.q_lo, self.q_hi, self.p_lo, self.p_hi]).all():
+            raise ValueError("grid bounds must be finite")
         if self.nq < 2 or self.np < 2:
             raise ValueError("grid needs at least 2 nodes per axis")
 

@@ -18,9 +18,9 @@ lo, hi, endpoint flag codes) in each energy's panel order, already split at
 the saddles inside them, plus each energy's error. Built-in domains are
 closed forms in E evaluated on arrays (the fish-tail's from the
 trigonometric form of its cubic); custom models find their sign-change
-cells with one ``searchsorted`` per monotone run of the scan grid and solve
-each root on floats. :meth:`HamiltonianModel.domain` is a batch of one that
-returns the unsplit intervals as an :class:`EnergyDomain`.
+cells with one ``searchsorted`` per monotone run of the scan grid and
+bisect all their roots at once. :meth:`HamiltonianModel.domain` is a batch
+of one that returns the unsplit intervals as an :class:`EnergyDomain`.
 
 Built-ins:
 
@@ -786,73 +786,41 @@ class MechanicalSystem:
     potential_slope: Callable
 
 
-# relative tolerance of every bracketed root (scipy's brentq floor is 4 eps)
-_RTOL = 9e-16
+def _ordinal(i):
+    """The bits of floats (as int64) to their rank among floats, with both
+    zeros at 0, so adjacent floats differ by 1; applied to ranks, the same
+    map gives back the bits."""
+    return np.where(i < 0, np.iinfo(np.int64).min - i, i)
 
 
-def _brentq(f, a, b, xtol=1e-12, maxiter=100):
-    """Root of ``f`` on the bracket [a, b] by Brent's method, on floats.
+def _bisect(f, y, a, b):
+    """Roots of f = y by bisection, elementwise on arrays.
 
-    A line-for-line port of the C loop behind ``scipy.optimize.brentq``
-    (R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
-    ch. 4), taking the same iterates and returning the same float. Each
-    step interpolates (secant, or inverse quadratic through the last three
-    points) and bisects instead when the step is not short enough; the
-    loop stops when the bracket is within (xtol + _RTOL |x|) / 2 of x or f
-    vanishes. ``f`` sees Python floats. Raises ValueError when f(a) and
-    f(b) have the same sign or f is NaN, RuntimeError after ``maxiter``
-    iterations.
+    ``a`` is each bracket's end where y - f <= 0 and ``b`` its other end.
+    A bracket is halved in its number of floats, not in length, on the sign
+    of y - f at the midpoint, until f equals y there, when that midpoint is
+    returned, or its ends are adjacent floats (or equal), when ``a`` is
+    returned: y - f <= 0 there and > 0 at its neighbour toward ``b``. That
+    takes at most 64 halvings, about 42 for a scan cell near |q| = 1. f is
+    called once per halving on the midpoints of the open brackets; a NaN
+    there raises ValueError.
     """
-    def value(x):
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and \
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless an interpolation step is short
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # C's quotient is inf or NaN: bisect
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+    a = _ordinal(np.asarray(a, dtype=np.float64).view(np.int64))
+    b = _ordinal(np.asarray(b, dtype=np.float64).view(np.int64))
+    y = np.broadcast_to(np.asarray(y, dtype=np.float64), a.shape)
+    live = np.arange(a.size)
+    while True:
+        la, lb = a[live], b[live]
+        m = (la >> 1) + (lb >> 1) + (la & lb & 1)  # floor((la + lb) / 2)
+        open_ = (m != la) & (m != lb)
+        live, m = live[open_], m[open_]
+        if not live.size:
+            return _ordinal(a).view(np.float64)
+        g = y[live] - np.asarray(f(_ordinal(m).view(np.float64)), dtype=np.float64)
+        if np.isnan(g).any():
+            raise ValueError("NaN function value inside a bracket")
+        a[live[g <= 0.0]] = m[g <= 0.0]
+        b[live[g >= 0.0]] = m[g >= 0.0]  # g == 0 closes the bracket on m
 
 
 def _monotone_runs(vs):
@@ -883,65 +851,56 @@ def _monotone_runs(vs):
     return runs
 
 
+# cells of a custom model's scan grid, before its extrema are inserted
+_SCAN_CELLS = 4096
+
+
 class MechanicalModel(HamiltonianModel):
-    """Custom conservative system; domains found by bracketed root finding.
+    """Custom conservative system; domains found by bisection on a scan grid.
 
     The level-curve turning points of E - V(q) = 0 are located on
-    ``search_interval`` from a fine scan grid. The grid's values are split
-    into monotone runs once; a batch of energies then finds every energy's
-    sign-change cells with one ``searchsorted`` per run. Each bracket is
-    solved with :func:`_brentq` (tolerance 1e-12) and the root polished with
-    Newton steps to full precision, which the quadrature's deflated
-    radicand needs; roots are solved one at a time on floats. ``e_min`` is
-    V at the root of V' beside the scan's lowest node. Each interior local
-    maximum of V on the scan grid is polished to the root of V' on the
-    cell pair around it, to roundoff; these are the model's saddles, whose
-    energies are breakpoints and which split the quadrature panels.
+    ``search_interval`` from a scan grid of ``_SCAN_CELLS`` equal cells.
+    Every interior extremum of V on that grid is polished to the root of V'
+    on the cell pair around it (one :func:`_bisect` call for all of them)
+    and inserted as a node, so a cell holds at most one turning point of an
+    energy (unless V has extrema that the scan misses). The polished maxima
+    are the model's saddles, whose energies are breakpoints and which split
+    the quadrature panels, and ``e_min`` is the least scan value. The
+    scan's values are split into monotone runs once; a batch of energies
+    then finds every energy's sign-change cells with one ``searchsorted``
+    per run and bisects all their roots with one :func:`_bisect` call. A
+    root has radicand <= 0: it is an exact root of the computed radicand,
+    or the float just outside the level curve beside one where it is > 0.
     """
 
     kernel_code = None
     multiplier = 2
     bounded = True
 
-    def __init__(self, system, search_interval, name="custom-mechanical",
-                 e_sx=None, scan_points=4096):
+    def __init__(self, system, search_interval, name="custom-mechanical", e_sx=None):
         self.system = system
         self.search_lo, self.search_hi = map(float, search_interval)
         if not self.search_lo < self.search_hi:
             raise ValueError("search interval must have lo < hi")
         self.name = name
-        self.scan_points = int(scan_points)
-        self._qs = np.linspace(self.search_lo, self.search_hi, self.scan_points + 1)
-        self._vs = np.asarray(system.potential(self._qs), dtype=np.float64)
-        self._runs = _monotone_runs(self._vs)
-        i = int(np.argmin(self._vs))
-        lo = self._qs[max(i - 1, 0)]
-        hi = self._qs[min(i + 1, self.scan_points)]
-        self.e_min = float(self._vs[i])
-        root = self._slope_root(lo, hi, 1e-12)
-        if root is not None:  # else a minimum at a search end
-            self.e_min = min(float(system.potential(root)), self.e_min)
-        self.e_sx = math.nan if e_sx is None else float(e_sx)
-        v = self._vs
+        qs = np.linspace(self.search_lo, self.search_hi, _SCAN_CELLS + 1)
+        v = np.asarray(system.potential(qs), dtype=np.float64)
         tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
-        saddles = []
-        for j in tops.tolist():
-            # to roundoff: one machine epsilon of the cell pair's width
-            lo, hi = self._qs[j - 1], self._qs[j + 1]
-            root = self._slope_root(lo, hi, np.finfo(float).eps * (hi - lo))
-            saddles.append(float(self._qs[j] if root is None else root))
-        self.saddles = tuple(saddles)
-
-    def _slope_root(self, lo, hi, xtol):
-        """The root of V' on [lo, hi] by :func:`_brentq`, or None when V'
-        has one sign at both ends; V' is called on one-element arrays,
-        since only array calls are promised."""
-        def slope(x):
-            return float(np.ravel(self.system.potential_slope(np.array([x])))[0])
-
-        if not np.sign(slope(lo)) * np.sign(slope(hi)) <= 0.0:
-            return None
-        return _brentq(slope, lo, hi, xtol=xtol)
+        pits = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
+        j = np.concatenate([tops, pits])
+        step = np.repeat([1, -1], [tops.size, pits.size])
+        # -V' <= 0 left of a maximum and right of a minimum
+        x = _bisect(system.potential_slope, 0.0, qs[j - step], qs[j + step])
+        self.saddles = tuple(x[:tops.size].tolist())
+        # an extremum that V places no further out than its node (a flat
+        # one) adds no node
+        x = x[step * np.asarray(system.potential(x), dtype=np.float64) > step * v[j]]
+        self._qs = np.union1d(qs, x)
+        self._vs = np.asarray(system.potential(self._qs), dtype=np.float64)
+        self.scan_points = self._qs.size - 1  # cells of the scan grid
+        self._runs = _monotone_runs(self._vs)
+        self.e_min = float(np.min(self._vs))
+        self.e_sx = math.nan if e_sx is None else float(e_sx)
 
     def breakpoints(self, trunc=None):
         # the search ends cut the level curves like a truncation
@@ -1009,50 +968,20 @@ class MechanicalModel(HamiltonianModel):
         order = np.lexsort((c, e))
         return e[order], c[order]
 
-    def _newton(self, x, E, a, b):
-        """Newton steps on E - V from x, kept inside the bracket [a, b]."""
-        for _ in range(3):
-            slope = float(self.system.potential_slope(x))
-            if slope == 0.0:
-                break
-            nx = x + (E - float(self.system.potential(x))) / slope
-            if not a <= nx <= b or nx == x:
-                break
-            x = nx
-        return x
-
-    def _polish_root(self, q, E, outward):
-        """:meth:`_polish_turning` of one root, on floats.
-
-        The user's potential sees Python floats here, as in :func:`_brentq`
-        and :meth:`_newton`; on arrays its powers can round differently.
-        """
-        q = float(q)
-        target = math.inf if outward > 0 else -math.inf
-        for _ in range(60):
-            if float(self.radicand(q, E)) <= 0.0:
-                break
-            q = np.nextafter(q, target)
-        return q
-
     def _intervals(self, E, trunc):
         errors = _errors_at(E < self.e_min, lambda e: BelowMinimum(
             f"{self.name}: E={e} below potential minimum"), E)
         potential = self.system.potential
         qs, vs = self._qs, self._vs
-        Es = E.tolist()
         ok = np.flatnonzero(E >= self.e_min)
         owner, cell = self._crossing_cells(E[ok])
         owner = ok[owner]
-        roots = []
-        for e, i in zip(owner.tolist(), cell.tolist()):
-            Ef = Es[e]
-            if i == self.scan_points or Ef - vs[i] == 0.0:
-                roots.append(qs[i])
-            else:
-                a, b = qs[i], qs[i + 1]
-                x = _brentq(lambda x: Ef - float(potential(x)), a, b)
-                roots.append(self._newton(x, Ef, a, b))
+        # each root's cell bisected from its end where E - V <= 0; a root on
+        # a node is a bracket of one point
+        left, right = qs[cell], qs[np.minimum(cell + 1, self.scan_points)]
+        g0 = E[owner] - vs[cell]
+        roots = _bisect(potential, E[owner], np.where(g0 > 0.0, right, left),
+                        np.where(g0 < 0.0, right, left))
 
         # edges of an energy: search_lo, its roots, search_hi; consecutive
         # edges bound its candidate intervals. ``is_root`` marks the roots,
@@ -1076,15 +1005,10 @@ class MechanicalModel(HamiltonianModel):
         # an interval is kept where it is wider than _MERGE_TOL and the
         # branch is real at its midpoint
         wide = np.flatnonzero(hi - lo > _MERGE_TOL)
-        mids = (0.5 * (lo[wide] + hi[wide])).tolist()
-        real = [Es[e] - float(potential(m)) > 0.0
-                for e, m in zip(owner[wide].tolist(), mids)]
-        keep = wide[np.array(real, dtype=bool)]
+        mids = 0.5 * (lo[wide] + hi[wide])
+        keep = wide[E[owner[wide]] - np.asarray(potential(mids), dtype=np.float64) > 0.0]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         lo_root, hi_root = lo_root[keep], hi_root[keep]
-        for xs, root, outward in ((lo, lo_root, -1), (hi, hi_root, +1)):
-            for j in np.flatnonzero(root).tolist():
-                xs[j] = self._polish_root(xs[j], Es[owner[j]], outward)
         f_lo = np.where(lo_root, F_TURNING, F_TRUNCATION).astype(np.int8)
         f_hi = np.where(hi_root, F_TURNING, F_TRUNCATION).astype(np.int8)
         return owner, lo, hi, f_lo, f_hi, errors

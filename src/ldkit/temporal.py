@@ -27,14 +27,6 @@ import numpy as np
 
 from . import _kernels as K
 
-@dataclass(frozen=True)
-class FlowState:
-    """Phase-space point plus accumulated arc length (augmented component)."""
-
-    q: float
-    p: float
-    s: float = 0.0
-
 
 @dataclass
 class IntegratorConfig:
@@ -79,6 +71,8 @@ class LineSpec:
             raise ValueError("fixed coordinate must be 'q' or 'p'")
         if self.n < 2:
             raise ValueError("need at least two samples")
+        if not np.isfinite([self.value, self.lo, self.hi]).all():
+            raise ValueError("line value and range must be finite")
 
 
 @dataclass

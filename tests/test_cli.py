@@ -247,3 +247,24 @@ def test_non_finite_settings_are_usage_errors(tmp_path, monkeypatch, argv):
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["temporal", "--model", "pendulum", "--t", "5",
+     "--line", "fixed=q:nan,range=0:1:3"],
+    ["temporal", "--model", "pendulum", "--t", "5",
+     "--line", "fixed=q:0,range=0:inf:3"],
+    ["map", "--model", "pendulum", "--bounds=-inf,1,0,1", "--grid", "3x3",
+     "--quantity", "temporal", "--t", "2"],
+    ["map", "--model", "pendulum", "--bounds=-inf,1,0,1", "--grid", "3x3",
+     "--quantity", "energy"],
+    ["map", "--model", "pendulum", "--bounds=-inf,1,0,1", "--grid", "3x3",
+     "--quantity", "ell"],
+], ids=["line-value-nan", "line-range-inf", "bounds-inf-temporal",
+        "bounds-inf-energy", "bounds-inf-ell"])
+def test_non_finite_specs_are_usage_errors(tmp_path, argv):
+    # a NaN line start once wrote LD 0 with flag 2, infinite bounds NaN q
+    # fields (or exit 2 for an ell map)
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()

@@ -377,6 +377,32 @@ def test_mechanical_saddle_is_a_critical_point():
         assert abs(qs - exact) <= math.ulp(qs)
 
 
+def test_mechanical_extrema_inside_a_scan_cell_keep_their_roots():
+    # V = q^2/2 on (-1.5, 1.0) has its minimum inside a scan cell; both
+    # roots of E < 2.98e-8 lie in that cell, which once gave ell = 0 as
+    # converged. The polished minimum is a scan node, so each root has a
+    # cell of its own
+    m = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2, lambda q: np.asarray(q),
+                      (-1.5, 1.0))
+    for E in (1e-10, 1e-8, 2.9e-8):
+        length, info = lk.ell(m, E, full_output=True)
+        assert info.converged
+        assert length == pytest.approx(2.0 * math.pi * math.sqrt(2.0 * E), rel=1e-12)
+    # roots at +-1.4e-150: the oval is narrower than _MERGE_TOL, so it is
+    # dropped, but the bisection toward it must return
+    assert lk.ell(m, 1e-300) == 0.0
+    # the tilted well's saddle lies inside a scan cell too; just below its
+    # energy the two lobes once merged into one unconverged interval
+    tilted = lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4 + 0.1 * q,
+                           lambda q: -q + q ** 3 + 0.1, (-2.0, 2.0))
+    (qs,) = tilted.saddles
+    e_s = tilted.energy(qs, 0.0)
+    for gap in (1e-6, 1e-8, 1e-10, 1e-12):
+        (a, b), (c, d) = tilted.domain(e_s - gap).intervals
+        assert a < b < qs < c < d
+        assert lk.ell(tilted, e_s - gap, full_output=True)[1].converged
+
+
 def test_vector_field_on_arrays(pend, duff, fish, ho, rep, mech_pendulum, rng):
     # the batched stepper evaluates the field on arrays and the scalar
     # stepper on floats; every model must give the same bits on both

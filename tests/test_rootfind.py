@@ -1,12 +1,9 @@
-"""The custom models' bracketed root finder, and ldkit's scipy-free import.
+"""The custom models' array bisection, and ldkit's scipy-free import.
 
-``models._brentq`` ports the C loop behind ``scipy.optimize.brentq``;
-scipy serves here only as a test oracle, as ``scipy.special.ellipe`` does
-elsewhere. Each case compares the returned float, or the exception type,
-and the sequence of points at which f was evaluated, bit for bit.
+``models._bisect`` solves every turning point of a custom model's batch of
+energies, and polishes the scan's extrema to roots of V', in one call.
 """
 
-import math
 import os
 import pathlib
 import subprocess
@@ -14,122 +11,68 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 import ldkit as lk
-from ldkit.models import _brentq
-
-# the tolerances custom models have solved their turning points at
-XTOL, RTOL = 1e-12, 9e-16
+from ldkit.models import F_TURNING, _bisect
 
 
-def solve_both(f, a, b, **options):
-    """[(result or exception type, evaluation points)] of scipy's brentq at
-    the port's relative tolerance and of the port, in that order."""
-    out = []
-    for solve in (lambda *args, **kw: brentq(*args, rtol=RTOL, **kw), _brentq):
-        xs = []
-
-        def g(x):
-            xs.append(x)
-            return f(x)
-
-        try:
-            r = solve(g, a, b, **options)
-        except (ValueError, RuntimeError) as exc:
-            r = type(exc)
-        out.append((r, xs))
-    return out
-
-
-def double_well(scale):
-    return lk.mechanical(lambda q: scale * (-0.5 * q * q + 0.25 * q ** 4),
-                         lambda q: scale * (-q + q ** 3), (-2.0, 2.0))
-
-
-def turning_brackets(model, energies):
-    """(f, a, b) of every turning point of ``model`` at ``energies`` that is
-    solved inside a scan cell, as the model's domains solve it."""
-    owner, cell = model._crossing_cells(energies)
-    for e, i in zip(owner.tolist(), cell.tolist()):
-        E = float(energies[e])
-        if i == model.scan_points or E - model._vs[i] == 0.0:
-            continue
-        yield ((lambda x, E=E: E - float(model.system.potential(x))),
-               model._qs[i], model._qs[i + 1])
-
-
-@pytest.mark.parametrize("scale", [1.0, 1e-200])
-def test_port_matches_brentq_on_double_well_turning_points(scale):
-    # at the 1e-200 scale the extrapolation denominator underflows to zero,
-    # where C bisects on an inf or NaN step and Python would raise
-    m = double_well(scale)
-    energies = scale * np.concatenate([np.linspace(-0.25, 2.5, 601),
-                                       -0.25 + np.logspace(-14, -1, 40)])
+def test_turning_ends_are_outside_and_tight(double_well):
+    # each turning end has radicand <= 0 (so ``branch`` is exactly 0 there,
+    # as _polish_turning makes it for the built-ins). Where it is < 0, the
+    # float beside it on the inner side has radicand > 0; where it is 0,
+    # the bisection stopped on an exact root of the radicand as computed
+    m = double_well
+    energies = np.concatenate([np.linspace(-0.25, 2.5, 601),
+                               -0.25 + np.logspace(-14, -1, 40)])
+    rows = m.domains(energies)
     n = 0
-    for f, a, b in turning_brackets(m, energies):
-        ref, port = solve_both(f, a, b, xtol=XTOL)
-        assert port == ref
-        assert isinstance(ref[0], float)
-        n += 1
-    assert n > 1000
+    for ends, flags, inward in ((rows.lo, rows.f_lo, np.inf),
+                                (rows.hi, rows.f_hi, -np.inf)):
+        turning = flags == F_TURNING
+        q, E = ends[turning], energies[rows.owner[turning]]
+        rad = m.radicand(q, E)
+        assert np.all(rad <= 0.0)
+        below = rad < 0.0
+        assert np.all(m.radicand(np.nextafter(q[below], inward), E[below]) > 0.0)
+        n += np.count_nonzero(below)
+    assert n > 800
 
 
-def test_port_matches_brentq_on_slope_roots():
-    # the e_min and saddle searches: roots of V' across the scan cell pair
-    # around the scan grid's lowest node and around each interior maximum
-    wells = [(lambda q, c=c: -0.5 * q * q + 0.25 * q ** 4 + c * q,
-              lambda q, c=c: -q + q ** 3 + c) for c in (0.0, 0.1, 1e-10, -0.3, 0.37)]
-    wells += [(lambda q: np.cos(5.0 * q) + 0.1 * q * q,
-               lambda q: -5.0 * np.sin(5.0 * q) + 0.2 * q)]
-    n = 0
-    for V, dV in wells:
-        m = lk.mechanical(V, dV, (-3.0, 3.0))
-        v = m._vs
-        tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
-        slope = lambda x: float(np.ravel(dV(np.array([x])))[0])
-        for j in [int(np.argmin(v)), *tops.tolist()]:
-            a, b = m._qs[j - 1], m._qs[j + 1]
-            for xtol in (XTOL, np.finfo(float).eps * (b - a), 5e-324):
-                ref, port = solve_both(slope, a, b, xtol=xtol)
-                assert port == ref
-                assert isinstance(ref[0], float)
-                n += 1
-    assert n >= 30
+def test_slope_returning_a_scalar():
+    # V = (q - 0.3)^2 has one extremum, so its slope is only ever called on
+    # one point, and may return a Python float
+    m = lk.mechanical(lambda q: (np.asarray(q) - 0.3) ** 2,
+                      lambda q: 2.0 * (float(np.ravel(q)[0]) - 0.3), (-1.0, 1.5))
+    assert m.e_min <= 1e-30
+    (lo, hi), = m.domain(0.01).intervals
+    assert lo == pytest.approx(0.2, abs=1e-12) and hi == pytest.approx(0.4, abs=1e-12)
+    # on arrays, a scalar f broadcasts to every bracket: where y - f <= 0
+    # throughout, the end a moves up to b; where it is > 0, a stays
+    x = _bisect(lambda q: 2.0, np.array([1.0, 3.0]), np.array([0.0, 5.0]),
+                np.array([5.0, 0.0]))
+    assert x.tolist() == [np.nextafter(5.0, 0.0), 5.0]
 
 
-def test_port_root_on_either_end():
-    for a, b in ((1.0, 2.0), (0.0, 1.0)):
-        ref, port = solve_both(lambda x: x - 1.0, a, b, xtol=XTOL)
-        assert port == ref
-        assert port[0] == 1.0
+def test_bracket_of_one_point_and_adjacent_ends():
+    a = np.array([1.0, 2.0, -0.0])
+    b = np.array([1.0, np.nextafter(2.0, 3.0), 5e-324])
+    calls = []
+    x = _bisect(lambda q: calls.append(q) or q, 0.0, a, b)
+    assert x.tolist() == [1.0, 2.0, 0.0] and not calls
 
 
-def test_port_raises_as_brentq():
-    cases = [(lambda x: x * x + 1.0, -1.0, 1.0),  # same-sign ends
-             (lambda x: x - 3.0, 0.0, 1.0),
-             (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0)]  # NaN at b
-    for f, a, b in cases:
-        ref, port = solve_both(f, a, b, xtol=XTOL)
-        assert port == ref
-        assert port[0] is ValueError
-
-
-def test_port_iteration_cap():
-    f = lambda x: x ** 3 - 2.0
-    ref, port = solve_both(f, 0.0, 2.0, xtol=XTOL)
-    assert port == ref
-    # each iteration but the last (which finds the bracket converged)
-    # evaluates f once after the two ends
-    needed = len(port[1]) - 1
-    for cap in (1, 3, needed - 1):
-        ref, port = solve_both(f, 0.0, 2.0, xtol=XTOL, maxiter=cap)
-        assert port == ref
-        assert port[0] is RuntimeError
-        assert len(port[1]) == cap + 2
-    ref, port = solve_both(f, 0.0, 2.0, xtol=XTOL, maxiter=needed)
-    assert port == ref
-    assert port[0] == pytest.approx(2.0 ** (1.0 / 3.0), rel=0, abs=XTOL)
+def test_nan_inside_a_bracket_raises():
+    f = lambda q: np.where(q > 0.5, np.nan, q)
+    with pytest.raises(ValueError):
+        _bisect(f, 0.7, np.array([1.0]), np.array([0.0]))
+    # a NaN band inside one scan cell of a custom potential, hit by the
+    # bisection of a turning point there (cell [0.5, 0.5 + 2^-10])
+    m = lk.mechanical(
+        lambda q: np.where((np.asarray(q) > 0.5004) & (np.asarray(q) < 0.5006),
+                           np.nan, np.asarray(q) ** 2),
+        lambda q: 2.0 * np.asarray(q), (-2.0, 2.0))
+    with pytest.raises(ValueError):
+        m.domain(0.5005 ** 2)
 
 
 def test_import_and_model_builds_leave_scipy_unloaded():

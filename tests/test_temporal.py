@@ -113,13 +113,6 @@ def test_tolerance_tightening(pend):
     assert abs(coarse.total - fine.total) < 10.0 * 1e-8 * coarse.total
 
 
-def test_flow_state_is_orbit_only():
-    # arc length is the only augmented component; no deviation vectors
-    assert [f.name for f in dataclasses.fields(lk.FlowState)] == ["q", "p", "s"]
-    s = lk.FlowState(1.0, 2.0)
-    assert s.s == 0.0
-
-
 def test_blowup_flag(fish):
     r = lk.temporal_ld(fish, (-5.0, 1.0), 20.0)
     assert not r.ok
