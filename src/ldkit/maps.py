@@ -16,8 +16,11 @@ Output formats:
 * landscape CSV: header ``E,ell[,dell_dE]``, 17 significant digits; the
   reader rejects a file with another header or a line of another width;
 * grid CSV (long format): header ``q,p,value,mask``, row-major node order,
-  masked nodes carry an empty value field and mask 0; the reader rejects a
-  file whose lines do not form a grid in that order;
+  valid nodes carry a value and mask 1, masked nodes an empty value field
+  and mask 0; the reader rejects a file whose lines do not form a grid in
+  that order or break that rule. The writer formats each distinct row once:
+  E is even in p, so on a grid with mirror-exact p nodes the rows come in
+  bitwise-equal pairs;
 * PGM: binary ``P5``, 16-bit big-endian, nq x np, linear min-max scaling,
   masked nodes map to 0.
 """
@@ -175,24 +178,47 @@ def read_landscape_csv(path):
     return Landscape(cols[0], cols[1], cols[2] if ncol == 3 else None)
 
 
+def _row_sources(values, mask):
+    """Each row's first row with the same value and mask bits, and each
+    such source row's last use, as ``(source, last)``."""
+    first = {}
+    source = [first.setdefault(v.tobytes() + m.tobytes(), j)
+              for j, (v, m) in enumerate(zip(values, mask))]
+    return source, {s: j for j, s in enumerate(source)}
+
+
 def write_grid_csv(grid, path):
-    """Grid CSV, one p row per ``write``.
+    """Grid CSV, one p row per ``write``; each distinct row is formatted once.
 
     Every number is written with 17 significant digits, which round-trips
     doubles. Each q node has two line templates, formatted once:
     ``q,<p>,%.17g,1`` for a valid node and ``q,<p>,,0`` for a masked one. A
-    row joins the templates its mask picks, puts in its p string and
-    formats all of its valid values with one ``%``.
+    row joins the templates its mask picks and formats all of its valid
+    values with one ``%``, then puts in its p string. A row whose values and
+    mask are bitwise equal to an earlier row's reuses that row's text, which
+    is kept only until its last reuse; every model's E is even in p, so on
+    a grid whose p nodes are exact negatives row j repeats row np-1-j.
     """
     qs = grid.spec.q_nodes().tolist()
     valid = np.array([f"{q:.17g},\0,%.17g,1\n" for q in qs], dtype=object)
     masked = np.array([f"{q:.17g},\0,,0\n" for q in qs], dtype=object)
+    values = np.asarray(grid.values)
     mask = np.asarray(grid.mask, dtype=bool)
+    source, last = _row_sources(values, mask)
+    kept = {}
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,value,mask\n")
-        for p, vals, oks in zip(grid.spec.p_nodes().tolist(), grid.values, mask):
-            row = "".join(np.where(oks, valid, masked).tolist())
-            fh.write(row.replace("\0", f"{p:.17g}") % tuple(vals[oks].tolist()))
+        for j, p in enumerate(grid.spec.p_nodes().tolist()):
+            s = source[j]
+            if s == j:
+                oks = mask[j]
+                text = "".join(np.where(oks, valid, masked).tolist())
+                text %= tuple(values[j][oks].tolist())
+            else:
+                text = kept.pop(s)
+            if last[s] > j:
+                kept[s] = text
+            fh.write(text.replace("\0", f"{p:.17g}"))
 
 
 def read_grid_csv(path, quantity="ell"):
@@ -203,8 +229,8 @@ def read_grid_csv(path, quantity="ell"):
     the row length ``nq`` is where the first q string repeats, every row
     repeats the first row's q strings exactly, and p is one string along
     each row. Only the first row's q, each row's p and the value column
-    are parsed; an empty value reads as NaN and ``mask`` is true where the
-    field is ``1``.
+    are parsed. A valid node has a value and mask ``1``, a masked node no
+    value and mask ``0``; masked nodes read as NaN.
     """
     with open(path, "r") as fh:
         header = fh.readline()
@@ -232,8 +258,11 @@ def read_grid_csv(path, quantity="ell"):
     qs = [float(q) for q in qt[:nq]]
     ps = [float(p) for p in p_row]
     spec = GridSpec(qs[0], qs[-1], ps[0], ps[-1], nq, npts)
+    valid = list(map("1".__eq__, mt))
+    if list(map(bool, vt)) != valid or valid.count(False) != mt.count("0"):
+        raise ValueError(f"{path}: a node needs a value and mask 1, or no value and mask 0")
     values = np.array([float(v) if v else math.nan for v in vt]).reshape(npts, nq)
-    mask = np.array([m == "1" for m in mt]).reshape(npts, nq)
+    mask = np.array(valid).reshape(npts, nq)
     return GridMap(spec, values, quantity, mask)
 
 

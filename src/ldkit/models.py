@@ -248,8 +248,12 @@ class HamiltonianModel:
         for turning, d, x, sign in ((t_lo, d_lo, lo, 0.5), (t_hi, d_hi, hi, -0.5)):
             near = turning & (d < _LIMIT_FRAC * (hi - lo))
             if near.any():
-                slopes = self.radicand_dq(x) + self.radicand_dq(q)
-                rad = np.where(near, sign * d * slopes, rad)
+                # V' (a Python callable for custom models) only where it is used
+                shape = np.broadcast_shapes(rad.shape, near.shape)
+                rad = np.broadcast_to(rad, shape).copy()
+                near = np.broadcast_to(near, shape)
+                qn, dn, xn = (np.broadcast_to(a, shape)[near] for a in (q, d, x))
+                rad[near] = sign * dn * (self.radicand_dq(xn) + self.radicand_dq(qn))
         return rad / (np.where(t_lo, d_lo, 1.0) * np.where(t_hi, d_hi, 1.0))
 
     # -- derived quantities --------------------------------------------
@@ -871,6 +875,8 @@ class MechanicalModel(HamiltonianModel):
     per run and bisects all their roots with one :func:`_bisect` call. A
     root has radicand <= 0: it is an exact root of the computed radicand,
     or the float just outside the level curve beside one where it is > 0.
+    V may be infinite (a hard wall) but not NaN on the scan grid, which
+    raises ``ValueError``.
     """
 
     kernel_code = None
@@ -885,6 +891,11 @@ class MechanicalModel(HamiltonianModel):
         self.name = name
         qs = np.linspace(self.search_lo, self.search_hi, _SCAN_CELLS + 1)
         v = np.asarray(system.potential(qs), dtype=np.float64)
+        nan = np.flatnonzero(np.isnan(v))
+        if nan.size:
+            # a NaN minimum would leave no energy below it and no rows: every
+            # ell would read 0 (an infinite V is a hard wall and stays)
+            raise ValueError(f"{name}: potential is NaN at q={float(qs[nan[0]])!r} of the scan grid")
         tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
         pits = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
         j = np.concatenate([tops, pits])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,61 @@ def test_grid_csv_bytes_and_roundtrip(tmp_path, grid):
     assert np.isnan(back.values[~m]).all()
 
 
+def test_grid_csv_bytes_on_p_symmetric_grids(tmp_path, pend):
+    # steps of 1/4: the p nodes are exact negatives, so row j of E, ell and
+    # B repeats row np-1-j bit for bit and its text is reused
+    spec = lk.GridSpec(-3.0, 3.0, -2.5, 2.5, 25, 21)
+    assert spec.p_nodes().tolist() == (-spec.p_nodes()[::-1]).tolist()
+    g = lk.ell_map(pend, spec)
+    b = lk.b_map(g)
+    for grid in (g, b):
+        assert np.array_equal(grid.values[::-1].view(np.int64), grid.values.view(np.int64))
+        path = tmp_path / "s.csv"
+        lk.write_grid_csv(grid, path)
+        assert path.read_text() == _oracle_grid_csv(grid)
+
+
+def _repeating_grid():
+    # rows that a bytes key must keep apart although some print alike
+    spec = lk.GridSpec(0.0, 1.0, 0.0, 1.0, 3, 10)
+    values = np.tile([1.5, -2.0, 3.25], (10, 1))
+    mask = np.ones((10, 3), dtype=bool)
+    mask[1, 0] = False  # row 1: row 0's values, another mask
+    values[2, 1], values[3, 1] = 0.0, -0.0  # rows 2 and 3: a zero's sign
+    mask[[4, 6, 8], :] = False  # whole masked rows, repeated
+    nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    values[5, :] = math.nan
+    values[7, :] = nan2  # NaN rows that differ in their payload
+    values[9, :] = math.nan
+    return lk.GridMap(spec, values, "ell", mask)
+
+
+def test_grid_csv_bytes_on_repeated_rows(tmp_path):
+    grid = _repeating_grid()
+    path = tmp_path / "r.csv"
+    lk.write_grid_csv(grid, path)
+    assert path.read_text() == _oracle_grid_csv(grid)
+    back = lk.read_grid_csv(path)
+    assert np.array_equal(back.mask, grid.mask)
+    m = grid.mask & ~np.isnan(grid.values)
+    assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
+
+
+def test_grid_csv_writer_keeps_one_row_without_repeats(tmp_path):
+    # no two rows alike: a writer that keeps every row's text would peak
+    # near the file's size
+    spec = lk.GridSpec(-2.0, 2.0, -1.5, 1.5, 400, 400)
+    grid = lk.GridMap(spec, np.random.default_rng(3).standard_normal((400, 400)), "ell")
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        lk.write_grid_csv(grid, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 4
+
+
 def _edited_grid_csv(tmp_path, edit):
     """A valid 3x2 grid CSV with its body lines passed through ``edit``."""
     path = tmp_path / "e.csv"
@@ -413,7 +469,12 @@ def _change_p(body):
     lambda body: body[:2] + [body[2] + ",1"] + body[3:],
     lambda body: [],
     lambda body: ["", "  "],
-], ids=["swapped", "p-in-row", "3-fields", "5-fields", "empty", "blank"])
+    lambda body: body[:2] + [body[2] + " "] + body[3:],
+    lambda body: body[:2] + [body[2][:-1] + "2"] + body[3:],
+    lambda body: body[:2] + [body[2][:-1] + "0"] + body[3:],
+    lambda body: body[:2] + [",".join(body[2].split(",")[:2] + ["", "1"])] + body[3:],
+], ids=["swapped", "p-in-row", "3-fields", "5-fields", "empty", "blank",
+        "mask-space", "mask-2", "value-mask-0", "no-value-mask-1"])
 def test_grid_csv_reader_rejects_non_grids(tmp_path, edit):
     path = _edited_grid_csv(tmp_path, edit)
     with pytest.raises(ValueError):

@@ -344,6 +344,30 @@ def test_mechanical_root_on_the_search_end_is_a_turning_point():
     assert length == pytest.approx(2.0 * math.pi, rel=0, abs=1e-12)
 
 
+def test_mechanical_nan_potential_is_rejected():
+    # a NaN scan value once made e_min NaN, and every ell read 0, converged
+    def potential(q):
+        q = np.asarray(q, dtype=np.float64)
+        return np.where(q > 1.5, np.nan, 0.5 * q * q)
+
+    with pytest.raises(ValueError, match="NaN at q=1.5009765625"):
+        lk.mechanical(potential, lambda q: np.asarray(q, dtype=np.float64), (-2.0, 2.0))
+
+
+def test_mechanical_infinite_potential_is_a_hard_wall():
+    def potential(q):
+        q = np.asarray(q, dtype=np.float64)
+        return np.where(np.abs(q) >= 2.0, np.inf, 0.5 * q * q)
+
+    m = lk.mechanical(potential, lambda q: np.asarray(q, dtype=np.float64), (-2.0, 2.0))
+    assert m.e_min == 0.0
+    length, info = lk.ell(m, 0.5, full_output=True)
+    assert info.converged
+    assert length == pytest.approx(2.0 * math.pi, rel=0, abs=1e-13)
+    with pytest.raises(lk.BelowMinimum):
+        lk.ell(m, -1.0)
+
+
 def test_mechanical_minimum_is_not_above_the_true_one():
     # V's minimum q = 0 lies between scan nodes: e_min is V at the root of V'
     m = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2, lambda q: np.asarray(q),
