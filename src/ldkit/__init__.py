@@ -41,7 +41,6 @@ from .models import (
     TURNING,
     EnergyDomain,
     HamiltonianModel,
-    MechanicalSystem,
     Truncation,
     duffing,
     fishtail,

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: landscape, map, bmap, temporal, rates, models. Exit codes:
-0 success, 1 usage error, 2 numeric failure (unconverged quadrature, or an
-ell map node masked by it or by a domain error, without --best-effort).
+Subcommands (each subparser's ``set_defaults(run=...)`` names its
+``_cmd_*`` function): landscape, map, bmap, temporal, rates, models. Exit
+codes: 0 success, 1 usage error, 2 numeric failure (unconverged quadrature,
+or an ell map node masked by it or by a domain error, without --best-effort).
 Identical argument vectors produce byte-identical output files. Maps,
 landscapes, rate ladders and lines are batched runs in one thread; ``map
 --table-mode`` and ``--threads`` are accepted for compatibility and ignored.
@@ -67,6 +68,7 @@ def _build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--derivs", action="store_true", help="add a dell_dE column")
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_landscape)
 
     p = sub.add_parser("map", help="grid map of ell, energy, or temporal LD")
     add_model_opts(p)
@@ -84,11 +86,13 @@ def _build_parser():
                         "run in one thread")
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None, help="optional 16-bit PGM preview")
+    p.set_defaults(run=_cmd_map)
 
     p = sub.add_parser("bmap", help="gradient-norm map from a written ell grid")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--pgm", default=None)
+    p.set_defaults(run=_cmd_bmap)
 
     p = sub.add_parser("temporal", help="temporal LD along a coordinate line")
     add_model_opts(p, trunc=False)
@@ -98,14 +102,16 @@ def _build_parser():
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=_cmd_temporal)
 
     p = sub.add_parser("rates", help="power-law fits of |d ell/dE| divergence")
     add_model_opts(p)
     p.add_argument("--critical", choices=("separatrix", "elliptic"), default=None)
     p.add_argument("--side", choices=("below", "above", "both"), default="both")
     p.add_argument("--out", default=None, help="JSON output path (default stdout)")
+    p.set_defaults(run=_cmd_rates)
 
-    sub.add_parser("models", help="list built-in models")
+    sub.add_parser("models", help="list built-in models").set_defaults(run=_cmd_models)
     return parser
 
 
@@ -159,29 +165,13 @@ def run(argv):
         return exc.code if exc.code is not None else 1
 
     try:
-        return _dispatch(args)
+        return args.run(args)
     except (LdkitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
-def _dispatch(args):
-    if args.command == "models":
-        return _cmd_models()
-    if args.command == "landscape":
-        return _cmd_landscape(args)
-    if args.command == "map":
-        return _cmd_map(args)
-    if args.command == "bmap":
-        return _cmd_bmap(args)
-    if args.command == "temporal":
-        return _cmd_temporal(args)
-    if args.command == "rates":
-        return _cmd_rates(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _cmd_models():
+def _cmd_models(args):
     print(f"{'model':22s} {'e_min':>10s} {'e_sx':>8s} {'mult':>5s} {'bounded':>8s}")
     for name in MODEL_NAMES:
         m = get_model(name)

@@ -22,7 +22,8 @@ cells with one ``searchsorted`` per monotone run of the scan grid and
 bisect all their roots at once. :meth:`HamiltonianModel.domain` is a batch
 of one that returns the unsplit intervals as an :class:`EnergyDomain`.
 
-Built-ins:
+Built-ins, named in :data:`MODEL_NAMES` and built by :func:`get_model`
+(``pendulum``, ``fishtail`` and the other lower-case names are the classes):
 
     pendulum             H = p^2/2 - cos q - 1          cat's-eye separatrix
     duffing              H = p^2/2 - q^2/2 + q^4/4      8-shaped separatrix
@@ -32,14 +33,13 @@ Built-ins:
     harmonic-repulsor    H = (p^2 - q^2)/2              hyperbolas, truncated on
                                                         the hyperbolic angle
 
-Custom conservative systems H = p^2/2 + V(q) are supported through
-:func:`mechanical`. All quantities are dimensionless doubles; model objects
+Custom conservative systems H = p^2/2 + V(q) are :class:`MechanicalModel`
+(``mechanical``). All quantities are dimensionless doubles; model objects
 are immutable after construction and safe to share across workers.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -782,14 +782,6 @@ class HarmonicRepulsor(HamiltonianModel):
         return (*rows, {})
 
 
-@dataclass(frozen=True)
-class MechanicalSystem:
-    """Potential data for a conservative system H = p^2/2 + V(q)."""
-
-    potential: Callable
-    potential_slope: Callable
-
-
 def _ordinal(i):
     """The bits of floats (as int64) to their rank among floats, with both
     zeros at 0, so adjacent floats differ by 1; applied to ranks, the same
@@ -860,7 +852,12 @@ _SCAN_CELLS = 4096
 
 
 class MechanicalModel(HamiltonianModel):
-    """Custom conservative system; domains found by bisection on a scan grid.
+    """Custom system H = p^2/2 + V(q); domains found by bisection on a scan grid.
+
+    ``potential`` V and ``potential_slope`` V' must be vectorized: given an
+    array of coordinates they return an array of the same shape. Energies,
+    domains and batched temporal descriptors (``temporal_map``,
+    ``ld_landscape_line``) evaluate them on arrays.
 
     The level-curve turning points of E - V(q) = 0 are located on
     ``search_interval`` from a scan grid of ``_SCAN_CELLS`` equal cells.
@@ -883,14 +880,15 @@ class MechanicalModel(HamiltonianModel):
     multiplier = 2
     bounded = True
 
-    def __init__(self, system, search_interval, name="custom-mechanical", e_sx=None):
-        self.system = system
+    def __init__(self, potential, potential_slope, search_interval,
+                 name="custom-mechanical", e_sx=None):
+        self.potential, self.potential_slope = potential, potential_slope
         self.search_lo, self.search_hi = map(float, search_interval)
         if not self.search_lo < self.search_hi:
             raise ValueError("search interval must have lo < hi")
         self.name = name
         qs = np.linspace(self.search_lo, self.search_hi, _SCAN_CELLS + 1)
-        v = np.asarray(system.potential(qs), dtype=np.float64)
+        v = np.asarray(potential(qs), dtype=np.float64)
         nan = np.flatnonzero(np.isnan(v))
         if nan.size:
             # a NaN minimum would leave no energy below it and no rows: every
@@ -901,13 +899,13 @@ class MechanicalModel(HamiltonianModel):
         j = np.concatenate([tops, pits])
         step = np.repeat([1, -1], [tops.size, pits.size])
         # -V' <= 0 left of a maximum and right of a minimum
-        x = _bisect(system.potential_slope, 0.0, qs[j - step], qs[j + step])
+        x = _bisect(potential_slope, 0.0, qs[j - step], qs[j + step])
         self.saddles = tuple(x[:tops.size].tolist())
         # an extremum that V places no further out than its node (a flat
         # one) adds no node
-        x = x[step * np.asarray(system.potential(x), dtype=np.float64) > step * v[j]]
+        x = x[step * np.asarray(potential(x), dtype=np.float64) > step * v[j]]
         self._qs = np.union1d(qs, x)
-        self._vs = np.asarray(system.potential(self._qs), dtype=np.float64)
+        self._vs = np.asarray(potential(self._qs), dtype=np.float64)
         self.scan_points = self._qs.size - 1  # cells of the scan grid
         self._runs = _monotone_runs(self._vs)
         self.e_min = float(np.min(self._vs))
@@ -920,16 +918,16 @@ class MechanicalModel(HamiltonianModel):
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)
-        return _value(0.5 * p * p + np.asarray(self.system.potential(q), dtype=np.float64))
+        return _value(0.5 * p * p + np.asarray(self.potential(q), dtype=np.float64))
 
     def radicand(self, q, E):
-        return _value(2.0 * (E - np.asarray(self.system.potential(q), dtype=np.float64)))
+        return _value(2.0 * (E - np.asarray(self.potential(q), dtype=np.float64)))
 
     def radicand_dq(self, q):
-        return _value(-2.0 * np.asarray(self.system.potential_slope(q), dtype=np.float64))
+        return _value(-2.0 * np.asarray(self.potential_slope(q), dtype=np.float64))
 
     def vector_field(self, q, p):
-        slope = self.system.potential_slope(q)
+        slope = self.potential_slope(q)
         if isinstance(q, float):  # the scalar stepper's calls, kept cheap
             return float(p), -float(slope)
         slope = np.asarray(slope, dtype=np.float64)
@@ -982,7 +980,7 @@ class MechanicalModel(HamiltonianModel):
     def _intervals(self, E, trunc):
         errors = _errors_at(E < self.e_min, lambda e: BelowMinimum(
             f"{self.name}: E={e} below potential minimum"), E)
-        potential = self.system.potential
+        potential = self.potential
         qs, vs = self._qs, self._vs
         ok = np.flatnonzero(E >= self.e_min)
         owner, cell = self._crossing_cells(E[ok])
@@ -1025,63 +1023,23 @@ class MechanicalModel(HamiltonianModel):
         return owner, lo, hi, f_lo, f_hi, errors
 
 
-# ----------------------------------------------------------------------
-# factories
-# ----------------------------------------------------------------------
+# the built-ins by name, in catalogue order
+_BUILTINS = {m.name: m for m in (Pendulum, Duffing, Fishtail, HarmonicOscillator,
+                                 HarmonicRepulsor)}
+MODEL_NAMES = tuple(_BUILTINS)
 
-def pendulum():
-    return Pendulum()
-
-
-def duffing():
-    return Duffing()
-
-
-def fishtail(bounded_librations=False):
-    return Fishtail(bounded_librations=bounded_librations)
-
-
-def harmonic_oscillator():
-    return HarmonicOscillator()
-
-
-def harmonic_repulsor(t_star=1.0):
-    return HarmonicRepulsor(t_star=t_star)
-
-
-def mechanical(potential, potential_slope, search_interval,
-               name="custom-mechanical", e_sx=None):
-    """Build a custom conservative model from a potential and its slope.
-
-    Both callables must be vectorized: given an array of coordinates they
-    return an array of the same shape. Energies, domains and batched
-    temporal descriptors (``temporal_map``, ``ld_landscape_line``) evaluate
-    them on arrays.
-    """
-    return MechanicalModel(MechanicalSystem(potential, potential_slope),
-                           search_interval, name=name, e_sx=e_sx)
-
-
-MODEL_NAMES = (
-    "pendulum",
-    "duffing",
-    "fishtail",
-    "harmonic-oscillator",
-    "harmonic-repulsor",
-)
+pendulum = Pendulum
+duffing = Duffing
+fishtail = Fishtail
+harmonic_oscillator = HarmonicOscillator
+harmonic_repulsor = HarmonicRepulsor
+mechanical = MechanicalModel
 
 
 def get_model(name, **options):
     """Look up a built-in model by name; options go to its constructor."""
-    table = {
-        "pendulum": Pendulum,
-        "duffing": Duffing,
-        "fishtail": Fishtail,
-        "harmonic-oscillator": HarmonicOscillator,
-        "harmonic-repulsor": HarmonicRepulsor,
-    }
     try:
-        cls = table[name]
+        cls = _BUILTINS[name]
     except KeyError:
         raise ValueError(
             f"unknown model {name!r}; built-ins: {', '.join(MODEL_NAMES)}"

@@ -227,6 +227,52 @@ def test_get_model_unknown():
         lk.get_model("rotor")
 
 
+# -- the catalogue ----------------------------------------------------------
+
+def test_model_names_are_the_catalogue_in_order():
+    assert lk.MODEL_NAMES == ALL_BUILTINS
+    assert lk.MODEL_NAMES == tuple(lk.get_model(n).name for n in lk.MODEL_NAMES)
+
+
+def test_get_model_unknown_lists_the_builtins():
+    with pytest.raises(ValueError, match="unknown model 'rotor'; built-ins: "
+                       "pendulum, duffing, fishtail, harmonic-oscillator, "
+                       "harmonic-repulsor$"):
+        lk.get_model("rotor")
+
+
+@pytest.mark.parametrize("name", ALL_BUILTINS)
+def test_lower_case_names_are_the_classes(name):
+    cls = getattr(lk, name.replace("-", "_"))
+    assert isinstance(cls, type)
+    assert type(lk.get_model(name)) is cls
+    assert type(cls()) is cls
+
+
+def test_lower_case_names_take_their_options():
+    fb = lk.fishtail(bounded_librations=True)
+    assert fb.bounded_librations and fb.bounded
+    assert not lk.fishtail().bounded
+    assert lk.harmonic_repulsor(t_star=2.0).t_star == 2.0
+    assert lk.get_model("harmonic-repulsor", t_star=2.0).t_star == 2.0
+
+
+def test_mechanical_positional_and_keyword_forms():
+    V = lambda q: -0.5 * q * q + 0.25 * q ** 4
+    dV = lambda q: q ** 3 - q
+    a = lk.mechanical(V, dV, (-2.0, 2.0), name="double-well", e_sx=0.0)
+    b = lk.mechanical(potential=V, potential_slope=dV, search_interval=(-2.0, 2.0),
+                      name="double-well", e_sx=0.0)
+    for m in (a, b):
+        assert m.name == "double-well"
+        assert m.kernel_code is None
+        assert (m.potential, m.potential_slope) == (V, dV)
+        assert m.critical_energies() == (a.e_min, 0.0)
+    assert a.breakpoints().tolist() == b.breakpoints().tolist()
+    assert a.domain(-0.1) == b.domain(-0.1)
+    assert lk.mechanical(V, dV, (-2.0, 2.0)).name == "custom-mechanical"
+
+
 # -- harmonic repulsor ----------------------------------------------------
 
 def test_repulsor_domains(rep):
