@@ -76,6 +76,10 @@ class Truncation:
 
     a: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.a):
+            raise ValueError(f"truncation a={self.a} is not finite")
+
 
 @dataclass(frozen=True)
 class EnergyDomain:
@@ -190,6 +194,7 @@ class HamiltonianModel:
     bounded = True
     saddles = ()  # abscissae of the hyperbolic points (p = 0)
     point_symmetric = False  # V(-q) == V(q): the field is odd, see vector_field
+    uses_cut = False  # the domain ends at a Truncation's coordinate
 
     # -- formulas ------------------------------------------------------
 
@@ -288,8 +293,9 @@ class HamiltonianModel:
 
     def breakpoints(self, trunc=None):
         """Sorted finite energies where ell(E) is singular: e_min, e_sx, the
-        saddle energies and that of a turning point at the cut ``trunc``."""
-        qs = [*self.saddles, *([] if trunc is None else [trunc.a])]
+        saddle energies and, if ``uses_cut``, that of a turning point at the
+        cut ``trunc``."""
+        qs = [*self.saddles, *([trunc.a] if self.uses_cut and trunc is not None else [])]
         es = [self.e_min, self.e_sx, *(self.energy(q, 0.0) for q in qs)]
         return np.unique([e for e in es if math.isfinite(e)])
 
@@ -557,6 +563,7 @@ class Fishtail(HamiltonianModel):
     def __init__(self, bounded_librations=False):
         self.bounded_librations = bool(bounded_librations)
         self.bounded = self.bounded_librations
+        self.uses_cut = not self.bounded_librations
 
     def energy(self, q, p):
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
@@ -745,8 +752,8 @@ class HarmonicRepulsor(HamiltonianModel):
     point_symmetric = True
 
     def __init__(self, t_star=1.0):
-        if t_star <= 0.0:
-            raise ValueError("t_star must be positive")
+        if not 0.0 < t_star < math.inf:
+            raise ValueError("t_star must be positive and finite")
         self.t_star = float(t_star)
 
     def energy(self, q, p):
@@ -914,7 +921,7 @@ class MechanicalModel(HamiltonianModel):
     def breakpoints(self, trunc=None):
         # the search ends cut the level curves like a truncation
         ends = [e for e in (self._vs[0], self._vs[-1]) if math.isfinite(e)]
-        return np.union1d(super().breakpoints(trunc), ends)
+        return np.union1d(super().breakpoints(), ends)
 
     def energy(self, q, p):
         p = np.asarray(p, dtype=np.float64)

@@ -87,8 +87,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # NaN too
             raise ValueError("tolerances must be positive")
-        if self.max_levels < 4:
-            raise ValueError("max_levels must be at least 4")
+        if not (isinstance(self.max_levels, (int, np.integer)) and self.max_levels >= 4):
+            raise ValueError("max_levels must be an integer >= 4")
 
 
 @dataclass

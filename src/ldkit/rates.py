@@ -78,10 +78,10 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     in ``n_failed``, and those whose panel was not certified are omitted and
     counted in ``n_unconverged``.
     """
-    if not 0.0 < eps_lo < eps_hi:
-        raise ValueError("need 0 < eps_lo < eps_hi")
-    if pts_per_decade < 3:
-        raise ValueError("need at least 3 points per decade")
+    if not 0.0 < eps_lo < eps_hi < math.inf:
+        raise ValueError("need 0 < eps_lo < eps_hi < inf")
+    if not 3 <= pts_per_decade < math.inf:
+        raise ValueError("need at least 3 and finitely many points per decade")
     if critical not in CRITICALS:
         raise ValueError(f"critical must be one of {CRITICALS}")
     if side not in SIDES:

@@ -38,6 +38,10 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):  # NaN too
             raise ValueError("tolerances must be positive")
+        if not self.max_step > 0.0:  # NaN too
+            raise ValueError("max_step must be positive")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError("max_steps must be an integer >= 1")
 
 
 @dataclass

@@ -268,3 +268,29 @@ def test_non_finite_specs_are_usage_errors(tmp_path, argv):
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_landscape_derivatives_ignore_a_pendulum_cut(tmp_path):
+    # dell_dE at V(-1) once read nan with --trunc -1 (6.896... without)
+    base = ["landscape", "--model", "pendulum", "--derivs",
+            "--emin", "-1.7903023058681398", "--emax", "-1.2903023058681398",
+            "--n", "3"]
+    cut, full = tmp_path / "cut.csv", tmp_path / "full.csv"
+    assert run(base + ["--trunc", "-1", "--out", str(cut)]) == 0
+    assert run(base + ["--out", str(full)]) == 0
+    assert cut.read_bytes() == full.read_bytes()
+    assert lk.read_landscape_csv(cut).derivs[1] == pytest.approx(6.896065130917497,
+                                                                rel=1e-12)
+
+
+@pytest.mark.parametrize("cut", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["landscape", "--model", "fishtail", "--emin", "-1", "--emax", "1", "--n", "3"],
+    ["map", "--model", "fishtail", "--bounds", "-1,1,-1,1", "--grid", "3x3"],
+    ["rates", "--model", "fishtail"],
+], ids=["landscape", "map", "rates"])
+def test_non_finite_truncation_is_usage_error(tmp_path, argv, cut):
+    # rates once wrote "truncation": NaN (not JSON) and exited 0; map exited 2
+    out = tmp_path / "x.out"
+    assert run(argv + [f"--trunc={cut}", "--out", str(out)]) == 1
+    assert not out.exists()

@@ -164,3 +164,16 @@ def test_ray_arc_factor_monotone():
 def test_ray_arc_factor_rejects_bad_slope():
     with pytest.raises(ValueError):
         lk.ray_arc_factor(0.0, 1.0)
+
+
+def test_pendulum_ignores_a_cut(pend):
+    # the cut's energy V(-1) once counted as a breakpoint of every model:
+    # dell_dE raised StraddlesCritical there and map nodes moved by 1e-14
+    E = -1.5403023058681398
+    assert lk.dell_dE(pend, E, lk.Truncation(-1.0)) == lk.dell_dE(pend, E)
+    assert lk.dell_dE(pend, E) == pytest.approx(6.896065130917497, rel=1e-12)
+    spec = lk.GridSpec(-math.pi, math.pi, -2.5, 2.5, 41, 41)
+    cut = lk.ell_map(pend, spec, trunc=lk.Truncation(-1.0))
+    full = lk.ell_map(pend, spec)
+    assert np.array_equal(cut.mask, full.mask)
+    assert np.array_equal(cut.values, full.values, equal_nan=True)

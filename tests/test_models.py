@@ -273,6 +273,27 @@ def test_mechanical_positional_and_keyword_forms():
     assert lk.mechanical(V, dV, (-2.0, 2.0)).name == "custom-mechanical"
 
 
+# -- truncations --------------------------------------------------------------
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
+def test_truncation_must_be_finite(a):
+    # a NaN cut once gave ell = 0 (converged) after no evaluations, and -inf
+    # a NaN after 30,360 of them
+    with pytest.raises(ValueError, match="not finite"):
+        lk.Truncation(a)
+    with pytest.raises(ValueError):
+        lk.ell(lk.fishtail(), 1.0, lk.Truncation(a))
+
+
+def test_cut_is_a_breakpoint_only_where_the_domain_uses_it(pend, double_well):
+    cut = lk.Truncation(-5.0)
+    assert lk.fishtail().breakpoints(cut).tolist() == [-32.0, -7.0, 0.0]
+    assert lk.fishtail(bounded_librations=True).breakpoints(cut).tolist() == [-32.0, 0.0]
+    assert pend.breakpoints(lk.Truncation(-1.0)).tolist() == [-2.0, 0.0]
+    assert (double_well.breakpoints(lk.Truncation(-1.0)).tolist()
+            == double_well.breakpoints().tolist())
+
+
 # -- harmonic repulsor ----------------------------------------------------
 
 def test_repulsor_domains(rep):
@@ -291,6 +312,13 @@ def test_repulsor_domains(rep):
 def test_repulsor_rejects_bad_cut():
     with pytest.raises(ValueError):
         lk.harmonic_repulsor(t_star=-1.0)
+
+
+@pytest.mark.parametrize("t_star", [math.nan, math.inf])
+def test_repulsor_rejects_non_finite_cut(t_star):
+    # t_star = nan once gave ell(0.5) = 0, converged; inf a NaN, unconverged
+    with pytest.raises(ValueError, match="t_star must be positive"):
+        lk.harmonic_repulsor(t_star=t_star)
 
 
 # -- fish-tail bounded oscillations ---------------------------------------

@@ -118,8 +118,10 @@ def test_config_validation():
     for bad in ({"rel_tol": math.nan}, {"abs_tol": math.nan}):
         with pytest.raises(ValueError):
             QuadratureConfig(**bad)
-    with pytest.raises(ValueError):
-        QuadratureConfig(max_levels=3)
+    for bad in (3, math.nan, 4.5):  # nan and 4.5 were once accepted
+        with pytest.raises(ValueError, match="max_levels"):
+            QuadratureConfig(max_levels=bad)
+    assert QuadratureConfig(max_levels=np.int64(20)).max_levels == 20
     with pytest.raises(TypeError):
         QuadratureConfig(scheme="tanh-sinh")  # one scheme, no choice
 

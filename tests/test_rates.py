@@ -103,6 +103,10 @@ def test_sample_rates_validation(pend, ho):
         lk.sample_rates(pend, "separatrix", "below", eps_hi=1e-6, eps_lo=1e-2)
     with pytest.raises(ValueError):
         lk.sample_rates(ho, "separatrix", "above")  # no separatrix
+    for bad in ({"eps_hi": math.inf}, {"pts_per_decade": math.inf},
+                {"pts_per_decade": math.nan}):
+        with pytest.raises(ValueError):
+            lk.sample_rates(pend, "separatrix", "below", **bad)
 
 
 def test_empty_ladder_raised():
@@ -234,3 +238,12 @@ def test_elliptic_exponent_on_deep_ladder(name):
     assert (ladder.n_failed, ladder.n_unconverged) == (0, 0)
     fit = lk.fit_power_law(ladder.samples, "elliptic", "above")
     assert abs(fit.exponent + 0.5) <= 1e-6
+
+
+def test_rate_report_lists_infinite_ladder_settings_as_errors(pend):
+    # an infinite eps_hi or density once crashed rate_report with an
+    # OverflowError instead of an error entry per fit
+    for bad in ({"eps_hi": math.inf}, {"pts_per_decade": math.inf}):
+        report = lk.rate_report(pend, **bad)
+        assert len(report["fits"]) == 3
+        assert all("need" in f["error"] for f in report["fits"])

@@ -519,3 +519,16 @@ def test_asymmetric_sub_grid_matches_symmetric_grid(name):
     ref = _ld_lanes(model, Q.ravel(), P.ravel(), t, None)
     for a, b in zip(lanes, ref):
         assert np.array_equal(a, b.reshape(spec.np, spec.nq)[:, 3:].ravel())
+
+
+@pytest.mark.parametrize("kw", [dict(max_steps=-1), dict(max_steps=0),
+                                dict(max_steps=4.5), dict(max_step=0.0),
+                                dict(max_step=-1.0), dict(max_step=math.nan)])
+def test_integrator_config_rejects_unusable_step_limits(kw):
+    # max_steps=-1 or max_step=0 once marked every start step-limited
+    with pytest.raises(ValueError):
+        IntegratorConfig(**kw)
+
+
+def test_integrator_config_accepts_integer_step_limits():
+    assert IntegratorConfig(max_steps=np.int64(5), max_step=0.5).max_steps == 5
