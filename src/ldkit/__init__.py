@@ -51,7 +51,6 @@ from .models import (
     MODEL_NAMES,
     pendulum,
 )
-from .cubic import cubic_roots
 from .quadrature import (
     IntervalLength,
     QuadratureConfig,

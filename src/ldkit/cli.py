@@ -140,10 +140,11 @@ def _parse_grid(text):
 
 
 def _get_model(args):
-    opts = {}
-    if args.model == "fishtail" and getattr(args, "bounded_librations", False):
-        opts["bounded_librations"] = True
-    return get_model(args.model, **opts)
+    if not args.bounded_librations:
+        return get_model(args.model)
+    if args.model != "fishtail":
+        raise ValueError(f"--bounded-librations applies only to fishtail, not {args.model}")
+    return get_model(args.model, bounded_librations=True)
 
 
 def _trunc(args):

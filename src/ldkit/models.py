@@ -16,11 +16,11 @@ The integration domain of the branch is built for a whole array of energies
 at once: :meth:`HamiltonianModel.domains` returns flat rows (owner energy,
 lo, hi, endpoint flag codes) in each energy's panel order, already split at
 the saddles inside them, plus each energy's error. Built-in domains are
-closed forms in E evaluated on arrays (the fish-tail's from the
-trigonometric form of its cubic); custom models find their sign-change
-cells with one ``searchsorted`` per monotone run of the scan grid and
-bisect all their roots at once. :meth:`HamiltonianModel.domain` is a batch
-of one that returns the unsplit intervals as an :class:`EnergyDomain`.
+closed forms in E evaluated on arrays (the fish-tail's from one
+trigonometric form of its cubic in q + 2); custom models find their
+sign-change cells with one ``searchsorted`` per monotone run of the scan
+grid and bisect all their roots at once. :meth:`HamiltonianModel.domain` is
+a batch of one that returns the unsplit intervals as an :class:`EnergyDomain`.
 
 Built-ins, named in :data:`MODEL_NAMES` and built by :func:`get_model`
 (``pendulum``, ``fishtail`` and the other lower-case names are the classes):
@@ -148,8 +148,8 @@ class DomainRows:
 def _math_map(fn, *args):
     """``fn`` of ``math`` applied elementwise to float arrays.
 
-    numpy's atan2, acos, cos and power can differ from libm by an ulp; the
-    closed forms keep libm's bits.
+    numpy's atan2 can differ from libm's by an ulp; the pendulum's turning
+    angle keeps libm's bits.
     """
     n = np.size(args[0])
     return np.fromiter(map(fn, *(np.broadcast_to(a, n).tolist() for a in args)),
@@ -510,40 +510,6 @@ class Duffing(HamiltonianModel):
         return (*rows, self._below_minimum(E))
 
 
-# P_E(q) = -q^3 - 6 q^2 + 0 q + (E + 32). For -32 <= E <= 0 the depressed
-# cubic t^3 + p t + q of P_E (q = t - 2) has p = -12 and |q| <= 16, so its
-# discriminant is >= 0 and cubic_roots takes the three-root branch
-_C3, _C2, _C1 = -1.0, -6.0, 0.0
-_CUBIC_ANGLES = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
-
-
-def _fishtail_roots(E):
-    """Sorted roots of P_E, shaped (n, 3), for -32 <= E <= 0.
-
-    The trigonometric branch of :func:`cubic_roots` on arrays, with the
-    same operations in the same order (acos and cos through ``math``), two
-    guarded Newton steps included; no roots are collapsed.
-    """
-    c0 = E + 32.0
-    a, b, c = _C2 / _C3, _C1 / _C3, c0 / _C3
-    shift = a / 3.0
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    m = 2.0 * math.sqrt(-p / 3.0)
-    arg = np.minimum(1.0, np.maximum(-1.0, 3.0 * q / (p * m)))
-    phi = _math_map(math.acos, arg) / 3.0
-    x = np.column_stack([m * _math_map(math.cos, phi - w) - shift
-                         for w in _CUBIC_ANGLES])
-    c0 = c0[:, None]
-    for _ in range(2):
-        f = ((_C3 * x + _C2) * x + _C1) * x + c0
-        df = (3.0 * _C3 * x + 2.0 * _C2) * x + _C1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f / df
-        x = np.where((df != 0.0) & (np.abs(step) < 1.0 + np.abs(x)), x - step, x)
-    return np.sort(x, axis=1)
-
-
 class Fishtail(HamiltonianModel):
     """H = p^2 + q^3 + 6 q^2 - 32; fish-tail separatrix, unbounded motions.
 
@@ -600,47 +566,27 @@ class Fishtail(HamiltonianModel):
 
     @staticmethod
     def _circulational_x2(E):
-        """Rightmost branch endpoint (E >= 0) from the closed-form real
-        cubic root."""
-        c = 0.5 * np.sqrt(np.maximum(E * (E + 32.0), 0.0)) + 0.5 * (E + 32.0) - 8.0
-        u = _math_map(math.pow, c, 1.0 / 3.0)
-        x2 = u + 4.0 / u - 2.0
-        # one Newton step against P_E sharpens the nested surds
-        f = -_math_map(math.pow, x2, 3.0) - 6.0 * x2 * x2 + E + 32.0
-        df = -3.0 * x2 * x2 - 12.0 * x2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(df != 0.0, x2 - f / df, x2)
+        """Rightmost branch endpoint for E >= 0. w = q + 2 solves
+        w^3 - 12 w = 16 + E, so w = 4 cosh(chi/3) with sinh^2(chi/2) = E/32."""
+        chi = 2.0 * np.arcsinh(np.sqrt(E / 32.0))
+        return 4.0 * np.cosh(chi / 3.0) - 2.0
 
     @staticmethod
     def _librational_roots(E):
-        """(x2, x3, x4) for -32 <= E <= 0: the left branch's end and the
-        oval; merged roots repeat."""
-        R = _fishtail_roots(E)
-        # as in cubic_roots, a root within 1e-9 of the last kept one collapses
-        # into it
-        keep1 = R[:, 1] - R[:, 0] > 1e-9
-        last = np.where(keep1, R[:, 1], R[:, 0])
-        keep2 = R[:, 2] - last > 1e-9
-        x4 = np.where(keep2, R[:, 2], last)
-        three = keep1 & keep2
-        # two roots: endpoints merged at the saddle (E -> 0-), else the oval
-        # shrank onto the elliptic point (E -> -32+)
-        at_saddle = np.abs(R[:, 0] + 4.0) < 1e-6
-        x2 = R[:, 0].copy()
-        x3 = np.where(three, R[:, 1], np.where(at_saddle | ~(keep1 | keep2), x2, x4))
-        near = (-1e-3 < E) & (E < 0.0)
-        if near.any():
-            # beside the saddle the two roots are only ~1e-8 accurate from
-            # the monomial form (or collapsed into one); solve
-            # u^2 (6 - u) = -E for u = q + 4 by a fixed point (contraction
-            # ~u/12) instead
-            En = E[near]
-            for sign, x in ((-1.0, x2), (1.0, x3)):
-                u = np.zeros(En.size)
-                for _ in range(8):
-                    u = sign * np.sqrt(-En / (6.0 - u))
-                x[near] = u - 4.0
-        return x2, x3, x4
+        """(x2, x3, x4) for -32 <= E <= 0: the left branch's end and the oval.
+
+        w = q + 2 solves w^3 - 12 w = 16 + E, so w = -4 cos a and
+        4 cos(pi/3 -+ a), with a = psi/3 and cos psi = -(1 + E/16). The half
+        angle psi/2 comes from its sine about the nearer of E = -32 and
+        E = 0, where that sine is exact; x3 then sums terms of one sign at
+        the saddle, and x4 subtracts two small, accurate terms at the minimum.
+        """
+        psi = np.where(E < -16.0, 2.0 * np.arcsin(np.sqrt((E + 32.0) / 32.0)),
+                       math.pi - 2.0 * np.arcsin(np.sqrt(-E / 32.0)))
+        a = psi / 3.0
+        s = 2.0 * math.sqrt(3.0) * np.sin(a)
+        c = 4.0 * np.sin(0.5 * a) ** 2
+        return -4.0 * np.cos(a) - 2.0, -s - c, s - c
 
     def _intervals(self, E, trunc):
         errors = self._below_minimum(E)
@@ -755,6 +701,11 @@ class HarmonicRepulsor(HamiltonianModel):
         if not 0.0 < t_star < math.inf:
             raise ValueError("t_star must be positive and finite")
         self.t_star = float(t_star)
+        try:
+            # the cut's |q| over sqrt(2|E|), for E > 0 and for E < 0
+            self._cut_pos, self._cut_neg = math.sinh(self.t_star), math.cosh(self.t_star)
+        except OverflowError:
+            raise ValueError(f"t_star={self.t_star} overflows cosh(t_star)") from None
 
     def energy(self, q, p):
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
@@ -781,7 +732,7 @@ class HarmonicRepulsor(HamiltonianModel):
         # sqrt(2E) for E > 0, sqrt(-2E) for E < 0
         r = np.sqrt(np.abs(2.0 * E))
         pos, neg = E > 0.0, E < 0.0
-        hi = r * np.where(pos, math.sinh(self.t_star), math.cosh(self.t_star))
+        hi = r * np.where(pos, self._cut_pos, self._cut_neg)
         lo = np.zeros(E.size)
         lo[neg] = self._polish_turning(r[neg], E[neg], -1)
         f_lo = np.where(pos, F_REGULAR, F_TURNING)

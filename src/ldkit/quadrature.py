@@ -75,7 +75,7 @@ _W7 = np.concatenate([_GK_WG[:-1], _GK_WG[::-1]])  # at the odd Kronrod nodes
 _EPS = np.finfo(float).eps
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances of a row, and ``max_levels``, the bisection depth allowed
     below a seed panel."""

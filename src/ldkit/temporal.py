@@ -28,7 +28,7 @@ import numpy as np
 from . import _kernels as K
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12

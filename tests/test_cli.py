@@ -195,6 +195,34 @@ def test_bounded_librations_flag(tmp_path):
     assert np.all(ls.lengths >= 0.0)
 
 
+_BOUNDED_COMMANDS = {
+    "landscape": ["--emin", "-1", "--emax", "0", "--n", "3"],
+    "map": ["--bounds", "-1,1,-1,1", "--grid", "3x3"],
+    "rates": ["--critical", "separatrix"],
+    "temporal": ["--t", "1", "--line", "fixed=q:0,range=0.1:0.5:3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_BOUNDED_COMMANDS))
+def test_bounded_librations_rejected_for_other_models(tmp_path, capsys, command):
+    # the flag was once dropped silently for every model but the fish-tail
+    out = tmp_path / "out"
+    argv = [command, "--model", "pendulum", "--bounded-librations",
+            *_BOUNDED_COMMANDS[command], "--out", str(out)]
+    assert run(argv) == 1
+    assert "--bounded-librations applies only to fishtail" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["map", "rates", "temporal"])
+def test_bounded_librations_runs_the_fishtail(tmp_path, command):
+    # landscape: test_bounded_librations_flag
+    out = tmp_path / "out"
+    assert run([command, "--model", "fishtail", "--bounded-librations",
+                *_BOUNDED_COMMANDS[command], "--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
 def test_threads_flag_identical_output(tmp_path):
     # temporal maps are one batched run: --threads is accepted and changes
     # nothing

@@ -2,9 +2,8 @@
 rows of a whole batch of energies at once.
 
 A batch equals its parts row for row and error for error; ``domain`` and
-``geometric._panels`` are its batch of one; the fish-tail's array cubic
-equals ``cubic_roots``; a custom model's run scan finds exactly the cells of
-the dense sign-change test; and NaN or infinite energies raise, are flagged
+``geometric._panels`` are its batch of one; a custom model's run scan
+finds exactly the cells of the dense sign-change test; and NaN or infinite energies raise, are flagged
 or are masked on every path.
 """
 
@@ -159,21 +158,6 @@ def test_no_model_class_defines_a_scalar_domain():
     for cls in classes:
         assert "domain" not in vars(cls), cls.__name__
         assert "_intervals" in vars(cls), cls.__name__
-
-
-def test_fishtail_array_roots_equal_cubic_roots():
-    rng = np.random.default_rng(3)
-    E = np.concatenate([[-32.0, -32.0 + 1e-14, -1e-12, -1e-300],
-                        rng.uniform(-32.0, 0.0, 1500),
-                        -np.logspace(-16, 1.5, 200)])
-    R = models._fishtail_roots(E)
-    for e, r in zip(E.tolist(), R.tolist()):
-        # cubic_roots collapses roots within 1e-9 of the last one it kept
-        kept = [r[0]]
-        for x in r[1:]:
-            if not x - kept[-1] <= 1e-9:
-                kept.append(x)
-        assert kept == lk.cubic_roots(-1.0, -6.0, 0.0, e + 32.0), e
 
 
 def _dense_cells(model, E):

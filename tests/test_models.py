@@ -321,6 +321,17 @@ def test_repulsor_rejects_non_finite_cut(t_star):
         lk.harmonic_repulsor(t_star=t_star)
 
 
+def test_repulsor_rejects_cut_whose_cosh_overflows():
+    # t_star = 800 once passed the constructor, then ell and rate_report
+    # raised OverflowError from math.sinh, which neither handler catches
+    with pytest.raises(ValueError, match="overflows"):
+        lk.ell(lk.harmonic_repulsor(t_star=800.0), 0.5)
+    with pytest.raises(ValueError, match="overflows"):
+        lk.rate_report(lk.harmonic_repulsor(t_star=800.0))
+    rep = lk.harmonic_repulsor(t_star=700.0)
+    assert rep.domain(0.5).intervals[0][1] == math.sinh(700.0)
+
+
 # -- fish-tail bounded oscillations ---------------------------------------
 
 def test_bounded_librations_mode(fish, trunc):
@@ -332,6 +343,34 @@ def test_bounded_librations_mode(fish, trunc):
     with pytest.raises(lk.OutsideDomain):
         fb.domain(0.5)
     assert dom.intervals[0][0] >= -4.0
+
+
+_FISH_ENERGIES = [e for k in range(1, 15)
+                  for e in (-32.0 + 10.0 ** -k, -(10.0 ** -k), 10.0 ** -k)] + [1e3]
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_fishtail_turning_points_against_mpmath(bounded):
+    # the roots of q^3 + 6 q^2 = E + 32 beside the minimum (where a general
+    # cubic's acos form with Newton steps once put x3 and x4 8.6e-6 off),
+    # beside the saddle and far above it; the cut at -10 keeps the branch
+    mp = pytest.importorskip("mpmath")
+    model = lk.fishtail(bounded_librations=bounded)
+    worst = 0.0
+    for E in _FISH_ENERGIES:
+        if bounded and E > 0.0:
+            continue
+        dom = model.domain(E, None if bounded else lk.Truncation(-10.0))
+        ends = sorted(x for iv, fl in dom.pairs() for x, f in zip(iv, fl) if f == TURNING)
+        with mp.workdps(40):
+            roots = mp.polyroots([1, 6, 0, -(mp.mpf(E) + 32)], maxsteps=400, extraprec=400)
+            real = sorted(mp.re(r) for r in roots if abs(mp.im(r)) < mp.mpf(10) ** -30)
+            # the oval (two upper roots) when bounded; every real root on the cut
+            expected = real[1:] if bounded else real
+            assert len(ends) == len(expected), E
+            for x, r in zip(ends, expected):
+                worst = max(worst, float(abs((mp.mpf(x) - r) / r)))
+    assert worst <= 2e-14
 
 
 # -- custom mechanical systems ---------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -124,6 +125,14 @@ def test_config_validation():
     assert QuadratureConfig(max_levels=np.int64(20)).max_levels == 20
     with pytest.raises(TypeError):
         QuadratureConfig(scheme="tanh-sinh")  # one scheme, no choice
+
+
+def test_config_is_frozen():
+    # rel_tol = nan assigned after the checks once left ell unconverged
+    cfg = QuadratureConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.rel_tol = math.nan
+    assert cfg.rel_tol == 1e-10
 
 
 def test_against_external_integrator(pend, duff):

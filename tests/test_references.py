@@ -6,6 +6,9 @@
 * ``tests/data/ell_deep_separatrix.json`` (``tests/data/make_deep_refs.py``):
   eps = 1e-10 ... 1e-16 on both sides of the pendulum, Duffing and fish-tail
   separatrices, where a level curve's neck at the saddle is ~1e-8 wide.
+* ``tests/data/ell_deep_minimum.json`` (the same generator): eps = 1e-8
+  ... 1e-14 above the pendulum and fish-tail minima, where the oval is
+  ~sqrt(eps) wide and its ends sit beside the minimum.
 * ``tests/data/dell_mpmath.json`` (``tests/data/make_dell_refs.py``):
   d ell/dE at 50 digits of working precision, eps = 1e-2 ... 1e-8 below
   and above the pendulum, Duffing and fish-tail separatrices and above
@@ -31,9 +34,9 @@ def _models():
             "harmonic-repulsor": lk.harmonic_repulsor(), "double-well": well}
 
 
-def _check(path, rel_bound=None):
+def _check(path, rel_bound=None, models=None):
     entries = json.loads(path.read_text())["entries"]
-    models = _models()
+    models = models or _models()
     cfg = lk.QuadratureConfig()
     for e in entries:
         model = models[e["model"]]
@@ -59,6 +62,17 @@ def test_deep_separatrix_accuracy():
     # neck missed (pendulum, E = +1e-14: 105 evaluations, error 2.2e-8)
     assert _check(ROOT / "tests" / "data" / "ell_deep_separatrix.json",
                   rel_bound=1e-12) == 24
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+def test_deep_minimum_accuracy(bounded):
+    # the fish-tail's oval ends once came from a general cubic's acos form
+    # with Newton steps: at E = -32 + 1e-14 ell was off by 8.6e-6, reported
+    # converged. Its branch ends left of the cut there, so the bounded model
+    # has the same length.
+    models = {**_models(), "fishtail": lk.fishtail(bounded_librations=bounded)}
+    assert _check(ROOT / "tests" / "data" / "ell_deep_minimum.json",
+                  rel_bound=1e-11, models=models) == 8
 
 
 def test_dell_against_mpmath():

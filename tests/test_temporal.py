@@ -532,3 +532,12 @@ def test_integrator_config_rejects_unusable_step_limits(kw):
 
 def test_integrator_config_accepts_integer_step_limits():
     assert IntegratorConfig(max_steps=np.int64(5), max_step=0.5).max_steps == 5
+
+
+def test_integrator_config_is_frozen():
+    # max_steps = -1 assigned after the checks once stopped every start
+    # after 0 steps
+    cfg = IntegratorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.max_steps = -1
+    assert cfg.max_steps == 10_000_000
