@@ -237,8 +237,8 @@ def dp45_lanes(f, q0, p0, t_end, rtol, atol, max_step, max_steps):
     run to ``t_end`` then agree to ~1e-12 relative or better. A lane
     stopped early (blow-up, step limit) stops at the time its own step
     sizes add up to, and the step-size controller can turn that ulp into
-    ~1e-8 relative; ``temporal._ld_lanes`` runs such lanes again on the
-    scalar stepper.
+    ~1e-7 relative in its partial value and a few steps in its count;
+    lines and grids keep the lane's own values.
 
     Python's ``max(0.2, x)`` drops a NaN ``x``; ``np.fmax`` does the same,
     where ``np.maximum`` would pass a NaN error on into ``h`` and keep the

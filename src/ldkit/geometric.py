@@ -318,13 +318,15 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     e_min, e_sx = model.critical_energies()
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
-    if n < 2:
-        raise ValueError("need at least two samples")
+    if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
+        raise ValueError("energy range must be finite")
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValueError("need an integer count >= 2 of samples")
     if e_lo < e_min:
         # let the model raise its own error for a clearly bad range
         model.domain(e_lo, trunc)
 
-    energies = np.linspace(e_lo, e_hi, int(n))
+    energies = np.linspace(e_lo, e_hi, n)
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(energies == e_sx):
         energies = np.sort(np.append(energies, e_sx))
     b = ell_batch(model, energies, trunc, cfg)

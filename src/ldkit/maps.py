@@ -50,8 +50,8 @@ class GridSpec:
             raise ValueError("grid bounds must satisfy lo < hi")
         if not np.isfinite([self.q_lo, self.q_hi, self.p_lo, self.p_hi]).all():
             raise ValueError("grid bounds must be finite")
-        if self.nq < 2 or self.np < 2:
-            raise ValueError("grid needs at least 2 nodes per axis")
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.nq, self.np)):
+            raise ValueError("grid needs an integer count >= 2 of nodes per axis")
 
     def q_nodes(self):
         return np.linspace(self.q_lo, self.q_hi, self.nq)
@@ -267,7 +267,8 @@ def read_grid_csv(path, quantity="ell"):
 
 
 def write_pgm(grid, path, scale=None):
-    """16-bit binary PGM preview; ``scale`` optionally pins (vmin, vmax)."""
+    """16-bit binary PGM preview; ``scale`` optionally pins (vmin, vmax),
+    finite with vmin < vmax."""
     valid = grid.mask & np.isfinite(grid.values)
     if scale is None:
         if valid.any():
@@ -277,6 +278,8 @@ def write_pgm(grid, path, scale=None):
             vmin, vmax = 0.0, 1.0
     else:
         vmin, vmax = map(float, scale)
+        if not (vmin < vmax and math.isfinite(vmax - vmin)):
+            raise ValueError("PGM scale needs finite vmin < vmax")
     span = vmax - vmin if vmax > vmin else 1.0
     norm = np.clip((grid.values - vmin) / span, 0.0, 1.0)
     pix = np.where(valid, np.round(norm * 65535.0), 0.0).astype(">u2")

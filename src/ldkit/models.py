@@ -145,17 +145,6 @@ class DomainRows:
                   for a, b in zip(self.f_lo.tolist(), self.f_hi.tolist())))
 
 
-def _math_map(fn, *args):
-    """``fn`` of ``math`` applied elementwise to float arrays.
-
-    numpy's atan2 can differ from libm's by an ulp; the pendulum's turning
-    angle keeps libm's bits.
-    """
-    n = np.size(args[0])
-    return np.fromiter(map(fn, *(np.broadcast_to(a, n).tolist() for a in args)),
-                       dtype=np.float64, count=n)
-
-
 def _value(x):
     """``x``, or a Python float when it is 0-d."""
     return x if np.ndim(x) else float(x)
@@ -446,7 +435,7 @@ class Pendulum(HamiltonianModel):
         El = E[lib]
         # cos^2(theta/2) = -E/2 and sin^2(theta/2) = 1 + E/2, both exact
         # near their own end, so theta keeps full precision at E -> 0
-        theta = 2.0 * _math_map(math.atan2, np.sqrt(1.0 + 0.5 * El), np.sqrt(-0.5 * El))
+        theta = 2.0 * np.arctan2(np.sqrt(1.0 + 0.5 * El), np.sqrt(-0.5 * El))
         theta = self._polish_turning(theta, El, +1)
         lo = np.full(E.size, -math.pi)
         hi = np.full(E.size, math.pi)
@@ -536,8 +525,12 @@ class Fishtail(HamiltonianModel):
         return _value(p * p + q ** 3 + 6.0 * q * q - 32.0)
 
     def radicand(self, q, E):
+        # about the nearer critical point, as _librational_roots: below
+        # E = -16, E + 32 is exact and (E + 32) - q^2 (q + 6) does not cancel
+        # beside the minimum, where E - (q - 2)(q + 4)^2 does
         q = np.asarray(q, dtype=np.float64)
-        return _value(E - (q - 2.0) * (q + 4.0) ** 2)
+        return _value(np.where(E < -16.0, (E + 32.0) - q * q * (q + 6.0),
+                               E - (q - 2.0) * (q + 4.0) ** 2))
 
     def radicand_dq(self, q):
         q = np.asarray(q, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -295,6 +296,16 @@ def test_non_finite_specs_are_usage_errors(tmp_path, argv):
     # fields (or exit 2 for an ell map)
     out = tmp_path / "x.csv"
     assert run(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+
+
+def test_infinite_energy_range_is_a_quiet_usage_error(tmp_path):
+    # --emax inf once printed numpy's RuntimeWarning before exiting 1
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["landscape", "--model", "pendulum", "--emin", "-1", "--emax", "inf",
+                    "--n", "5", "--out", str(out)]) == 1
     assert not out.exists()
 
 

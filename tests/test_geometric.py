@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +134,17 @@ def test_landscape_validation(pend):
         lk.landscape(pend, -1.0, 1.0, 1)
     with pytest.raises(lk.BelowMinimum):
         lk.landscape(pend, -3.0, 1.0, 10)
+
+
+def test_landscape_rejects_non_integer_counts_and_infinite_ranges(pend):
+    # n = 2.5 once ran 2 samples; e_hi = inf warned in np.linspace, then
+    # raised NonFiniteEnergy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for args in ((-1.0, 1.0, 2.5), (-1.0, math.inf, 10), (-math.inf, 1.0, 10)):
+            with pytest.raises(ValueError):
+                lk.landscape(pend, *args)
+    assert lk.landscape(pend, -1.0, -0.5, np.int64(3)).energies.size == 3
 
 
 # -- ray crossing factor ----------------------------------------------------

@@ -14,6 +14,14 @@ def test_grid_spec_validation():
         lk.GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
 
 
+def test_grid_spec_rejects_non_integer_counts():
+    # a count of 2.5 was accepted, and np.linspace then raised TypeError
+    for nq, np_ in ((2.5, 4), (4, 2.5), (4.0, 4)):
+        with pytest.raises(ValueError):
+            lk.GridSpec(0.0, 1.0, 0.0, 1.0, nq, np_)
+    assert lk.GridSpec(0.0, 1.0, 0.0, 1.0, np.int64(3), 4).q_nodes().size == 3
+
+
 def _within_tolerance(got, want, cfg=lk.QuadratureConfig()):
     return np.abs(got - want) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(want))
 
@@ -561,3 +569,14 @@ def test_pgm_output(tmp_path):
     assert pix[0, 0] == 0  # masked
     assert pix[1, 2] == 65535  # max value
     assert pix.shape == (2, 3)
+
+
+@pytest.mark.parametrize("scale", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
+                                   (1.0, 1.0), (0.0, math.inf)])
+def test_pgm_rejects_unusable_scale(tmp_path, scale):
+    # (nan, 1) once wrote undefined pixels after a cast warning, and (2, 1)
+    # an all-zero image
+    path = tmp_path / "x.pgm"
+    with pytest.raises(ValueError):
+        lk.write_pgm(_flat_grid(np.array([[0.0, 1.0], [2.0, 3.0]])), path, scale=scale)
+    assert not path.exists()

@@ -183,6 +183,8 @@ def test_line_spec_validation():
         lk.LineSpec("x", 0.0, 0.0, 1.0, 10)
     with pytest.raises(ValueError):
         lk.LineSpec("q", 0.0, 0.0, 1.0, 1)
+    with pytest.raises(ValueError):  # once accepted, then a TypeError
+        lk.LineSpec("q", 0.0, 0.0, 1.0, 2.5)
 
 
 def test_mechanical_model_flow():
@@ -204,14 +206,34 @@ def _per_node(model, q0, p0, t, cfg=None):
             for q, p in zip(np.ravel(q0), np.ravel(p0))]
 
 
-def _close(batched, scalar, stopped):
-    # a lane that runs to t matches the scalar stepper to 1e-11; one stopped
-    # early (blow-up, step limit) is run again on the scalar stepper and
-    # matches it bit for bit
+def _unmirrored(model, q0, p0, t, cfg=None):
+    """Each start alone, as a batch of one lane, its backward piece run on
+    the time-reversed field (no mirroring)."""
+    cfg = cfg or IntegratorConfig()
+    opts = (t, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
+
+    def reversed_field(q, p):
+        fq, fp = model.vector_field(q, p)
+        return -fq, -fp
+
+    out = []
+    for q, p in zip(q0.tolist(), p0.tolist()):
+        for f in (model.vector_field, reversed_field):
+            s, _, _, status, nsteps = dp45_lanes(f, [q], [p], *opts)
+            out.append((s[0], status[0], nsteps[0]))
+    s, status, nsteps = (np.array(col).reshape(-1, 2).T for col in zip(*out))
+    return s[0], s[1], status[0], status[1], nsteps[0], nsteps[1]
+
+
+def _close(batched, scalar, lone, stopped):
+    # every piece equals its lone lane bit for bit, one stopped early
+    # (blow-up, step limit) included; a piece that runs to t also matches
+    # the scalar stepper to 1e-11
     scalar = np.asarray(scalar)
-    if not np.array_equal(batched[stopped], scalar[stopped]):
+    if not np.array_equal(batched, lone):
         return False
-    return np.all(np.abs(batched - scalar) <= 1e-11 * np.abs(scalar))
+    run = ~stopped
+    return np.all(np.abs(batched[run] - scalar[run]) <= 1e-11 * np.abs(scalar[run]))
 
 
 def _assert_line_parity(model, line, t, cfg=None):
@@ -219,12 +241,13 @@ def _assert_line_parity(model, line, t, cfg=None):
     fixed = np.full(line.n, line.value)
     q0, p0 = (fixed, res.coords) if line.fixed == "q" else (res.coords, fixed)
     refs = _per_node(model, q0, p0, t, cfg)
+    plus, minus = _unmirrored(model, q0, p0, t, cfg)[:2]
     st_p = np.array([r.status_plus for r in refs])
     st_m = np.array([r.status_minus for r in refs])
     assert np.array_equal(res.status, np.maximum(st_p, st_m))
-    assert _close(res.plus, [r.plus for r in refs], st_p != 0)
-    assert _close(res.minus, [r.minus for r in refs], st_m != 0)
-    assert _close(res.total, [r.total for r in refs], res.status != 0)
+    assert _close(res.plus, [r.plus for r in refs], plus, st_p != 0)
+    assert _close(res.minus, [r.minus for r in refs], minus, st_m != 0)
+    assert _close(res.total, [r.total for r in refs], plus + minus, res.status != 0)
     return res, refs
 
 
@@ -232,9 +255,10 @@ def _assert_map_parity(model, spec, t, cfg=None):
     g = lk.temporal_map(model, spec, t, cfg)
     Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
     refs = _per_node(model, Q, P, t, cfg)
+    plus, minus = _unmirrored(model, Q.ravel(), P.ravel(), t, cfg)[:2]
     ok = np.array([r.ok for r in refs])
     assert np.array_equal(g.mask.ravel(), ok)
-    assert _close(g.values.ravel(), [r.total for r in refs], ~ok)
+    assert _close(g.values.ravel(), [r.total for r in refs], plus + minus, ~ok)
     return g, refs
 
 
@@ -352,56 +376,38 @@ def test_line_folds_point_reflected_starts(pend, lane_counts, line, lanes):
         assert np.array_equal(res.total, res.total[::-1])
 
 
-def test_stopped_lanes_rerun_once_per_distinct_start(fish, monkeypatch):
-    # p nodes step by 0.75, exact in binary and symmetric about 0, so each
+def _spy_scalar_steppers(monkeypatch):
+    """Record every call of the scalar stepper, through either entry."""
+    calls = []
+    for name in ("dp45_callable", "dp45_arclength"):
+        def spy(*args, _real=getattr(_kernels, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(_kernels, name, spy)
+    return calls
+
+
+def test_stopped_lanes_keep_their_batched_values(fish, monkeypatch):
+    # p nodes step by 1.5, exact in binary and symmetric about 0, so each
     # start's mirror (q, -p) is a node too: the forward piece of one node is
-    # the backward piece of another, and a stopped start runs again once
-    spec = lk.GridSpec(-6.0, 2.0, -3.0, 3.0, 9, 9)
+    # the backward piece of another. No piece runs on the scalar stepper; a
+    # stopped piece keeps the values of its own lane
+    spec = lk.GridSpec(-6.0, 2.0, -3.0, 3.0, 5, 5)
     Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
     q0, p0 = Q.ravel(), P.ravel()
-    reruns = []
-    real = _kernels.dp45_callable
-
-    def spy(f, q, p, *args):
-        reruns.append((float(q), float(p)))
-        return real(f, q, p, *args)
-
-    monkeypatch.setattr(_kernels, "dp45_callable", spy)
-    plus, minus, st_p, st_m, n_p, n_m = _ld_lanes(fish, q0, p0, 20.0, None)
+    calls = _spy_scalar_steppers(monkeypatch)
+    got = _ld_lanes(fish, q0, p0, 20.0, None)
+    lk.temporal_map(fish, lk.GridSpec(-6.0, -4.5, 0.5, 1.5, 3, 3), 20.0)
+    lk.ld_landscape_line(fish, lk.LineSpec("p", 1.0, -6.0, -4.5, 4), 20.0)
     monkeypatch.undo()
-    nodes = list(zip(q0.tolist(), p0.tolist()))
-    stopped = ({(q, p + 0.0) for (q, p), st in zip(nodes, st_p) if st}
-               | {(q, -p + 0.0) for (q, p), st in zip(nodes, st_m) if st})
-    pieces = np.count_nonzero(st_p) + np.count_nonzero(st_m)
-    assert sorted(reruns) == sorted(stopped)
-    assert 0 < len(reruns) < pieces
-    for i in np.flatnonzero((st_p != 0) | (st_m != 0)):
-        r = lk.temporal_ld(fish, (q0[i], p0[i]), 20.0)
-        assert (plus[i].hex(), minus[i].hex()) == (r.plus.hex(), r.minus.hex())
-        assert (st_p[i], st_m[i], n_p[i], n_m[i]) == (
-            r.status_plus, r.status_minus, r.steps_plus, r.steps_minus)
-
-
-def _unmirrored(model, q0, p0, t, cfg):
-    """Each start alone, its backward piece run on the time-reversed field
-    (no mirroring); pieces the stepper stops early are taken from
-    :func:`temporal_ld`, as the batched path reruns them."""
-    opts = (t, cfg.rel_tol, cfg.abs_tol, cfg.max_step, cfg.max_steps)
-
-    def reversed_field(q, p):
-        fq, fp = model.vector_field(q, p)
-        return -fq, -fp
-
-    out = []
-    for q, p in zip(q0.tolist(), p0.tolist()):
-        r = lk.temporal_ld(model, (q, p), t, cfg)
-        scalar = ((r.plus, r.status_plus, r.steps_plus),
-                  (r.minus, r.status_minus, r.steps_minus))
-        for f, ref in zip((model.vector_field, reversed_field), scalar):
-            s, _, _, status, nsteps = dp45_lanes(f, [q], [p], *opts)
-            out.append((s[0], status[0], nsteps[0]) if status[0] == 0 else ref)
-    s, status, nsteps = (np.array(col).reshape(-1, 2).T for col in zip(*out))
-    return s[0], s[1], status[0], status[1], nsteps[0], nsteps[1]
+    assert calls == []
+    st_p, st_m = got[2:4]
+    assert np.any(st_p == 1) and np.any(st_m == 1)
+    stopped = (st_p != 0) | (st_m != 0)
+    want = _unmirrored(fish, q0[stopped], p0[stopped], 20.0)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a[stopped], b)
 
 
 @pytest.mark.parametrize("case", ["pendulum", "step-limit", "fishtail-mirrored",
@@ -444,13 +450,6 @@ def test_mirrored_lanes_match_reversed_field_bitwise(case, pend, fish):
 
 # -- point-reflected starts as one lane ---------------------------------------
 
-def _fold(q, p):
-    """The start a point-symmetric model runs in place of (q, p)."""
-    if q < 0.0 or (q == 0.0 and p < 0.0):
-        q, p = -q, -p
-    return q + 0.0, p + 0.0
-
-
 # symmetric about the origin (nodes step by 0.75, exact in binary), so every
 # node's reflection (-q, -p) is a node; the repulsor's window is long enough
 # for most of its lanes to blow up
@@ -464,37 +463,25 @@ SYMMETRIC = {"pendulum": (lk.GridSpec(-3.0, 3.0, -1.5, 1.5, 9, 5), 5.0),
 def test_point_reflected_lanes_match_unmirrored_bitwise(name, lane_counts,
                                                         monkeypatch):
     # running (-q, -p) in place of (q, p) changes no bit of any piece, status
-    # or step count; a stopped start reruns once per reflected pair, and the
-    # rerun equals temporal_ld from the node itself
+    # or step count, and no piece runs on the scalar stepper, a stopped one
+    # included
     model = lk.get_model(name)
     spec, t = SYMMETRIC[name]
     cfg = IntegratorConfig()
     Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
     q0, p0 = Q.ravel(), P.ravel()
-    reruns = []
-    real = _kernels.dp45_callable
-
-    def spy(f, q, p, *args):
-        reruns.append((float(q), float(p)))
-        return real(f, q, p, *args)
-
-    monkeypatch.setattr(_kernels, "dp45_callable", spy)
+    calls = _spy_scalar_steppers(monkeypatch)
     got = _ld_lanes(model, q0, p0, t, cfg)
     monkeypatch.undo()
+    assert calls == []
     assert lane_counts == [(q0.size + 1) // 2]  # the origin is its own image
     want = _unmirrored(model, q0, p0, t, cfg)
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     st_p, st_m = want[2:4]
-    nodes = list(zip(q0.tolist(), p0.tolist()))
-    stopped = ({_fold(q, p) for (q, p), st in zip(nodes, st_p) if st}
-               | {_fold(q, -p) for (q, p), st in zip(nodes, st_m) if st})
-    assert sorted(reruns) == sorted(stopped)
     if name == "harmonic-repulsor":
         assert np.any(st_p == 1) and np.any(st_m == 1)
         assert np.any((st_p == 0) & (st_m == 0))
-    else:
-        assert not reruns
     g = lk.temporal_map(model, spec, t, cfg)
     assert np.array_equal(g.values, g.values[::-1, ::-1])
     assert np.array_equal(g.mask, g.mask[::-1, ::-1])
