@@ -18,9 +18,12 @@ Output formats:
 * grid CSV (long format): header ``q,p,value,mask``, row-major node order,
   valid nodes carry a value and mask 1, masked nodes an empty value field
   and mask 0; the reader rejects a file whose lines do not form a grid in
-  that order or break that rule. The writer formats each distinct row once:
-  E is even in p, so on a grid with mirror-exact p nodes the rows come in
-  bitwise-equal pairs;
+  that order, whose q and p nodes are not its ``GridSpec``'s, or that
+  breaks that rule. The writer formats each distinct row once: E is even
+  in p, so on a grid with mirror-exact p nodes the rows come in
+  bitwise-equal pairs. The reader works on the byte offsets of the fields,
+  so it takes an ASCII body without NUL bytes and fields of at most
+  ``GRID_CSV_FIELD_MAX`` bytes (the writer's longest is 24);
 * PGM: binary ``P5``, 16-bit big-endian, nq x np, linear min-max scaling,
   masked nodes map to 0.
 """
@@ -30,6 +33,7 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import STATUS_OK
 from .geometric import _ell_function
@@ -221,49 +225,95 @@ def write_grid_csv(grid, path):
             fh.write(text.replace("\0", f"{p:.17g}"))
 
 
+# the longest q, p or value field the grid CSV reader accepts, in bytes;
+# the writer's longest is 24 ("-2.2250738585072014e-308")
+GRID_CSV_FIELD_MAX = 64
+
+
+def _field_bytes(b, starts, lengths):
+    """Each field's bytes as one row of an ``(n, width)`` array, zero past
+    its length; ``b`` holds at least ``width`` bytes after every start.
+    Fields without NUL bytes are equal exactly where their rows are."""
+    width = max(int(lengths.max(initial=0)), 1)
+    w = sliding_window_view(b, width)[starts]
+    w *= np.tri(width + 1, width, -1, dtype=np.uint8)[lengths]
+    return w
+
+
 def read_grid_csv(path, quantity="ell"):
     """Read a grid CSV back; raises ``ValueError`` unless it is one.
 
-    Blank lines are skipped and every other line must have the four fields
-    ``q,p,value,mask``. The lines must form a grid in the writer's order:
-    the row length ``nq`` is where the first q string repeats, every row
+    The body must be ASCII without NUL bytes. Lines without a comma must be
+    blank and are skipped; every other line must have the four fields
+    ``q,p,value,mask``, with q, p and value at most ``GRID_CSV_FIELD_MAX``
+    (64) bytes long. The lines must form a grid in the writer's order: the
+    row length ``nq`` is where the first q string repeats, every row
     repeats the first row's q strings exactly, and p is one string along
-    each row. Only the first row's q, each row's p and the value column
-    are parsed. A valid node has a value and mask ``1``, a masked node no
-    value and mask ``0``; masked nodes read as NaN.
+    each row. The first row's q and each row's p must be the nodes of the
+    ``GridSpec`` they span, bit for bit. A valid node has a value and mask
+    ``1``, a masked node no value and mask ``0``; masked nodes read as NaN.
+
+    The checks run on the byte offsets of the fields: strings are compared
+    as byte windows gathered at their starts, and the values are parsed by
+    one cast of their windows to float64, which parses as ``float`` does.
+    Only the first row's q and each row's p are parsed one by one.
     """
     with open(path, "r") as fh:
         header = fh.readline()
         if header.strip() != "q,p,value,mask":
             raise ValueError(f"{path}: not a grid CSV (header {header!r})")
-        lines = list(filter(str.strip, fh.read().split("\n")))
-    if not lines:
-        raise ValueError(f"{path}: grid CSV has no rows")
-    if set(map(str.count, lines, repeat(","))) != {3}:
+        # every line ends in "\n"; the spaces after the last one are room
+        # for the window of the last field
+        raw = (fh.read() + "\n" + " " * GRID_CSV_FIELD_MAX).encode()
+    if not raw.isascii() or b"\0" in raw:
+        raise ValueError(f"{path}: a grid CSV must be ASCII without NUL bytes")
+    b = np.frombuffer(raw, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.r_[0, ends[:-1] + 1]
+    commas = np.flatnonzero(b == ord(","))
+    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
+    blank = per_line == 0
+    # blank as str.strip has it: \x1c-\x1f are whitespace too
+    if (any(raw[a:e].decode().strip() for a, e in zip(starts[blank].tolist(), ends[blank].tolist()))
+            or (per_line[~blank] != 3).any()):
         raise ValueError(f"{path}: every grid CSV line needs 4 fields")
-    tokens = ",".join(lines).split(",")
-    qt, pt, vt, mt = (tokens[k::4] for k in range(4))
-    try:
-        nq = qt.index(qt[0], 1)
-    except ValueError:
-        nq = len(qt)
-    if len(qt) % nq:
-        raise ValueError(f"{path}: ragged grid ({len(qt)} rows, row length {nq})")
-    npts = len(qt) // nq
-    if qt != qt[:nq] * npts:
+    if blank.all():
+        raise ValueError(f"{path}: grid CSV has no rows")
+    q_at, ends = starts[~blank], ends[~blank]
+    c1, c2, c3 = commas.reshape(-1, 3).T
+    p_at, v_at = c1 + 1, c2 + 1
+    q_len, p_len, v_len = c1 - q_at, c2 - p_at, c3 - v_at
+    if max(q_len.max(), p_len.max(), v_len.max()) > GRID_CSV_FIELD_MAX:
+        raise ValueError(f"{path}: a grid CSV field is longer than {GRID_CSV_FIELD_MAX} bytes")
+
+    nodes = len(q_at)
+    row = raw.find(b"\n" + raw[q_at[0]:c1[0]] + b",", int(q_at[0]))
+    nq = int(np.searchsorted(q_at, row + 1)) if row >= 0 else nodes
+    if nodes % nq:
+        raise ValueError(f"{path}: ragged grid ({nodes} rows, row length {nq})")
+    npts = nodes // nq
+    q_w = _field_bytes(b, q_at, q_len).reshape(npts, nq, -1)
+    if (q_w != q_w[0]).any():
         raise ValueError(f"{path}: q nodes differ between rows")
-    p_row = pt[::nq]
-    if any(pt[j * nq:(j + 1) * nq] != [p] * nq for j, p in enumerate(p_row)):
+    p_w = _field_bytes(b, p_at, p_len).reshape(npts, nq, -1)
+    if (p_w != p_w[:, :1]).any():
         raise ValueError(f"{path}: p changes inside a row")
-    qs = [float(q) for q in qt[:nq]]
-    ps = [float(p) for p in p_row]
+    del q_w, p_w
+    qs = [float(raw[a:e]) for a, e in zip(q_at[:nq].tolist(), c1[:nq].tolist())]
+    ps = [float(raw[a:e]) for a, e in zip(p_at[::nq].tolist(), c2[::nq].tolist())]
     spec = GridSpec(qs[0], qs[-1], ps[0], ps[-1], nq, npts)
-    valid = list(map("1".__eq__, mt))
-    if list(map(bool, vt)) != valid or valid.count(False) != mt.count("0"):
+    if qs != spec.q_nodes().tolist() or ps != spec.p_nodes().tolist():
+        raise ValueError(f"{path}: the q and p nodes are not those of {spec}")
+
+    mask = b[c3 + 1]
+    valid = mask == ord("1")
+    if ((ends - c3 != 2) | (~valid & (mask != ord("0"))) | (valid != (v_len > 0))).any():
         raise ValueError(f"{path}: a node needs a value and mask 1, or no value and mask 0")
-    values = np.array([float(v) if v else math.nan for v in vt]).reshape(npts, nq)
-    mask = np.array(valid).reshape(npts, nq)
-    return GridMap(spec, values, quantity, mask)
+    values = np.full(nodes, math.nan)
+    if valid.any():
+        v_w = _field_bytes(b, v_at[valid], v_len[valid])
+        values[valid] = v_w.view(f"S{v_w.shape[1]}").ravel().astype(np.float64)
+    return GridMap(spec, values.reshape(npts, nq), quantity, valid.reshape(npts, nq))
 
 
 def write_pgm(grid, path, scale=None):

@@ -96,6 +96,17 @@ def test_bmap_rejects_swapped_nodes(tmp_path):
     assert run(["bmap", "--in", str(src), "--out", str(tmp_path / "b.csv")]) == 1
 
 
+def test_bmap_rejects_nodes_off_the_spec(tmp_path):
+    # every row's middle q reads 0.9 where the spec's linspace has 0.5: the
+    # gradient would take uniform steps and write 0.5 in the q column
+    spec = lk.GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+    src = tmp_path / "nonuniform.csv"
+    lk.write_grid_csv(lk.GridMap(spec, np.arange(9.0).reshape(3, 3), "ell"), src)
+    src.write_text(src.read_text().replace("\n0.5,", "\n0.9,"))
+    assert src.read_text().count("\n0.9,") == 3
+    assert run(["bmap", "--in", str(src), "--out", str(tmp_path / "b.csv")]) == 1
+
+
 def test_rates_exit_codes(tmp_path):
     assert run(["rates", "--model", "rotor"]) == 1
     out = tmp_path / "r.json"

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -335,6 +336,7 @@ def test_grid_csv_roundtrip(tmp_path, pend):
     assert np.array_equal(back.values, g.values)
     assert back.spec == g.spec
     assert back.mask.all()
+    _assert_reads_like_oracle(path)
 
 
 def test_grid_csv_masked_nodes(tmp_path):
@@ -348,6 +350,7 @@ def test_grid_csv_masked_nodes(tmp_path):
     assert not back.mask[0, 1]
     assert math.isnan(back.values[0, 1])
     assert np.array_equal(back.values[back.mask], g.values[g.mask])
+    _assert_reads_like_oracle(path)
 
 
 def _oracle_grid_csv(grid):
@@ -360,6 +363,63 @@ def _oracle_grid_csv(grid):
             else:
                 out.append(f"{q:.17g},{p:.17g},,0\n")
     return "".join(out)
+
+
+def _oracle_read_grid_csv(path, quantity="ell"):
+    """The grid CSV read token by token: the body split into lines, the
+    lines into fields, and every field compared or parsed in Python lists;
+    nodes that are not the spec's are rejected."""
+    with open(path, "r") as fh:
+        header = fh.readline()
+        if header.strip() != "q,p,value,mask":
+            raise ValueError("header")
+        lines = list(filter(str.strip, fh.read().split("\n")))
+    if not lines:
+        raise ValueError("no rows")
+    if set(map(str.count, lines, repeat(","))) != {3}:
+        raise ValueError("fields")
+    tokens = ",".join(lines).split(",")
+    qt, pt, vt, mt = (tokens[k::4] for k in range(4))
+    try:
+        nq = qt.index(qt[0], 1)
+    except ValueError:
+        nq = len(qt)
+    if len(qt) % nq:
+        raise ValueError("ragged")
+    npts = len(qt) // nq
+    if qt != qt[:nq] * npts:
+        raise ValueError("q")
+    p_row = pt[::nq]
+    if any(pt[j * nq:(j + 1) * nq] != [p] * nq for j, p in enumerate(p_row)):
+        raise ValueError("p")
+    qs = [float(q) for q in qt[:nq]]
+    ps = [float(p) for p in p_row]
+    spec = lk.GridSpec(qs[0], qs[-1], ps[0], ps[-1], nq, npts)
+    if qs != spec.q_nodes().tolist() or ps != spec.p_nodes().tolist():
+        raise ValueError("nodes")
+    valid = list(map("1".__eq__, mt))
+    if list(map(bool, vt)) != valid or valid.count(False) != mt.count("0"):
+        raise ValueError("mask")
+    values = np.array([float(v) if v else math.nan for v in vt]).reshape(npts, nq)
+    mask = np.array(valid).reshape(npts, nq)
+    return lk.GridMap(spec, values, quantity, mask)
+
+
+def _assert_reads_like_oracle(path):
+    """``read_grid_csv`` and the token oracle both raise ``ValueError``, or
+    agree on the spec, the mask and the bits of every valid non-NaN node."""
+    try:
+        want = _oracle_read_grid_csv(path)
+    except ValueError:
+        with pytest.raises(ValueError):
+            lk.read_grid_csv(path)
+        return
+    got = lk.read_grid_csv(path)
+    assert got.spec == want.spec
+    assert np.array_equal(got.mask, want.mask)
+    m = want.mask & ~np.isnan(want.values)
+    assert np.array_equal(got.values[m].view(np.int64), want.values[m].view(np.int64))
+    assert np.isnan(got.values[~want.mask]).all()
 
 
 def _special_grid():
@@ -393,6 +453,7 @@ def test_grid_csv_bytes_and_roundtrip(tmp_path, grid):
     m = grid.mask
     assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
     assert np.isnan(back.values[~m]).all()
+    _assert_reads_like_oracle(path)
 
 
 def test_grid_csv_bytes_on_p_symmetric_grids(tmp_path, pend):
@@ -407,6 +468,7 @@ def test_grid_csv_bytes_on_p_symmetric_grids(tmp_path, pend):
         path = tmp_path / "s.csv"
         lk.write_grid_csv(grid, path)
         assert path.read_text() == _oracle_grid_csv(grid)
+        _assert_reads_like_oracle(path)
 
 
 def _repeating_grid():
@@ -433,6 +495,7 @@ def test_grid_csv_bytes_on_repeated_rows(tmp_path):
     assert np.array_equal(back.mask, grid.mask)
     m = grid.mask & ~np.isnan(grid.values)
     assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
+    _assert_reads_like_oracle(path)
 
 
 def test_grid_csv_writer_keeps_one_row_without_repeats(tmp_path):
@@ -450,12 +513,30 @@ def test_grid_csv_writer_keeps_one_row_without_repeats(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
-def _edited_grid_csv(tmp_path, edit):
-    """A valid 3x2 grid CSV with its body lines passed through ``edit``."""
+def test_grid_csv_reader_memory_is_a_few_file_sizes(tmp_path):
+    # the whole body is held once as bytes; the offsets and byte windows of
+    # its fields take about as much again (3.7x the file size measured,
+    # where splitting the body into tokens took 7.0x)
+    spec = lk.GridSpec(-2.0, 2.0, -1.5, 1.5, 400, 400)
+    grid = lk.GridMap(spec, np.random.default_rng(3).standard_normal((400, 400)), "ell")
+    path = tmp_path / "big.csv"
+    lk.write_grid_csv(grid, path)
+    tracemalloc.start()
+    try:
+        back = lk.read_grid_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, grid.values)
+    assert peak < 5 * path.stat().st_size
+
+
+def _edited_grid_csv(tmp_path, edit, newline="\n"):
+    """A valid 3x3 grid CSV with its body lines passed through ``edit``."""
     path = tmp_path / "e.csv"
-    lk.write_grid_csv(_flat_grid(np.arange(6.0).reshape(2, 3)), path)
+    lk.write_grid_csv(_flat_grid(np.arange(9.0).reshape(3, 3)), path)
     header, *body = path.read_text().splitlines()
-    path.write_text("\n".join([header] + edit(body)) + "\n")
+    path.write_text("\n".join([header] + edit(body)) + "\n", newline=newline)
     return path
 
 
@@ -466,8 +547,20 @@ def _swap_nodes(body):
 
 def _change_p(body):
     q, _, v, m = body[4].split(",")
-    body[4] = ",".join([q, "0.5", v, m])
+    body[4] = ",".join([q, "0.25", v, m])
     return body
+
+
+def _edit_field(line, k, text):
+    return lambda body: body[:line] + [
+        ",".join(text if j == k else f for j, f in enumerate(body[line].split(",")))
+    ] + body[line + 1:]
+
+
+def _move_middle_q(body):
+    # every row's middle q at 0.9, where the spec's linspace has 0.5
+    return [line.replace("0.5,", "0.9,", 1) if line.startswith("0.5,") else line
+            for line in body]
 
 
 @pytest.mark.parametrize("edit", [
@@ -475,24 +568,63 @@ def _change_p(body):
     _change_p,
     lambda body: body[:2] + [body[2].rsplit(",", 1)[0]] + body[3:],
     lambda body: body[:2] + [body[2] + ",1"] + body[3:],
+    lambda body: body[:3] + ["1"] + body[3:],
     lambda body: [],
     lambda body: ["", "  "],
     lambda body: body[:2] + [body[2] + " "] + body[3:],
     lambda body: body[:2] + [body[2][:-1] + "2"] + body[3:],
     lambda body: body[:2] + [body[2][:-1] + "0"] + body[3:],
     lambda body: body[:2] + [",".join(body[2].split(",")[:2] + ["", "1"])] + body[3:],
-], ids=["swapped", "p-in-row", "3-fields", "5-fields", "empty", "blank",
-        "mask-space", "mask-2", "value-mask-0", "no-value-mask-1"])
+    lambda body: body[:2] + [",".join(body[2].split(",")[:2] + ["", "2"])] + body[3:],
+    _move_middle_q,
+    _edit_field(4, 0, "0.50"),
+    _edit_field(4, 0, "0.7"),
+    _edit_field(4, 1, "0.7"),
+    _edit_field(2, 2, "2\0"),
+    lambda body: body[:2] + [body[2] + "\0"] + body[3:],
+    _edit_field(2, 2, "two"),
+], ids=["swapped", "p-in-row", "3-fields", "5-fields", "1-field", "empty", "blank",
+        "mask-space", "mask-2", "value-mask-0", "no-value-mask-1", "no-value-mask-2", "non-uniform-q",
+        "q-0.50", "q-same-width", "p-same-width", "nul-in-value", "nul-after-mask", "value-not-a-number"])
 def test_grid_csv_reader_rejects_non_grids(tmp_path, edit):
     path = _edited_grid_csv(tmp_path, edit)
     with pytest.raises(ValueError):
         lk.read_grid_csv(path)
+    _assert_reads_like_oracle(path)
 
 
 def test_grid_csv_reader_skips_blank_lines(tmp_path):
     path = _edited_grid_csv(tmp_path, lambda body: body[:3] + ["", " "] + body[3:])
     back = lk.read_grid_csv(path)
-    assert np.array_equal(back.values, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(back.values, np.arange(9.0).reshape(3, 3))
+    _assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("edit, newline", [
+    (lambda body: body, "\r\n"),
+    (lambda body: body[:3] + ["\t\x0b\x0c\x1c"] + body[3:] + [" "], "\n"),
+    (_edit_field(2, 2, "2.0000000000000000000000000000001"), "\n"),
+    (_edit_field(2, 2, " 2_0.0e-1 "), "\n"),
+], ids=["crlf", "ascii-blank", "wide-value", "float-syntax"])
+def test_grid_csv_reader_reads_like_the_tokens(tmp_path, edit, newline):
+    path = _edited_grid_csv(tmp_path, edit, newline)
+    back = lk.read_grid_csv(path)
+    assert np.array_equal(back.values, np.arange(9.0).reshape(3, 3))
+    _assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_field(2, 2, "\u0662"),  # ARABIC-INDIC DIGIT TWO
+    lambda body: body[:3] + ["\xa0"] + body[3:],  # a blank line of NO-BREAK SPACE
+    _edit_field(2, 2, "2." + "0" * 63),
+], ids=["non-ascii-digit", "non-ascii-blank", "65-byte-value"])
+def test_grid_csv_reader_is_stricter_than_the_tokens(tmp_path, edit):
+    # the body must be ASCII and a field at most GRID_CSV_FIELD_MAX bytes;
+    # reading the body token by token accepted these files
+    path = _edited_grid_csv(tmp_path, edit)
+    assert np.array_equal(_oracle_read_grid_csv(path).values, np.arange(9.0).reshape(3, 3))
+    with pytest.raises(ValueError):
+        lk.read_grid_csv(path)
 
 
 def test_landscape_csv_roundtrip(tmp_path, pend):
