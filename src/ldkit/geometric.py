@@ -165,14 +165,14 @@ def _ell_function(model, energies, trunc, cfg, derivs=False):
     its energies are interpolated barycentrically (Berrut & Trefethen,
     SIAM Rev. 46 (2004) 501), and d ell/dE = +/-(d ell/du) / (2u)
     interpolates the panel's differentiation matrix applied to its values.
-    Breakpoints, non-finite energies, and the energies of a panel with a
-    value that raised or did not converge, with points that rounded
-    together, or that still misses after ``_MAX_SPLITS`` bisections, are
-    evaluated directly in one last batch, valid exactly where that
-    converges, and get no derivative (NaN). A panel depends on the model,
-    ``trunc`` and ``cfg`` alone, so no result depends on the other
-    energies, and an energy at a breakpoint b has the value
-    ``ell(model, b)`` bit for bit.
+    Breakpoints and non-finite energies are evaluated directly in the first
+    round's batch, and the energies of a panel with a value that raised or
+    did not converge, with points that rounded together, or that still
+    misses after ``_MAX_SPLITS`` bisections in one last batch; a direct
+    energy is valid exactly where it converges and gets no derivative
+    (NaN). A panel depends on the model, ``trunc`` and ``cfg`` alone, so no
+    result depends on the other energies, and an energy at a breakpoint b
+    has the value ``ell(model, b)`` bit for bit.
     """
     cfg = cfg or QuadratureConfig()
     e, inverse = np.unique(np.asarray(energies, dtype=np.float64).reshape(-1),
@@ -207,8 +207,12 @@ def _ell_function(model, energies, trunc, cfg, derivs=False):
         bp, sign = B[s // 2, None], np.where(s % 2, 1.0, -1.0)
         pts = a[:, None] * (1.0 - _T) + b[:, None] * _T
         E = bp + sign[:, None] * pts * pts
-        energies, at = np.unique(E, return_inverse=True)
+        # round 0 also evaluates the energies known to be direct from the start
+        first = direct & (depth == 0)
+        energies, at = np.unique(np.r_[E.ravel(), e[first]], return_inverse=True)
         res = ell_batch(model, energies, trunc, cfg)
+        values[first], mask[first] = res.values[at[E.size:]], res.converged[at[E.size:]]
+        direct, at = direct & ~first, at[:E.size]
         F = res.values[at].reshape(pts.shape)
         # the points' own u: beside a breakpoint b +/- u^2 rounds, and points
         # that rounded together cannot be interpolated through

@@ -3,10 +3,11 @@
 A geometric ladder of distances eps = |E - E_c| is walked toward the
 critical energy (separatrix or elliptic minimum) and |d ell/dE| is read at
 each rung from the certified Chebyshev panels of ell(E)
-(:func:`geometric._ell_function`). The exponent is the asymptotic one, the
-limit E -> E_c: log|d ell/dE| is fitted by least squares on log(eps) plus
-the leading corrections of the critical point's expansion, so curvature
-that is real on the ladder is not averaged into a secant slope.
+(:func:`geometric._ell_function`); a report's ladders are one ell(E) pass.
+The exponent is the asymptotic one, the limit E -> E_c: log|d ell/dE| is
+fitted by least squares on log(eps) plus the leading corrections of the
+critical point's expansion, so curvature that is real on the ladder is not
+averaged into a secant slope.
 
 * Near a hyperbolic point (separatrix) ell = l0 + a sqrt(eps)
   + b eps log(eps) + c eps + ..., so log|ell'| = alpha + beta log(eps)
@@ -68,16 +69,8 @@ _CORRECTIONS = {
 }
 
 
-def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
-                 pts_per_decade=25, trunc=None, cfg=None):
-    """|d ell/dE| on a geometric eps ladder approaching a critical energy.
-
-    The whole ladder is one :func:`geometric._ell_function` call. Only
-    derivatives of certified panels are fitted: failed samples (a
-    breakpoint, a domain error, a zero derivative) are omitted and counted
-    in ``n_failed``, and those whose panel was not certified are omitted and
-    counted in ``n_unconverged``.
-    """
+def _ladder_energies(model, critical, side, eps_hi, eps_lo, pts_per_decade):
+    """The ladder's distances eps, largest first, and its energies E."""
     if not 0.0 < eps_lo < eps_hi < math.inf:
         raise ValueError("need 0 < eps_lo < eps_hi < inf")
     if not 3 <= pts_per_decade < math.inf:
@@ -103,22 +96,46 @@ def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
     decades = math.log10(eps_hi / eps_lo)
     n = int(round(pts_per_decade * decades)) + 1
     eps = np.geomspace(eps_hi, eps_lo, n)
+    return eps, e_c + sign * eps
 
-    E = e_c + sign * eps
-    values, _, d = _ell_function(model, E, trunc, cfg, derivs=True)
+
+def _ladder(model, critical, side, trunc, eps, E, values, d):
+    """The :class:`RateLadder` of the energies E from their ell values and
+    derivatives d (see :func:`sample_rates`)."""
     d = np.abs(d)
     kept = np.isfinite(d) & (d > 0.0)
     # a finite value without a derivative: its panel was not certified
     unconverged = np.isnan(d) & np.isfinite(values) & ~np.isin(E, model.breakpoints(trunc))
     samples = [RateSample(e, v) for e, v in zip(eps[kept].tolist(), d[kept].tolist())]
     n_unconverged = int(np.count_nonzero(unconverged))
-    n_failed = int(np.count_nonzero(~kept & ~unconverged))
-    if not samples and n_failed:
-        raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed")
+    failed = ~kept & ~unconverged
+    if not samples and failed.any():
+        cause = ""
+        try:
+            model.domain(float(E[failed.argmax()]), trunc)
+        except LdkitError as exc:
+            cause = f": {exc}"
+        raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed{cause}")
     if not samples:
         raise EmptyLadder(f"{model.name}: none of the {n_unconverged} "
                           f"{critical}/{side} samples converged")
-    return RateLadder(samples, n_failed, n_unconverged)
+    return RateLadder(samples, int(np.count_nonzero(failed)), n_unconverged)
+
+
+def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
+                 pts_per_decade=25, trunc=None, cfg=None):
+    """|d ell/dE| on a geometric eps ladder approaching a critical energy.
+
+    The whole ladder is one :func:`geometric._ell_function` call: the
+    one-approach case of :func:`rate_report`. Only derivatives of certified
+    panels are fitted: failed samples (a breakpoint, a domain error, a zero
+    derivative) are omitted and counted in ``n_failed``, and those whose
+    panel was not certified in ``n_unconverged``. If every sample failed,
+    :class:`EmptyLadder` names the model's error at the first one, if any.
+    """
+    eps, E = _ladder_energies(model, critical, side, eps_hi, eps_lo, pts_per_decade)
+    values, _, d = _ell_function(model, E, trunc, cfg, derivs=True)
+    return _ladder(model, critical, side, trunc, eps, E, values, d)
 
 
 def _r_squared(y, resid):
@@ -205,8 +222,11 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
                 pts_per_decade=25):
     """Fits for every critical-energy approach the model supports.
 
-    Returns a JSON-ready dict; entries that fail carry an ``error`` field
-    instead of fit numbers (partial reports are allowed).
+    The valid ladders are one :func:`geometric._ell_function` call, so they
+    share its panel rounds; a panel depends only on the model, ``trunc`` and
+    ``cfg``, so each entry equals its own :func:`sample_rates` fit. Returns a
+    JSON-ready dict; entries that fail carry an ``error`` field instead of
+    fit numbers (partial reports are allowed).
     """
     e_min, e_sx = model.critical_energies()
     wanted = []
@@ -216,12 +236,29 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
     if math.isfinite(e_min):
         wanted.append(("elliptic", "above"))
 
-    fits = []
+    fits, pending = [], []
     for critical, side in wanted:
         entry = {"critical": critical, "side": side}
         try:
-            ladder = sample_rates(model, critical, side, eps_hi, eps_lo,
-                                  pts_per_decade, trunc, cfg)
+            pending.append((entry, critical, side, *_ladder_energies(
+                model, critical, side, eps_hi, eps_lo, pts_per_decade)))
+        except ValueError as exc:
+            entry["error"] = str(exc)
+        fits.append(entry)
+    if pending:
+        try:
+            values, _, d = _ell_function(model, np.concatenate([p[-1] for p in pending]),
+                                         trunc, cfg, derivs=True)
+        except (LdkitError, ValueError) as exc:
+            for entry, *_ in pending:
+                entry["error"] = str(exc)
+            pending = []
+    stop = 0
+    for entry, critical, side, eps, E in pending:
+        start, stop = stop, stop + E.size
+        try:
+            ladder = _ladder(model, critical, side, trunc, eps, E,
+                             values[start:stop], d[start:stop])
             fit = fit_power_law(ladder.samples, critical=critical, side=side)
         except (LdkitError, ValueError) as exc:
             entry["error"] = str(exc)
@@ -235,7 +272,6 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
                 ols_r2=fit.ols_r_squared,
                 local_slopes=local_slopes(ladder.samples),
             )
-        fits.append(entry)
     return {
         "model": model.name,
         "truncation": None if trunc is None else trunc.a,

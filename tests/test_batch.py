@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import ldkit as lk
-from ldkit import quadrature
+from ldkit import geometric, quadrature
 
 
 def double_well():
@@ -126,6 +126,55 @@ def test_landscape_matches_scalar_calls(name):
             assert math.isnan(d)
         else:
             assert d == ref
+
+
+def _rounds(monkeypatch, model, energies, trunc, cfg):
+    """_ell_function's results, the energies of each ell_batch call it made,
+    and its panel rounds (one derivative pass each)."""
+    batches, rounds = [], []
+    real_batch, real_diff = geometric.ell_batch, geometric._differentiate
+
+    def batch(model, energies, *args):
+        batches.append(np.array(energies))
+        return real_batch(model, energies, *args)
+
+    def diff(*args):
+        rounds.append(1)
+        return real_diff(*args)
+
+    monkeypatch.setattr(geometric, "ell_batch", batch)
+    monkeypatch.setattr(geometric, "_differentiate", diff)
+    out = geometric._ell_function(model, energies, trunc, cfg, derivs=True)
+    monkeypatch.undo()
+    return out, batches, len(rounds)
+
+
+@pytest.mark.parametrize("cfg", [None, _TIGHT], ids=["default", "max_levels=4"])
+@pytest.mark.parametrize("name", ["pendulum", "fishtail", "double-well"])
+def test_breakpoints_ride_the_first_panel_round(name, cfg, monkeypatch):
+    # breakpoints and non-finite energies are evaluated in the first round's
+    # ell_batch; a trailing batch holds exactly the energies of panels that
+    # were not certified (at the default tolerances there is none), and a
+    # breakpoint's value is ell there bit for bit
+    model, trunc, _ = _cases()[name]
+    B = model.breakpoints(trunc)
+    energies = np.r_[B, np.linspace(B[0], B[-1] + 1.0, 23), math.inf, math.nan]
+    (values, mask, d), batches, rounds = _rounds(monkeypatch, model, energies, trunc, cfg)
+    assert np.isin(np.r_[B, math.inf], batches[0]).all() and np.isnan(batches[0]).any()
+    plain = np.isfinite(energies) & ~np.isin(energies, B)
+    uncertified = np.unique(energies[plain & np.isnan(d)])
+    if cfg is None:
+        assert uncertified.size == 0 and len(batches) == rounds
+    else:
+        assert uncertified.size > 0 and len(batches) == rounds + 1
+        assert np.array_equal(batches[-1], uncertified)
+    at = np.isin(energies, B)
+    assert np.isnan(d[at]).all()
+    ref = [lk.ell(model, b, trunc, cfg, full_output=True) for b in energies[at]]
+    assert [(float(v).hex(), bool(m)) for v, m in zip(values[at], mask[at])] == [
+        (v.hex(), info.converged) for v, info in ref]
+    assert np.isnan(values[~np.isfinite(energies)]).all()
+    assert not mask[~np.isfinite(energies)].any()
 
 
 @pytest.mark.parametrize("name,hi,n", [("pendulum", 1.0, 31), ("duffing", 1.0, 6),

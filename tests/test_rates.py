@@ -116,6 +116,23 @@ def test_empty_ladder_raised():
                         pts_per_decade=5)
 
 
+def test_empty_ladder_names_the_model_error(fish):
+    # without a cut every fish-tail energy raises TruncationRequired, which
+    # the ladder's message carries instead of a bare "failed"
+    with pytest.raises(lk.EmptyLadder, match="every separatrix/above sample "
+                       "failed: .*pass a Truncation"):
+        lk.sample_rates(fish, "separatrix", "above")
+    report = lk.rate_report(fish)
+    assert len(report["fits"]) == 3
+    assert all("pass a Truncation" in f["error"] for f in report["fits"])
+    fb = lk.fishtail(bounded_librations=True)
+    above = lk.rate_report(fb)["fits"][1]
+    assert above["side"] == "above"
+    with pytest.raises(lk.OutsideDomain) as exc:
+        fb.domain(1e-2)
+    assert above["error"].endswith(f"every separatrix/above sample failed: {exc.value}")
+
+
 @pytest.mark.parametrize("side", ["below", "above"])
 def test_empty_ladder_names_unconverged_samples(pend, side):
     # no sample fails, but none of the 13 converges at this cap
@@ -240,10 +257,81 @@ def test_elliptic_exponent_on_deep_ladder(name):
     assert abs(fit.exponent + 0.5) <= 1e-6
 
 
-def test_rate_report_lists_infinite_ladder_settings_as_errors(pend):
+def test_rate_report_lists_infinite_ladder_settings_as_errors(pend, ell_batch_calls):
     # an infinite eps_hi or density once crashed rate_report with an
-    # OverflowError instead of an error entry per fit
+    # OverflowError instead of an error entry per fit; with no valid ladder
+    # no ell(E) is evaluated
     for bad in ({"eps_hi": math.inf}, {"pts_per_decade": math.inf}):
         report = lk.rate_report(pend, **bad)
         assert len(report["fits"]) == 3
         assert all("need" in f["error"] for f in report["fits"])
+    assert ell_batch_calls == []
+
+
+def _composed_report(model, trunc=None, **kw):
+    """rate_report's dict built from one sample_rates call per approach."""
+    e_min, e_sx = model.critical_energies()
+    wanted = ([("separatrix", "below"), ("separatrix", "above")] if math.isfinite(e_sx)
+              else []) + ([("elliptic", "above")] if math.isfinite(e_min) else [])
+    fits = []
+    for critical, side in wanted:
+        entry = {"critical": critical, "side": side}
+        try:
+            ladder = lk.sample_rates(model, critical, side, trunc=trunc, **kw)
+            fit = lk.fit_power_law(ladder.samples, critical=critical, side=side)
+        except (lk.LdkitError, ValueError) as exc:
+            entry["error"] = str(exc)
+        else:
+            entry.update(exponent=fit.exponent, intercept=float(fit.intercept),
+                         r2=fit.r_squared, n_samples=fit.n_samples,
+                         ols_slope=fit.ols_slope, ols_r2=fit.ols_r_squared,
+                         local_slopes=local_slopes(ladder.samples))
+        fits.append(entry)
+    return {"model": model.name, "truncation": None if trunc is None else trunc.a,
+            "fits": fits}
+
+
+@pytest.fixture
+def ell_batch_calls(monkeypatch):
+    """Energy counts of the ell_batch calls the test makes."""
+    from ldkit import geometric
+
+    seen = []
+    real = geometric.ell_batch
+
+    def spy(model, energies, *args):
+        seen.append(np.size(energies))
+        return real(model, energies, *args)
+
+    monkeypatch.setattr(geometric, "ell_batch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name,calls", [("pendulum", 1), ("duffing", 2), ("fishtail", 1),
+                                        ("bounded-fishtail", None),
+                                        ("harmonic-oscillator", None),
+                                        ("harmonic-repulsor", None), ("double-well", None)])
+def test_rate_report_is_its_ladders(name, calls, double_well, ell_batch_calls):
+    # a report's ladders are one ell(E) pass, one ell_batch per panel round,
+    # and it equals the report composed from per-approach ladders byte for byte
+    special = {"bounded-fishtail": (lk.fishtail(bounded_librations=True), None),
+               "fishtail": (lk.fishtail(), lk.Truncation(-5.0)),
+               "double-well": (double_well, None)}
+    model, trunc = special[name] if name in special else (lk.get_model(name), None)
+    report = lk.rate_report(model, trunc)
+    if calls is not None:
+        assert len(ell_batch_calls) == calls
+    assert repr(report) == repr(_composed_report(model, trunc))
+    if name == "bounded-fishtail":
+        assert ["error" in f for f in report["fits"]] == [False, True, False]
+
+
+def test_rate_report_shared_pass_error_marks_every_entry(pend, monkeypatch):
+    from ldkit import rates
+
+    def fail(*args, **kw):
+        raise lk.NonFiniteEnergy("no ell(E) pass")
+
+    monkeypatch.setattr(rates, "_ell_function", fail)
+    report = lk.rate_report(pend)
+    assert [f["error"] for f in report["fits"]] == ["no ell(E) pass"] * 3
