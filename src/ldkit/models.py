@@ -1,14 +1,16 @@
 """Catalog of 1-DoF Hamiltonian models and their level-curve geometry.
 
-Each model class writes its own formulas: the energy function H(q, p), the
-squared nonnegative momentum branch (the "radicand" p^2(q; E)) and its
-q-derivative, and the vector field, each on numpy arrays (the field also on
-Python floats, for the scalar stepper). It also knows the radicand with its
-turning-point roots divided out (the "deflated radicand" the quadrature
-integrates with), a symmetry multiplier relating the single-branch arc
-length to the full level-curve length, its critical energies (elliptic
-minimum and separatrix), the abscissae of its saddles, and the energies at
-which ell(E) is singular (:meth:`HamiltonianModel.breakpoints`).
+Every model is H = αp² + V(q), written once as the class constant
+``alpha``, ``potential`` V and ``potential_slope`` V'. From these
+:class:`HamiltonianModel` derives the vector field (2αp, −V'), the energy,
+the squared nonnegative momentum branch (the "radicand" p^2(q; E) =
+(E − V)/α) and its q-derivative −V'/α, on arrays and on Python floats; a
+built-in overrides one only with an accuracy form or to keep its rounding.
+A model also knows the radicand with its turning-point roots divided out
+(the "deflated radicand" of the quadrature), a symmetry multiplier from
+the single-branch arc length to the level-curve length, its critical
+energies (elliptic minimum and separatrix), the abscissae of its saddles
+and the energies where ell(E) is singular (``breakpoints``).
 ``HamiltonianModel.kernel_code`` is the model itself (None for custom
 models); it stays only because ``ldbench/`` passes it to the kernels.
 
@@ -150,10 +152,12 @@ def _value(x):
     return x if np.ndim(x) else float(x)
 
 
-def _operands(q, p):
-    """``q`` and ``p`` as float64 arrays, or as Python floats when 0-d."""
-    q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-    return (q, p) if q.ndim or p.ndim else (float(q), float(p))
+def _at(f, q):
+    """``f(q)`` as a float64 array; a Python float q is passed as is, so
+    that V runs on floats there, as in the scalar stepper's field."""
+    if not isinstance(q, float):
+        q = np.asarray(q, dtype=np.float64)
+    return np.asarray(f(q), dtype=np.float64)
 
 
 def _columns_to_rows(n, columns):
@@ -174,9 +178,10 @@ def _columns_to_rows(n, columns):
 
 
 class HamiltonianModel:
-    """Base class; subclasses fill in the model formulas and domains."""
+    """Base class of H = αp² + V(q); subclasses give α, V, V' and domains."""
 
     name = ""
+    alpha = 0.5
     multiplier = 1
     e_min = -math.inf
     e_sx = math.inf
@@ -187,36 +192,53 @@ class HamiltonianModel:
 
     # -- formulas ------------------------------------------------------
 
-    def energy(self, q, p):
-        """H(q, p)."""
+    def potential(self, q):
+        """V(q), on a float or a float64 array."""
         raise NotImplementedError
+
+    def potential_slope(self, q):
+        """V'(q), on a float or a float64 array."""
+        raise NotImplementedError
+
+    def energy(self, q, p):
+        """H(q, p) = αp² + V(q)."""
+        p = np.asarray(p, dtype=np.float64)
+        return _value(self.alpha * p * p + _at(self.potential, q))
 
     def radicand(self, q, E):
-        """p^2(q; E), the squared nonnegative momentum branch."""
-        raise NotImplementedError
+        """p^2(q; E) = (E − V(q))/α, the squared nonnegative momentum branch."""
+        return _value((E - _at(self.potential, q)) / self.alpha)
 
     def radicand_dq(self, q):
-        """d/dq of the radicand."""
-        raise NotImplementedError
+        """d/dq of the radicand, V'(q)/(−α)."""
+        return _value(_at(self.potential_slope, q) / -self.alpha)
 
     def vector_field(self, q, p):
-        """Hamiltonian vector field (dH/dp, -dH/dq); elementwise on arrays.
+        """Hamiltonian vector field (dH/dp, −dH/dq) = (2αp, −V'(q)).
 
-        A Python float ``q`` (the scalar stepper's calls) runs on floats
-        and returns floats, bit for bit the elementwise array result.
+        Elementwise on arrays, with a scalar or list V' broadcast to q's
+        shape; a Python float ``q`` (the scalar stepper's calls) runs on
+        floats and returns floats, bit for bit the array result.
 
-        Every model is H = αp² + V(q) (the radicand p² presumes it), so the
-        field is time-reversal symmetric bit for bit: ``fq(q, −p) ==
-        −fq(q, p)`` and ``fp(q, −p) == fp(q, p)``, on arrays and on floats.
-        Both steppers rely on it to run each backward piece as the forward
-        piece from (q, −p).
-
-        With ``point_symmetric`` set (V even), the field is odd bit for bit
-        up to a zero's sign (q − q³ is +0.0 at ±0.0): ``fq(−q, −p) ==
-        −fq(q, p)`` and ``fp(−q, −p) == −fp(q, p)``, on arrays and floats;
-        the batched stepper runs (q, p) and (−q, −p) as one lane.
+        2αp is odd in p and V'(q) does not see p, so the field is
+        time-reversal symmetric bit for bit: ``fq(q, −p) == −fq(q, p)`` and
+        ``fp(q, −p) == fp(q, p)``. Both steppers rely on it to run each
+        backward piece as the forward piece from (q, −p). With
+        ``point_symmetric`` set (V even), V' is odd, so the field is odd bit
+        for bit up to a zero's sign: ``fq(−q, −p) == −fq(q, p)`` and
+        ``fp(−q, −p) == −fp(q, p)``; the batched stepper runs (q, p) and
+        (−q, −p) as one lane.
         """
-        raise NotImplementedError
+        # 2αp: on arrays p itself when 2α = 1, the same bits as 1.0 * p on floats
+        if isinstance(q, float):
+            return 2.0 * self.alpha * p, -float(self.potential_slope(q))
+        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
+        if not (q.ndim or p.ndim):
+            return self.vector_field(float(q), float(p))
+        slope = np.asarray(self.potential_slope(q), dtype=np.float64)
+        if slope.shape != q.shape:
+            slope = np.broadcast_to(slope, q.shape)
+        return (p if self.alpha == 0.5 else 2.0 * self.alpha * p), -slope
 
     @property
     def kernel_code(self):
@@ -260,22 +282,17 @@ class HamiltonianModel:
         """
         rad = np.asarray(self.radicand(q, E), dtype=np.float64)
         if np.any(rad < -K.CLAMP_TOL):
-            raise OutsideDomain(
-                f"{self.name}: branch evaluated outside the level curve "
-                f"(q={q!r}, E={E!r})"
-            )
-        out = np.sqrt(np.clip(rad, 0.0, None))
-        return out if out.ndim else float(out)
+            raise OutsideDomain(f"{self.name}: branch evaluated outside the level "
+                                f"curve (q={q!r}, E={E!r})")
+        return _value(np.sqrt(np.clip(rad, 0.0, None)))
 
     def branch_slope(self, q, E):
         """dp/dq of the nonnegative branch; only valid strictly inside the domain."""
         p = np.asarray(self.branch(q, E), dtype=np.float64)
         if np.any(p < 1e-12):
-            raise TurningPoint(
-                f"{self.name}: slope diverges at a turning point (q={q!r}, E={E!r})"
-            )
-        out = 0.5 * np.asarray(self.radicand_dq(q), dtype=np.float64) / p
-        return out if out.ndim else float(out)
+            raise TurningPoint(f"{self.name}: slope diverges at a turning point "
+                               f"(q={q!r}, E={E!r})")
+        return _value(0.5 * np.asarray(self.radicand_dq(q), dtype=np.float64) / p)
 
     def critical_energies(self):
         return self.e_min, self.e_sx
@@ -399,29 +416,26 @@ class Pendulum(HamiltonianModel):
     multiplier = 2
     e_min = -2.0
     e_sx = 0.0
-    bounded = True
     saddles = (-math.pi, math.pi)
     point_symmetric = True
 
+    def potential(self, q):
+        return -np.cos(q) - 1.0
+
+    def potential_slope(self, q):
+        # math.sin costs far less than np.sin on a float
+        return math.sin(q) if isinstance(q, float) else np.sin(q)
+
     def energy(self, q, p):
+        # kept: αp² + V rounds differently (V adds -cos q - 1 first)
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
         return _value(0.5 * p * p - np.cos(q) - 1.0)
 
     def radicand(self, q, E):
-        # 2(E + cos q + 1) == 2E + 4 cos^2(q/2): near a turning point the
-        # cancellation happens between as few, as small terms as possible
+        # accuracy form: 2(E + cos q + 1) == 2E + 4 cos^2(q/2), so the
+        # cancellation near a turning point is between few, small terms
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * E + 4.0 * np.cos(0.5 * q) ** 2)
-
-    def radicand_dq(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        return _value(-2.0 * np.sin(q))
-
-    def vector_field(self, q, p):
-        if isinstance(q, float):  # math.sin costs far less than np.sin on a float
-            return p, -math.sin(q)
-        q, p = _operands(q, p)
-        return p, -np.sin(q)
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # turning ends are +-r: 2 (cos q - cos r) = 4 sin((r + q)/2) sin((r - q)/2)
@@ -452,28 +466,31 @@ class Duffing(HamiltonianModel):
     multiplier = 4
     e_min = -0.25
     e_sx = 0.0
-    bounded = True
     saddles = (0.0,)
     point_symmetric = True
 
+    def potential(self, q):
+        return -0.5 * q * q + 0.25 * q ** 4
+
+    def potential_slope(self, q):
+        # the field's -V' is q - q^3, +0.0 at 0 and +-1; q * q * q, as numpy's
+        # power and float pow differ in the last bit on some inputs
+        return -(q - q * q * q)
+
     def energy(self, q, p):
+        # kept: αp² + V rounds differently (V sums its two terms first)
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
         return _value(0.5 * p * p - 0.5 * q * q + 0.25 * q ** 4)
 
     def radicand(self, q, E):
+        # kept: 2E + q^2 (2 - q^2)/2 rounds differently from (E - V)/α
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * E + 0.5 * q * q * (2.0 - q * q))
 
     def radicand_dq(self, q):
+        # kept: 2q - 2q ** 3 rounds differently from V'/(-α)
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * q - 2.0 * q ** 3)
-
-    def vector_field(self, q, p):
-        if not isinstance(q, float):
-            q, p = _operands(q, p)
-        # q * q * q, not q ** 3: numpy's power and float pow differ in the
-        # last bit on some inputs
-        return p, q - q * q * q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (q^2 - x1^2)(x2^2 - q^2)/2, x1^2 = -4E/(1 + s), x2^2 = 1 + s;
@@ -510,6 +527,7 @@ class Fishtail(HamiltonianModel):
     """
 
     name = "fishtail"
+    alpha = 1.0
     multiplier = 2
     e_min = -32.0
     e_sx = 0.0
@@ -520,26 +538,29 @@ class Fishtail(HamiltonianModel):
         self.bounded = self.bounded_librations
         self.uses_cut = not self.bounded_librations
 
+    def potential(self, q):
+        return q ** 3 + 6.0 * q * q - 32.0
+
+    def potential_slope(self, q):
+        return 3.0 * q * q + 12.0 * q
+
     def energy(self, q, p):
+        # kept: αp² + V rounds differently (V sums its terms first)
         q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
         return _value(p * p + q ** 3 + 6.0 * q * q - 32.0)
 
     def radicand(self, q, E):
-        # about the nearer critical point, as _librational_roots: below
-        # E = -16, E + 32 is exact and (E + 32) - q^2 (q + 6) does not cancel
-        # beside the minimum, where E - (q - 2)(q + 4)^2 does
+        # accuracy form about the nearer critical point, as _librational_roots:
+        # below E = -16, E + 32 is exact and (E + 32) - q^2 (q + 6) does not
+        # cancel beside the minimum, where E - (q - 2)(q + 4)^2 does
         q = np.asarray(q, dtype=np.float64)
         return _value(np.where(E < -16.0, (E + 32.0) - q * q * (q + 6.0),
                                E - (q - 2.0) * (q + 4.0) ** 2))
 
     def radicand_dq(self, q):
+        # kept: -3q(q + 4) rounds differently from V'/(-α)
         q = np.asarray(q, dtype=np.float64)
         return _value(-3.0 * q * (q + 4.0))
-
-    def vector_field(self, q, p):
-        if not isinstance(q, float):
-            q, p = _operands(q, p)
-        return 2.0 * p, -(3.0 * q * q + 12.0 * q)
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = -(q - x2)(q - x3)(q - x4) with x2 + x3 + x4 = -6 and
@@ -639,26 +660,13 @@ class HarmonicOscillator(HamiltonianModel):
     name = "harmonic-oscillator"
     multiplier = 2
     e_min = 0.0
-    e_sx = math.inf
-    bounded = True
     point_symmetric = True
 
-    def energy(self, q, p):
-        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-        return _value(0.5 * (q * q + p * p))
+    def potential(self, q):
+        return 0.5 * q * q
 
-    def radicand(self, q, E):
-        q = np.asarray(q, dtype=np.float64)
-        return _value(2.0 * E - q * q)
-
-    def radicand_dq(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        return _value(-2.0 * q)
-
-    def vector_field(self, q, p):
-        if not isinstance(q, float):
-            q, p = _operands(q, p)
-        return p, -q
+    def potential_slope(self, q):
+        return q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (r - q)(r + q) with turning ends -r, r
@@ -683,8 +691,6 @@ class HarmonicRepulsor(HamiltonianModel):
     """
 
     name = "harmonic-repulsor"
-    multiplier = 1
-    e_min = -math.inf
     e_sx = 0.0
     bounded = False
     saddles = (0.0,)
@@ -699,23 +705,16 @@ class HarmonicRepulsor(HamiltonianModel):
             self._cut_pos, self._cut_neg = math.sinh(self.t_star), math.cosh(self.t_star)
         except OverflowError:
             raise ValueError(f"t_star={self.t_star} overflows cosh(t_star)") from None
+        # the E < 0 cut r cosh(t_star) has an ulp of r in a width r (cosh(t_star) - 1)
+        if self._cut_neg - 1.0 < 1e-6:
+            raise ValueError(f"t_star={self.t_star} is below about 1.4e-3 (cosh(t_star) "
+                             "- 1 < 1e-6): the E < 0 cut cannot hold its width in floats")
 
-    def energy(self, q, p):
-        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-        return _value(0.5 * (p * p - q * q))
+    def potential(self, q):
+        return -0.5 * q * q
 
-    def radicand(self, q, E):
-        q = np.asarray(q, dtype=np.float64)
-        return _value(2.0 * E + q * q)
-
-    def radicand_dq(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        return _value(2.0 * q)
-
-    def vector_field(self, q, p):
-        if not isinstance(q, float):
-            q, p = _operands(q, p)
-        return p, q
+    def potential_slope(self, q):
+        return -q
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = (q - r)(q + r) for E < 0, turning at lo = r or hi = -r
@@ -829,12 +828,13 @@ class MechanicalModel(HamiltonianModel):
 
     kernel_code = None
     multiplier = 2
-    bounded = True
 
     def __init__(self, potential, potential_slope, search_interval,
                  name="custom-mechanical", e_sx=None):
         self.potential, self.potential_slope = potential, potential_slope
         self.search_lo, self.search_hi = map(float, search_interval)
+        if not (math.isfinite(self.search_lo) and math.isfinite(self.search_hi)):
+            raise ValueError("search interval must be finite")
         if not self.search_lo < self.search_hi:
             raise ValueError("search interval must have lo < hi")
         self.name = name
@@ -866,28 +866,6 @@ class MechanicalModel(HamiltonianModel):
         # the search ends cut the level curves like a truncation
         ends = [e for e in (self._vs[0], self._vs[-1]) if math.isfinite(e)]
         return np.union1d(super().breakpoints(), ends)
-
-    def energy(self, q, p):
-        p = np.asarray(p, dtype=np.float64)
-        return _value(0.5 * p * p + np.asarray(self.potential(q), dtype=np.float64))
-
-    def radicand(self, q, E):
-        return _value(2.0 * (E - np.asarray(self.potential(q), dtype=np.float64)))
-
-    def radicand_dq(self, q):
-        return _value(-2.0 * np.asarray(self.potential_slope(q), dtype=np.float64))
-
-    def vector_field(self, q, p):
-        slope = self.potential_slope(q)
-        if isinstance(q, float):  # the scalar stepper's calls, kept cheap
-            return float(p), -float(slope)
-        slope = np.asarray(slope, dtype=np.float64)
-        if slope.shape != np.shape(q):  # a slope that returned a scalar
-            slope = np.broadcast_to(slope, np.shape(q))
-        fp = -slope
-        if fp.ndim:
-            return np.asarray(p, dtype=np.float64), fp
-        return float(p), float(fp)
 
     def _crossing_cells(self, E):
         """(energy, cell) index pairs, sorted, of the scan cells with a root.
@@ -931,7 +909,6 @@ class MechanicalModel(HamiltonianModel):
     def _intervals(self, E, trunc):
         errors = _errors_at(E < self.e_min, lambda e: BelowMinimum(
             f"{self.name}: E={e} below potential minimum"), E)
-        potential = self.potential
         qs, vs = self._qs, self._vs
         ok = np.flatnonzero(E >= self.e_min)
         owner, cell = self._crossing_cells(E[ok])
@@ -940,7 +917,7 @@ class MechanicalModel(HamiltonianModel):
         # a node is a bracket of one point
         left, right = qs[cell], qs[np.minimum(cell + 1, self.scan_points)]
         g0 = E[owner] - vs[cell]
-        roots = _bisect(potential, E[owner], np.where(g0 > 0.0, right, left),
+        roots = _bisect(self.potential, E[owner], np.where(g0 > 0.0, right, left),
                         np.where(g0 < 0.0, right, left))
 
         # edges of an energy: search_lo, its roots, search_hi; consecutive
@@ -966,7 +943,7 @@ class MechanicalModel(HamiltonianModel):
         # branch is real at its midpoint
         wide = np.flatnonzero(hi - lo > _MERGE_TOL)
         mids = 0.5 * (lo[wide] + hi[wide])
-        keep = wide[E[owner[wide]] - np.asarray(potential(mids), dtype=np.float64) > 0.0]
+        keep = wide[self.radicand(mids, E[owner[wide]]) > 0.0]
         lo, hi, owner = lo[keep], hi[keep], owner[keep]
         lo_root, hi_root = lo_root[keep], hi_root[keep]
         f_lo = np.where(lo_root, F_TURNING, F_TRUNCATION).astype(np.int8)

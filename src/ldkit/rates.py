@@ -176,6 +176,8 @@ def fit_power_law(samples, critical="", side=""):
         raise ValueError("need at least 5 samples to fit")
     eps = np.array([s.eps for s in samples])
     dv = np.array([s.deriv_abs for s in samples])
+    if not np.all((0.0 < eps) & (eps < math.inf) & (0.0 < dv) & (dv < math.inf)):
+        raise ValueError("every eps and deriv_abs must be finite and positive")
     if math.log10(eps.max() / eps.min()) < 1.0:
         raise DegenerateFit("eps values span less than one decade")
     x = np.log(eps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ldkit as lk
-from ldkit import TRUNCATION, TURNING
+from ldkit import TRUNCATION, TURNING, models
 from conftest import interior_points, random_energies
 
 ALL_BUILTINS = ("pendulum", "duffing", "fishtail", "harmonic-oscillator",
@@ -332,6 +332,35 @@ def test_repulsor_rejects_cut_whose_cosh_overflows():
     assert rep.domain(0.5).intervals[0][1] == math.sinh(700.0)
 
 
+def _smallest_accepted_t_star():
+    """The least float t with cosh(t) - 1 >= 1e-6, by bisection on floats."""
+    lo, hi = 1e-3, 2e-3
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (mid, hi) if math.cosh(mid) - 1.0 < 1e-6 else (lo, mid)
+
+
+def test_repulsor_cut_is_accurate_down_to_the_smallest_accepted_t_star():
+    # the E < 0 cut r cosh(t_star) carries an ulp of r beside a width of
+    # r (cosh(t_star) - 1): t_star = 1e-8 once made an empty interval, and
+    # 1e-6 a length 4.4e-5 off that still read converged
+    mp = pytest.importorskip("mpmath")
+    t_star = _smallest_accepted_t_star()
+    assert 1.4e-3 < t_star < 1.5e-3
+    rep = lk.harmonic_repulsor(t_star=t_star)
+    with mp.workdps(40):
+        exact = float(mp.quad(lambda x: mp.sqrt(mp.cosh(2 * x)), [0, mp.mpf(t_star)]))
+    for E in (0.5, -0.5):  # sqrt(2|E|) = 1
+        length, info = lk.ell(rep, E, full_output=True)
+        assert info.converged
+        assert abs(length - exact) <= 1e-10 * exact
+    for t_star in (math.nextafter(t_star, 0.0), 1e-6, 1e-8, 1e-9):
+        with pytest.raises(ValueError, match="below about 1.4e-3"):
+            lk.harmonic_repulsor(t_star=t_star)
+
+
 # -- fish-tail bounded oscillations ---------------------------------------
 
 def test_bounded_librations_mode(fish, trunc):
@@ -483,6 +512,14 @@ def test_mechanical_nan_potential_is_rejected():
         lk.mechanical(potential, lambda q: np.asarray(q, dtype=np.float64), (-2.0, 2.0))
 
 
+@pytest.mark.parametrize("interval", [(-2.0, math.inf), (-math.inf, 2.0), (math.nan, 2.0)])
+def test_mechanical_rejects_a_non_finite_search_interval(interval):
+    # (-2, inf) once failed with "potential is NaN at q=nan of the scan
+    # grid", after numpy warnings
+    with pytest.raises(ValueError, match="search interval must be finite"):
+        lk.mechanical(lambda q: 0.5 * q * q, lambda q: q, interval)
+
+
 def test_mechanical_infinite_potential_is_a_hard_wall():
     def potential(q):
         q = np.asarray(q, dtype=np.float64)
@@ -585,8 +622,72 @@ def test_mechanical_vector_field_array_shapes():
     assert np.array_equal(fp, -2.0 * qs)
 
 
+@pytest.mark.parametrize("name", ALL_BUILTINS + ("double-well",))
+def test_formulas_agree_with_alpha_and_the_potential(name, double_well, rng):
+    # every model is H = alpha p^2 + V(q): a kept radicand_dq is V'/(-alpha)
+    # to a few ulp of its terms, and alpha * radicand and the energy are
+    # E - V and alpha p^2 + V to roundoff of their terms (the fish-tail's
+    # radicand adds and removes 32)
+    m = double_well if name == "double-well" else lk.get_model(name)
+    eps = np.finfo(float).eps
+    qs = rng.uniform(-4.0, 4.0, 2001)
+    ps = rng.uniform(-3.0, 3.0, qs.size)
+    slope = np.asarray(m.potential_slope(qs), dtype=np.float64)
+    terms = 1.0 + np.abs(qs) + qs * qs + np.abs(qs) ** 3
+    assert np.all(np.abs(m.radicand_dq(qs) - slope / -m.alpha) <= 4.0 * eps * terms / m.alpha)
+    for q in qs[:50].tolist():
+        assert m.radicand_dq(q) == pytest.approx(float(m.potential_slope(q)) / -m.alpha,
+                                                 rel=1e-14, abs=1e-14)
+    v = np.asarray(m.potential(qs), dtype=np.float64)
+    h = np.asarray(m.energy(qs, ps))
+    assert np.all(np.abs(h - (m.alpha * ps * ps + v))
+                  <= 8.0 * eps * (np.abs(h) + 32.0 + np.abs(v)))
+    for E in (-20.0, -1.0, -0.1, 0.0, 0.3, 5.0):
+        gap = m.alpha * np.asarray(m.radicand(qs, E)) - (E - v)
+        assert np.all(np.abs(gap) <= 8.0 * eps * (abs(E) + 32.0 + np.abs(v)))
+
+
+def test_only_the_base_class_writes_the_formulas():
+    # alpha, V and V' are each model's; the field, and every formula a
+    # built-in does not keep as an accuracy or rounding form, is derived
+    classes = [c for c in vars(models).values() if isinstance(c, type)
+               and issubclass(c, models.HamiltonianModel) and c is not models.HamiltonianModel]
+    assert {c.__name__ for c in classes} == {
+        "Pendulum", "Duffing", "Fishtail", "HarmonicOscillator", "HarmonicRepulsor",
+        "MechanicalModel"}
+    for cls in classes:
+        assert "vector_field" not in vars(cls), cls.__name__
+    kept = {c.__name__: sorted({"energy", "radicand", "radicand_dq"} & set(vars(c)))
+            for c in classes}
+    assert kept == {"Pendulum": ["energy", "radicand"],
+                    "Duffing": ["energy", "radicand", "radicand_dq"],
+                    "Fishtail": ["energy", "radicand", "radicand_dq"],
+                    "HarmonicOscillator": [], "HarmonicRepulsor": [],
+                    "MechanicalModel": []}
+    for name in ALL_BUILTINS:
+        m = lk.get_model(name)
+        assert m.alpha == (1.0 if name == "fishtail" else 0.5)
+        assert callable(m.potential) and callable(m.potential_slope)
+
+
 def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("name, field", [
+    ("pendulum", lambda q, p: (p, -np.sin(q))),
+    ("duffing", lambda q, p: (p, q - q * q * q)),
+    ("fishtail", lambda q, p: (2.0 * p, -(3.0 * q * q + 12.0 * q))),
+    ("harmonic-oscillator", lambda q, p: (p, -q)),
+    ("harmonic-repulsor", lambda q, p: (p, q))])
+def test_vector_field_is_the_closed_form_bit_for_bit(name, field):
+    # (2 alpha p, -V') is each built-in's closed-form field, bit for bit and
+    # signed zeros included (Duffing's q - q^3 is +0.0 at q = 0 and +-1)
+    qs = np.repeat([-3.0, -1.0, -0.0, 0.0, 0.7, 1.0, 2.9], 7)
+    ps = np.tile([0.0, -0.0, 5e-324, 0.3, -2.5, 1e200, 1e308], 7)
+    with np.errstate(over="ignore"):
+        for got, want in zip(lk.get_model(name).vector_field(qs, ps), field(qs, ps)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("name", ALL_BUILTINS + ("double-well",))

@@ -86,6 +86,21 @@ def test_fit_requires_enough_samples():
         lk.fit_power_law(samples)
 
 
+@pytest.mark.parametrize("bad", [math.inf, 0.0])
+@pytest.mark.parametrize("field", ["eps", "deriv_abs"])
+def test_fit_rejects_a_sample_it_cannot_fit(field, bad):
+    # one such sample in a clean ladder once gave exponent nan with
+    # r_squared 1.0, and numpy only warned
+    eps = np.geomspace(1e-2, 1e-6, 20)
+    samples = _samples(eps, 1.1 - 0.5 * np.log(eps))
+    samples[7] = RateSample(**{"eps": samples[7].eps, "deriv_abs": samples[7].deriv_abs,
+                               field: bad})
+    with pytest.raises(ValueError, match="finite and positive"):
+        lk.fit_power_law(samples)
+    with pytest.raises(ValueError, match="finite and positive"):
+        lk.fit_power_law(samples, critical="separatrix")
+
+
 def test_fit_degenerate_span():
     samples = [RateSample(1e-3 * (1 + 0.1 * k), 1.0) for k in range(8)]
     with pytest.raises(lk.DegenerateFit):
