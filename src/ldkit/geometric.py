@@ -6,14 +6,14 @@ domain panel of every energy, as flat arrays), one batched quadrature run
 (:func:`quadrature.arclength_rows`) integrates them, and per-energy sums
 apply the model's symmetry multiplier. Each energy's result depends on that
 energy alone, so a batch equals its parts bit for bit. ``ell`` is a batch
-of one energy, and a landscape's samples are one batch.
+of one energy, and a landscape without derivatives is one batch.
 
-``_ell_function`` is the one ell(E) function behind maps, landscape
-derivatives, ``dell_dE`` and rate ladders: ell as a certified
-piecewise-Chebyshev function of u = sqrt(|E - b|) beside each breakpoint b,
-whose panels give d ell/dE from their barycentric differentiation matrix.
-The derivative is undefined (NaN, or ``StraddlesCritical`` from
-``dell_dE``) exactly at the breakpoints.
+``_ell_function`` is the one ell(E) function behind maps, landscapes with
+derivatives (their values and mask too), ``dell_dE`` and rate ladders: ell
+as a certified piecewise-Chebyshev function of u = sqrt(|E - b|) beside
+each breakpoint b, whose panels give d ell/dE from their barycentric
+differentiation matrix. The derivative is undefined (NaN, or
+``StraddlesCritical`` from ``dell_dE``) exactly at the breakpoints.
 """
 
 import math
@@ -58,8 +58,9 @@ class EllBatch:
 
 @dataclass
 class Landscape:
-    """Sampled (E, ell(E)) arrays; ``derivs`` holds NaN at breakpoints and
-    where a sample's panel is not certified."""
+    """Sampled (E, ell(E)) arrays and the lengths' ``converged`` flags: one
+    direct batch's, or with ``derivs`` the ell(E) panels'; ``derivs`` holds
+    NaN at breakpoints and where a sample's panel is not certified."""
 
     energies: np.ndarray
     lengths: np.ndarray
@@ -279,20 +280,22 @@ def _barycentric(xn, w, x, *fs):
     values f[:, i] at the points xn[:, i] with barycentric weights w[:, i];
     exactly f[j, i] at x[i] = xn[j, i]. Arguments of one column serve every
     point."""
-    den, nums = np.zeros(x.shape), [np.zeros(x.shape) for _ in fs]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(xn.shape[0]):
-            c = w[j] / (x - xn[j])
-            den += c
-            for num, f in zip(nums, fs):
-                num += c * f[j]
+        c = w / (x - xn)
+        # node by node from 0.0: a reduction over the node axis may sum
+        # pairwise, which moves bits
+        den, *nums = (np.zeros(x.shape) for _ in range(len(fs) + 1))
+        for total, terms in zip((den, *nums), (c, *(c * f for f in fs))):
+            for t in terms:
+                total += t
         outs = [num / den for num in nums]
     # at a point, its term is infinite
     hit = np.flatnonzero(np.isinf(den))
-    xn, *fs = np.broadcast_arrays(xn, *fs, x[None])[:-1]
-    j = (xn[:, hit] == x[hit]).argmax(axis=0)
-    for out, f in zip(outs, fs):
-        out[hit] = f[j, hit]
+    if hit.size:
+        xn, *fs = np.broadcast_arrays(xn, *fs, x[None])[:-1]
+        j = (xn[:, hit] == x[hit]).argmax(axis=0)
+        for out, f in zip(outs, fs):
+            out[hit] = f[j, hit]
     return outs
 
 
@@ -311,13 +314,11 @@ def dell_dE(model, E, trunc=None, h=None, cfg=None):
 
 
 def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
-    """Uniform ell(E) samples on [e_lo, e_hi]; the separatrix energy is
-    inserted as an explicit sample when it falls strictly inside the range.
-
-    The samples are one :func:`ell_batch`. With ``with_derivs`` their
-    derivatives come from :func:`_ell_function`: NaN at a breakpoint, and
-    NaN where the sample's panel is not certified, which then counts as not
-    converged.
+    """Uniform ell(E) samples on [e_lo, e_hi], with the separatrix energy
+    inserted when strictly inside. The samples are one :func:`ell_batch`;
+    with ``with_derivs``, one :func:`_ell_function` pass, whose mask is
+    ``converged`` and whose d ell/dE is NaN at a breakpoint and where a
+    panel is not certified.
     """
     e_min, e_sx = model.critical_energies()
     if not e_lo < e_hi:
@@ -333,14 +334,16 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     energies = np.linspace(e_lo, e_hi, n)
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(energies == e_sx):
         energies = np.sort(np.append(energies, e_sx))
-    b = ell_batch(model, energies, trunc, cfg)
-    b.raise_first()
-    converged, derivs = b.converged, None
     if with_derivs:
-        derivs = _ell_function(model, energies, trunc, cfg, derivs=True)[2]
-        at_breakpoint = np.isin(energies, model.breakpoints(trunc))
-        converged = converged & (np.isfinite(derivs) | at_breakpoint)
-    return Landscape(energies, b.values, derivs, converged)
+        lengths, converged, derivs = _ell_function(model, energies, trunc, cfg, derivs=True)
+        # a domain error is never valid: the first is the one ell_batch raises
+        errors = model.domains(energies[~converged], trunc).errors
+    else:
+        b = ell_batch(model, energies, trunc, cfg)
+        lengths, converged, derivs, errors = b.values, b.converged, None, b.errors
+    for exc in filter(None, errors):
+        raise exc
+    return Landscape(energies, lengths, derivs, converged)
 
 
 def ray_arc_factor(lam, q):
@@ -351,8 +354,8 @@ def ray_arc_factor(lam, q):
     level-curve lengths grow monotonically with energy inside the pendulum
     cat's eye.
     """
-    if lam <= 0.0:
-        raise ValueError("slope must be positive")
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise ValueError("slope must be finite and positive")
     q = np.asarray(q, dtype=np.float64)
     s = np.sin(q)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -112,20 +112,142 @@ def test_batch_larger_than_chunk_budget(pend, monkeypatch):
         assert _rows(b)[i] == _rows(lk.ell_batch(pend, energies[i:i + 1], cfg=_TIGHT))[0]
 
 
-@pytest.mark.parametrize("name", ["pendulum", "fishtail", "double-well"])
+_LANDSCAPES = pytest.mark.parametrize("name", ["pendulum", "fishtail", "double-well"])
+
+
+@_LANDSCAPES
 def test_landscape_matches_scalar_calls(name):
+    # without derivatives a landscape is one ell_batch: scalar ell's bits
+    model, trunc, _ = _cases()[name]
+    e_min, e_sx = model.critical_energies()
+    ls = lk.landscape(model, e_min, 1.0, 41, trunc)
+    assert ls.derivs is None
+    for E, length, conv in zip(ls.energies, ls.lengths, ls.converged):
+        v, info = lk.ell(model, float(E), trunc, full_output=True)
+        assert (length, conv) == (v, info.converged)
+
+
+def _bits(*arrays):
+    return [np.asarray(a).tobytes() for a in arrays]
+
+
+@_LANDSCAPES
+def test_landscape_with_derivatives_is_one_panel_pass(name):
+    # values, mask and derivatives are _ell_function's bit for bit; the
+    # values are scalar ell's to roundoff, with the same flags
     model, trunc, _ = _cases()[name]
     e_min, e_sx = model.critical_energies()
     ls = lk.landscape(model, e_min, 1.0, 41, trunc, with_derivs=True)
+    one_pass = geometric._ell_function(model, ls.energies, trunc, None, derivs=True)
+    assert _bits(ls.lengths, ls.converged, ls.derivs) == _bits(*one_pass)
     for E, length, d, conv in zip(ls.energies, ls.lengths, ls.derivs, ls.converged):
         v, info = lk.ell(model, float(E), trunc, full_output=True)
-        assert (length, conv) == (v, info.converged)
+        assert conv == info.converged
+        assert abs(length - v) <= 1e-12 * abs(v)
         try:
             ref = lk.dell_dE(model, float(E), trunc)
         except lk.StraddlesCritical:
             assert math.isnan(d)
         else:
             assert d == ref
+
+
+def _sweep_landscapes():
+    """energy-sweep's four landscapes: (model, e_lo, e_hi, n, trunc)."""
+    return {"pendulum": (lk.pendulum(), -2.0, 1.0, 601, None),
+            "duffing": (lk.duffing(), -0.25, 1.0, 601, None),
+            "fishtail": (lk.fishtail(), -32.0, 10.0, 601, lk.Truncation(-5.0)),
+            "double-well": (double_well(), -0.25, 1.0, 201, None)}
+
+
+@pytest.mark.parametrize("name", list(_sweep_landscapes()))
+def test_landscape_with_derivatives_makes_no_direct_batch(name, monkeypatch):
+    # the panel pass's ell_batch calls hold Chebyshev points and the
+    # breakpoints, never the samples as one batch; its values are the
+    # direct batch's to 1e-12, with the same flags
+    model, lo, hi, n, trunc = _sweep_landscapes()[name]
+    calls, real = [], geometric.ell_batch
+
+    def spy(model, energies, *args):
+        calls.append(np.array(energies, dtype=np.float64))
+        return real(model, energies, *args)
+
+    monkeypatch.setattr(geometric, "ell_batch", spy)
+    ls = lk.landscape(model, lo, hi, n, trunc, with_derivs=True)
+    monkeypatch.undo()
+    assert calls and not any(np.isin(ls.energies, c).all() for c in calls)
+    b = lk.ell_batch(model, ls.energies, trunc)
+    assert np.array_equal(ls.converged, b.converged) and ls.converged.all()
+    assert (np.abs(ls.lengths - b.values) <= 1e-12 * np.abs(b.values)).all()
+
+
+def test_landscape_with_derivatives_raises_the_domain_error():
+    # without a cut every fish-tail energy above the minimum needs one; the
+    # error is the one the direct batch raises first
+    messages = []
+    for derivs in (False, True):
+        with pytest.raises(lk.TruncationRequired) as exc:
+            lk.landscape(lk.fishtail(), -32.0, 10.0, 5, with_derivs=derivs)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def _barycentric_loop(xn, w, x, *fs):
+    """The node-by-node loop _barycentric replaced: the reference."""
+    den, nums = np.zeros(x.shape), [np.zeros(x.shape) for _ in fs]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(xn.shape[0]):
+            c = w[j] / (x - xn[j])
+            den += c
+            for num, f in zip(nums, fs):
+                num += c * f[j]
+        outs = [num / den for num in nums]
+    hit = np.flatnonzero(np.isinf(den))
+    xn, *fs = np.broadcast_arrays(xn, *fs, x[None])[:-1]
+    j = (xn[:, hit] == x[hit]).argmax(axis=0)
+    for out, f in zip(outs, fs):
+        out[hit] = f[j, hit]
+    return outs
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_barycentric_matches_the_loop_bit_for_bit(m):
+    # m random panels of 17 points, ordered as _ell_function builds them,
+    # and m targets per call, about a third of them exactly on a point
+    rng = np.random.default_rng(m)
+    cheb = np.cos(np.pi * np.arange(17) / 16)
+    hits = 0
+    for _ in range(20):
+        x = np.sort(cheb + rng.normal(0.0, 1e-3, (m, 17)), axis=1)[:, ::-1]
+        F = rng.normal(size=(2, m, 17)) * np.exp(rng.normal(size=(2, m, 17)))
+        t = rng.uniform(-1.0, 1.0, m)
+        on = rng.random(m) < 0.3
+        t[on] = x[0, rng.integers(0, 17, on.sum())]
+        hits += on.sum()
+        # one panel's columns (values and derivatives) at the targets
+        w = geometric._weights(x[:1])[0]
+        args = (x[0, :, None], w[:, None], t, F[0, 0, :, None], F[1, 0, :, None])
+        assert _bits(*geometric._barycentric(*args)) == _bits(*_barycentric_loop(*args))
+        # the nested interpolant: each panel's 9 even points at its 8 odd ones
+        even = (x[:, ::2], geometric._weights(x[:, ::2]), F[0, :, ::2])
+        xe, we, fe = (np.repeat(v, 8, axis=0).T for v in even)
+        args = (xe, we, x[:, 1::2].ravel(), fe)
+        assert _bits(*geometric._barycentric(*args)) == _bits(*_barycentric_loop(*args))
+    assert hits > 0
+
+
+def test_panel_pass_is_the_loops_bit_for_bit(pend, monkeypatch):
+    # rate reports, maps, dell_dE and landscapes are unchanged with the
+    # reference loop in _barycentric's place
+    def run():
+        spec = lk.GridSpec(-3.0, 3.0, -2.0, 2.0, 21, 21)
+        return (repr(lk.rate_report(pend)), *_bits(lk.ell_map(pend, spec).values),
+                *(lk.dell_dE(pend, E).hex() for E in (-1.9, -1e-6, 1e-3, 0.7)),
+                *_bits(*vars(lk.landscape(pend, -2.0, 1.0, 61, with_derivs=True)).values()))
+
+    new = run()
+    monkeypatch.setattr(geometric, "_barycentric", _barycentric_loop)
+    assert run() == new
 
 
 def _rounds(monkeypatch, model, energies, trunc, cfg):

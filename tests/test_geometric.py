@@ -174,8 +174,11 @@ def test_ray_arc_factor_monotone():
 
 
 def test_ray_arc_factor_rejects_bad_slope():
-    with pytest.raises(ValueError):
-        lk.ray_arc_factor(0.0, 1.0)
+    # a NaN slope once passed the sign test, and both it and an infinite
+    # one returned NaN
+    for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lk.ray_arc_factor(lam, 1.0)
 
 
 def test_pendulum_ignores_a_cut(pend):
