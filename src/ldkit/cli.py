@@ -167,7 +167,7 @@ def run(argv):
 
     try:
         return args.run(args)
-    except (LdkitError, ValueError) as exc:
+    except (LdkitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,18 +19,21 @@ Output formats:
   valid nodes carry a value and mask 1, masked nodes an empty value field
   and mask 0; the reader rejects a file whose lines do not form a grid in
   that order, whose q and p nodes are not its ``GridSpec``'s, or that
-  breaks that rule. The writer formats each distinct row once: E is even
-  in p, so on a grid with mirror-exact p nodes the rows come in
-  bitwise-equal pairs. The reader works on the byte offsets of the fields,
-  so it takes an ASCII body without NUL bytes and fields of at most
-  ``GRID_CSV_FIELD_MAX`` bytes (the writer's longest is 24);
+  breaks that rule. The writer formats, and the reader parses, each
+  distinct row once and a row equal to its own reverse up to its middle
+  (on exact-negative nodes, E, ell, B and temporal rows repeat in p, and
+  are their own mirror for an even V). The reader works on the byte
+  offsets of the fields, so it takes an ASCII body without NUL bytes and
+  fields of at most ``GRID_CSV_FIELD_MAX`` bytes (the writer's longest is 24);
 * PGM: binary ``P5``, 16-bit big-endian, nq x np, linear min-max scaling,
   masked nodes map to 0.
 """
 
 import math
+import os
+import zlib
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -195,31 +198,39 @@ def write_grid_csv(grid, path):
     """Grid CSV, one p row per ``write``; each distinct row is formatted once.
 
     Every number is written with 17 significant digits, which round-trips
-    doubles. Each q node has two line templates, formatted once:
-    ``q,<p>,%.17g,1`` for a valid node and ``q,<p>,,0`` for a masked one. A
-    row joins the templates its mask picks and formats all of its valid
-    values with one ``%``, then puts in its p string. A row whose values and
-    mask are bitwise equal to an earlier row's reuses that row's text, which
-    is kept only until its last reuse; every model's E is even in p, so on
-    a grid whose p nodes are exact negatives row j repeats row np-1-j.
+    doubles. Each q node has line templates, formatted once: ``q,<p>,%.17g,1``
+    and ``q,<p>,%s,1`` for a valid node, ``q,<p>,,0`` for a masked one. A row
+    joins the templates its mask picks, formats its valid values with one
+    ``%`` and puts in its p string; a row whose value bits equal their
+    reverse formats only its first ceil(nq/2) values, into ``%s`` templates.
+    A row bitwise equal to an earlier row (values and mask) reuses that
+    row's text, which is kept only until its last reuse.
     """
     qs = grid.spec.q_nodes().tolist()
     valid = np.array([f"{q:.17g},\0,%.17g,1\n" for q in qs], dtype=object)
+    filled = np.array([f"{q:.17g},\0,%s,1\n" for q in qs], dtype=object)
     masked = np.array([f"{q:.17g},\0,,0\n" for q in qs], dtype=object)
-    values = np.asarray(grid.values)
+    half, rest = len(qs) - len(qs) // 2, len(qs) // 2
+    half_fmt = "\0".join(["%.17g"] * half)
+    values = np.asarray(grid.values, dtype=np.float64)
     mask = np.asarray(grid.mask, dtype=bool)
+    mirrors = (values.view(np.int64) == values[:, ::-1].view(np.int64)).all(axis=1)
     source, last = _row_sources(values, mask)
     kept = {}
     with open(path, "w", newline="\n") as fh:
         fh.write("q,p,value,mask\n")
         for j, p in enumerate(grid.spec.p_nodes().tolist()):
             s = source[j]
-            if s == j:
-                oks = mask[j]
-                text = "".join(np.where(oks, valid, masked).tolist())
-                text %= tuple(values[j][oks].tolist())
-            else:
+            if s != j:
                 text = kept.pop(s)
+            elif mirrors[j]:
+                strs = (half_fmt % tuple(values[j, :half].tolist())).split("\0")
+                strs += strs[:rest][::-1]
+                text = "".join(np.where(mask[j], filled, masked).tolist())
+                text %= tuple(compress(strs, mask[j].tolist()))
+            else:
+                text = "".join(np.where(mask[j], valid, masked).tolist())
+                text %= tuple(values[j][mask[j]].tolist())
             if last[s] > j:
                 kept[s] = text
             fh.write(text.replace("\0", f"{p:.17g}"))
@@ -255,16 +266,24 @@ def read_grid_csv(path, quantity="ell"):
 
     The checks run on the byte offsets of the fields: strings are compared
     as byte windows gathered at their starts, and the values are parsed by
-    one cast of their windows to float64, which parses as ``float`` does.
-    Only the first row's q and each row's p are parsed one by one.
+    one cast of their windows to float64, which parses as ``float`` does:
+    once per distinct row of windows (a digest key, checked against the row
+    it names), and only up to its middle for a row that reads the same
+    reversed. Only the first row's q and each row's p are parsed one by one.
     """
-    with open(path, "r") as fh:
-        header = fh.readline()
-        if header.strip() != "q,p,value,mask":
-            raise ValueError(f"{path}: not a grid CSV (header {header!r})")
-        # every line ends in "\n"; the spaces after the last one are room
-        # for the window of the last field
-        raw = (fh.read() + "\n" + " " * GRID_CSV_FIELD_MAX).encode()
+    # read into one buffer (the rest, for a pipe); the spaces after the
+    # last "\n" are room for the window of the last field
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size + 1 + GRID_CSV_FIELD_MAX)
+        n = fh.readinto(raw)
+        raw[n:] = fh.read() + b"\n" + b" " * GRID_CSV_FIELD_MAX
+    if b"\r" in raw:  # universal newlines, as text mode reads them
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    cut = raw.find(b"\n") + 1
+    header = raw[:cut].decode()
+    if header.strip() != "q,p,value,mask":
+        raise ValueError(f"{path}: not a grid CSV (header {header!r})")
+    del raw[:cut]
     if not raw.isascii() or b"\0" in raw:
         raise ValueError(f"{path}: a grid CSV must be ASCII without NUL bytes")
     b = np.frombuffer(raw, np.uint8)
@@ -309,11 +328,22 @@ def read_grid_csv(path, quantity="ell"):
     valid = mask == ord("1")
     if ((ends - c3 != 2) | (~valid & (mask != ord("0"))) | (valid != (v_len > 0))).any():
         raise ValueError(f"{path}: a node needs a value and mask 1, or no value and mask 0")
-    values = np.full(nodes, math.nan)
-    if valid.any():
-        v_w = _field_bytes(b, v_at[valid], v_len[valid])
-        values[valid] = v_w.view(f"S{v_w.shape[1]}").ravel().astype(np.float64)
-    return GridMap(spec, values.reshape(npts, nq), quantity, valid.reshape(npts, nq))
+    v_w = _field_bytes(b, v_at, v_len).reshape(npts, nq, -1)
+    half, rest = nq - nq // 2, nq // 2
+    mirrors = (v_w[:, :rest] == v_w[:, ::-1][:, :rest]).all(axis=(1, 2))
+    source, first, parse = np.arange(npts), {}, np.zeros((npts, nq), bool)
+    for j, w in enumerate(v_w):
+        s = first.setdefault(zlib.crc32(w), j)
+        if s != j and np.array_equal(w, v_w[s]):
+            source[j] = s
+        else:
+            parse[j, :half if mirrors[j] else nq] = True
+    parse &= valid.reshape(npts, nq)
+    values = np.full((npts, nq), math.nan)
+    w = v_w.reshape(nodes, -1) if parse.all() else v_w[parse]
+    values[parse] = w.view(f"S{w.shape[1]}").ravel().astype(np.float64)
+    values[mirrors, half:] = values[mirrors, :rest][:, ::-1]
+    return GridMap(spec, values[source], quantity, valid.reshape(npts, nq))
 
 
 def write_pgm(grid, path, scale=None):

@@ -164,6 +164,27 @@ def test_usage_errors(tmp_path):
                 "4by4", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["bmap", "--in", "{tmp}/missing.csv", "--out", "{tmp}/b.csv"],
+    ["bmap", "--in", "{tmp}/e.csv", "--out", "{tmp}/no/b.csv"],
+    ["bmap", "--in", "{tmp}/e.csv", "--out", "{tmp}/b.csv", "--pgm", "{tmp}/no/b.pgm"],
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3",
+     "--out", "{tmp}/no/m.csv"],
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3",
+     "--out", "{tmp}/m.csv", "--pgm", "{tmp}/no/m.pgm"],
+    ["landscape", "--model", "pendulum", "--emin", "-1", "--emax", "1", "--n", "3",
+     "--out", "{tmp}/no/l.csv"],
+], ids=["bmap-missing-in", "bmap-out-no-dir", "bmap-pgm-no-dir", "map-out-no-dir",
+        "map-pgm-no-dir", "landscape-out-no-dir"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
+    # a file that cannot be opened once raised out of run with a traceback
+    lk.write_grid_csv(lk.energy_map(lk.pendulum(), lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+                      tmp_path / "e.csv")
+    assert run([a.format(tmp=tmp_path) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "no").exists()
+
+
 def test_missing_truncation_is_usage_error(tmp_path):
     rc = run(["landscape", "--model", "fishtail", "--emin", "-32", "--emax", "1",
               "--n", "5", "--out", str(tmp_path / "f.csv")])

@@ -1,6 +1,9 @@
 import math
+import os
+import threading
 import tracemalloc
 from itertools import repeat
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -457,14 +460,20 @@ def test_grid_csv_bytes_and_roundtrip(tmp_path, grid):
 
 
 def test_grid_csv_bytes_on_p_symmetric_grids(tmp_path, pend):
-    # steps of 1/4: the p nodes are exact negatives, so row j of E, ell and
-    # B repeats row np-1-j bit for bit and its text is reused
-    spec = lk.GridSpec(-3.0, 3.0, -2.5, 2.5, 25, 21)
-    assert spec.p_nodes().tolist() == (-spec.p_nodes()[::-1]).tolist()
-    g = lk.ell_map(pend, spec)
-    b = lk.b_map(g)
-    for grid in (g, b):
+    # steps of 1/4: the q and p nodes are exact negatives, so row j of E,
+    # ell and B repeats row np-1-j bit for bit and its text is reused, and
+    # the pendulum's V is even, so every row is its own mirror (odd and
+    # even nq)
+    grids = []
+    for spec in (lk.GridSpec(-3.0, 3.0, -2.5, 2.5, 25, 21),
+                 lk.GridSpec(-2.875, 2.875, -2.5, 2.5, 24, 21)):
+        assert spec.p_nodes().tolist() == (-spec.p_nodes()[::-1]).tolist()
+        assert spec.q_nodes().tolist() == (-spec.q_nodes()[::-1]).tolist()
+        g = lk.ell_map(pend, spec)
+        grids += [g, lk.b_map(g)]
+    for grid in grids:
         assert np.array_equal(grid.values[::-1].view(np.int64), grid.values.view(np.int64))
+        assert np.array_equal(grid.values[:, ::-1].view(np.int64), grid.values.view(np.int64))
         path = tmp_path / "s.csv"
         lk.write_grid_csv(grid, path)
         assert path.read_text() == _oracle_grid_csv(grid)
@@ -486,16 +495,44 @@ def _repeating_grid():
     return lk.GridMap(spec, values, "ell", mask)
 
 
-def test_grid_csv_bytes_on_repeated_rows(tmp_path):
-    grid = _repeating_grid()
-    path = tmp_path / "r.csv"
-    lk.write_grid_csv(grid, path)
-    assert path.read_text() == _oracle_grid_csv(grid)
-    back = lk.read_grid_csv(path)
-    assert np.array_equal(back.mask, grid.mask)
-    m = grid.mask & ~np.isnan(grid.values)
-    assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
-    _assert_reads_like_oracle(path)
+def _mirror_grid(nq):
+    # rows equal to their own reverse, bit for bit, and rows that nearly
+    # are: the writer formats a mirror row's first half only, and the
+    # reader parses a row whose text reads the same reversed up to its middle
+    rng = np.random.default_rng(nq)
+    half = rng.standard_normal((8, nq - nq // 2)) * 10.0 ** rng.integers(-300, 300, (8, nq - nq // 2))
+    values = np.hstack([half, half[:, :nq // 2][:, ::-1]])
+    mask = np.ones((8, nq), dtype=bool)
+    values[0, [0, -1]], values[0, [1, -2]], values[0, [2, -3]] = math.inf, 5e-324, -0.0
+    mask[1, [1, -2]] = False  # masked pairs
+    mask[2, (nq - 1) // 2:nq // 2 + 1] = False  # the middle node (or pair) masked
+    mask[3, 0] = False  # values that mirror under a mask that does not
+    values[4, 1], values[4, -2] = 0.0, -0.0  # bits and text differ: no mirror
+    nan2 = np.array([0x7FF8000000000001], dtype=np.int64).view(np.float64)[0]
+    values[5, 2], values[5, -3] = math.nan, nan2  # bits differ, the text reads alike
+    values[6], mask[6] = values[1], mask[1]  # a mirror row repeating an earlier row
+    mask[7, [0, -1]] = False  # masked pair whose values differ: the text mirrors
+    values[7, 0], values[7, -1] = 1.0, 2.0
+    return lk.GridMap(lk.GridSpec(-1.0, 1.0, 0.0, 1.0, nq, 8), values, "ell", mask)
+
+
+def test_grid_csv_bytes_on_repeated_rows(tmp_path, monkeypatch):
+    # repeated rows, and rows that are their own mirror or nearly are; the
+    # reader runs once more with a constant digest, so that every row's key
+    # collides and the rows must be told apart by their bytes
+    for grid in (_repeating_grid(), _mirror_grid(7), _mirror_grid(8)):
+        path = tmp_path / "r.csv"
+        lk.write_grid_csv(grid, path)
+        assert path.read_text() == _oracle_grid_csv(grid)
+        for digest in (None, lambda w: 0):
+            with monkeypatch.context() as mp:
+                if digest:
+                    mp.setattr(lk.maps, "zlib", SimpleNamespace(crc32=digest))
+                back = lk.read_grid_csv(path)
+                _assert_reads_like_oracle(path)
+            assert np.array_equal(back.mask, grid.mask)
+            m = grid.mask & ~np.isnan(grid.values)
+            assert np.array_equal(back.values[m].view(np.int64), grid.values[m].view(np.int64))
 
 
 def test_grid_csv_writer_keeps_one_row_without_repeats(tmp_path):
@@ -602,10 +639,11 @@ def test_grid_csv_reader_skips_blank_lines(tmp_path):
 
 @pytest.mark.parametrize("edit, newline", [
     (lambda body: body, "\r\n"),
+    (lambda body: body, "\r"),
     (lambda body: body[:3] + ["\t\x0b\x0c\x1c"] + body[3:] + [" "], "\n"),
     (_edit_field(2, 2, "2.0000000000000000000000000000001"), "\n"),
     (_edit_field(2, 2, " 2_0.0e-1 "), "\n"),
-], ids=["crlf", "ascii-blank", "wide-value", "float-syntax"])
+], ids=["crlf", "cr", "ascii-blank", "wide-value", "float-syntax"])
 def test_grid_csv_reader_reads_like_the_tokens(tmp_path, edit, newline):
     path = _edited_grid_csv(tmp_path, edit, newline)
     back = lk.read_grid_csv(path)
@@ -625,6 +663,34 @@ def test_grid_csv_reader_is_stricter_than_the_tokens(tmp_path, edit):
     assert np.array_equal(_oracle_read_grid_csv(path).values, np.arange(9.0).reshape(3, 3))
     with pytest.raises(ValueError):
         lk.read_grid_csv(path)
+
+
+@pytest.mark.parametrize("text", [b"", b"q,p,value,mask", b"q,p,value,mask\r", b"\xff\n"],
+                         ids=["empty", "header-no-newline", "header-cr", "not-utf8"])
+def test_grid_csv_reader_rejects_a_header_alone(tmp_path, text):
+    # the body is read as bytes: a header without a body, or a header that
+    # does not decode, is still a ValueError
+    path = tmp_path / "h.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError):
+        lk.read_grid_csv(path)
+    _assert_reads_like_oracle(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_grid_csv_reader_reads_a_pipe(tmp_path):
+    # a pipe has no size to size the read buffer by: the rest must be read
+    src, fifo = tmp_path / "g.csv", tmp_path / "fifo"
+    lk.write_grid_csv(_special_grid(), src)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()), daemon=True)
+    writer.start()
+    back = lk.read_grid_csv(fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = lk.read_grid_csv(src)
+    assert back.spec == want.spec and np.array_equal(back.mask, want.mask)
+    assert np.array_equal(back.values.view(np.int64), want.values.view(np.int64))
 
 
 def test_landscape_csv_roundtrip(tmp_path, pend):
