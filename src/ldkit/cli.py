@@ -11,6 +11,7 @@ landscapes, rate ladders and lines are batched runs in one thread; ``map
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -212,18 +213,22 @@ def _cmd_map(args):
             print(f"error: {bad} node(s) failed; rerun with --best-effort "
                   f"to write the masked grid", file=sys.stderr)
             return 2
-    maps.write_grid_csv(grid, args.out)
-    if args.pgm:
-        maps.write_pgm(grid, args.pgm)
-    return 0
+    return _write_grid(grid, args)
 
 
 def _cmd_bmap(args):
-    grid = maps.read_grid_csv(args.infile, quantity="ell")
-    b = maps.b_map(grid)
-    maps.write_grid_csv(b, args.out)
+    return _write_grid(maps.b_map(maps.read_grid_csv(args.infile, quantity="ell")), args)
+
+
+def _write_grid(grid, args):
+    """The grid CSV, then the optional PGM; a failed PGM removes the CSV."""
+    maps.write_grid_csv(grid, args.out)
     if args.pgm:
-        maps.write_pgm(b, args.pgm)
+        try:
+            maps.write_pgm(grid, args.pgm)
+        except OSError:
+            os.remove(args.out)
+            raise
     return 0
 
 

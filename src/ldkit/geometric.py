@@ -9,11 +9,11 @@ energy alone, so a batch equals its parts bit for bit. ``ell`` is a batch
 of one energy, and a landscape without derivatives is one batch.
 
 ``_ell_function`` is the one ell(E) function behind maps, landscapes with
-derivatives (their values and mask too), ``dell_dE`` and rate ladders: ell
-as a certified piecewise-Chebyshev function of u = sqrt(|E - b|) beside
-each breakpoint b, whose panels give d ell/dE from their barycentric
-differentiation matrix. The derivative is undefined (NaN, or
-``StraddlesCritical`` from ``dell_dE``) exactly at the breakpoints.
+derivatives (their values, mask and errors too), ``dell_dE`` and rate
+ladders: ell as a certified piecewise-Chebyshev function of u =
+sqrt(|E - b|) beside each breakpoint b, whose panels give d ell/dE from
+their barycentric differentiation matrix. The derivative is undefined
+(NaN, or ``StraddlesCritical`` from ``dell_dE``) exactly at the breakpoints.
 """
 
 import math
@@ -58,9 +58,8 @@ class EllBatch:
 
 @dataclass
 class Landscape:
-    """Sampled (E, ell(E)) arrays and the lengths' ``converged`` flags: one
-    direct batch's, or with ``derivs`` the ell(E) panels'; ``derivs`` holds
-    NaN at breakpoints and where a sample's panel is not certified."""
+    """Sampled (E, ell(E)) arrays, their ``converged`` flags and, with
+    derivatives, d ell/dE (see :func:`landscape`)."""
 
     energies: np.ndarray
     lengths: np.ndarray
@@ -84,14 +83,10 @@ def _panels(model, E, dom):
 
 
 def ell_batch(model, energies, trunc=None, cfg=None):
-    """Total arc lengths of the level curves H = E for many energies at once.
-
-    The model builds every energy's quadrature rows in one
-    :meth:`HamiltonianModel.domains` call, and one
-    :func:`quadrature.arclength_rows` run integrates them. Domain errors
-    are returned per energy in ``errors``; unconverged quadrature is
-    reported through ``converged``, never raised.
-    """
+    """Total arc lengths of the level curves H = E for many energies at
+    once: one domains call and one quadrature run (see the module
+    docstring). Domain errors are returned per energy in ``errors``, and
+    unconverged quadrature through ``converged``; neither is raised."""
     energies = np.asarray(energies, dtype=np.float64).reshape(-1)
     n = energies.size
     rows = model.domains(energies, trunc)
@@ -152,8 +147,9 @@ _T = 0.5 + 0.5 * np.cos(np.pi * np.arange(_N + 1) / _N)
 def _ell_function(model, energies, trunc, cfg, derivs=False):
     """ell(E) as a certified piecewise-Chebyshev function of energy.
 
-    Returns ``(values, mask, d)`` at the energies: the length, whether it is
-    valid, and with ``derivs`` d ell/dE (else None).
+    Returns ``(values, mask, d, errors)`` at the energies: the length,
+    whether it is valid, with ``derivs`` d ell/dE (else None), and the
+    :class:`LdkitError` ``ell_batch`` returned for it (else None).
 
     An energy belongs to its nearest breakpoint b of
     :meth:`HamiltonianModel.breakpoints`, on its own side, and to a panel of
@@ -171,15 +167,16 @@ def _ell_function(model, energies, trunc, cfg, derivs=False):
     did not converge, with points that rounded together, or that still
     misses after ``_MAX_SPLITS`` bisections in one last batch; a direct
     energy is valid exactly where it converges and gets no derivative
-    (NaN). A panel depends on the model, ``trunc`` and ``cfg`` alone, so no
-    result depends on the other energies, and an energy at a breakpoint b
-    has the value ``ell(model, b)`` bit for bit.
+    (NaN). Domain errors hold on whole sides of a breakpoint, so only a
+    direct energy has one. A panel depends on the model, ``trunc`` and
+    ``cfg`` alone, so no result depends on the other energies, and an energy
+    at a breakpoint b has the value ``ell(model, b)`` bit for bit.
     """
     cfg = cfg or QuadratureConfig()
     e, inverse = np.unique(np.asarray(energies, dtype=np.float64).reshape(-1),
                            return_inverse=True)
     values, mask = np.full(e.size, math.nan), np.zeros(e.size, dtype=bool)
-    d = np.full(e.size, math.nan)
+    d, raised = np.full(e.size, math.nan), {}  # direct energies' errors by index
     B = model.breakpoints(trunc)
     direct = ~np.isfinite(e) | (B.size == 0) | np.isin(e, B)
     node = np.flatnonzero(~direct)
@@ -213,6 +210,7 @@ def _ell_function(model, energies, trunc, cfg, derivs=False):
         energies, at = np.unique(np.r_[E.ravel(), e[first]], return_inverse=True)
         res = ell_batch(model, energies, trunc, cfg)
         values[first], mask[first] = res.values[at[E.size:]], res.converged[at[E.size:]]
+        raised.update(zip(np.flatnonzero(first).tolist(), [res.errors[j] for j in at[E.size:]]))
         direct, at = direct & ~first, at[:E.size]
         F = res.values[at].reshape(pts.shape)
         # the points' own u: beside a breakpoint b +/- u^2 rounds, and points
@@ -249,7 +247,10 @@ def _ell_function(model, energies, trunc, cfg, derivs=False):
     if direct.any():
         res = ell_batch(model, e[direct], trunc, cfg)
         values[direct], mask[direct] = res.values, res.converged
-    return values[inverse], mask[inverse], d[inverse] if derivs else None
+        raised.update(zip(np.flatnonzero(direct).tolist(), res.errors))
+    errors = ([raised.get(i) for i in inverse.tolist()] if any(raised.values())
+              else [None] * inverse.size)
+    return values[inverse], mask[inverse], d[inverse] if derivs else None, errors
 
 
 def _unit(u, a, b):
@@ -309,8 +310,10 @@ def dell_dE(model, E, trunc=None, h=None, cfg=None):
     """
     if np.isin(E, model.breakpoints(trunc)):
         raise StraddlesCritical(f"derivative undefined at the breakpoint E={E}")
-    model.domain(E, trunc)
-    return float(_ell_function(model, [E], trunc, cfg, derivs=True)[2][0])
+    _, _, d, (exc,) = _ell_function(model, [E], trunc, cfg, derivs=True)
+    if exc is not None:
+        raise exc
+    return float(d[0])
 
 
 def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
@@ -318,26 +321,22 @@ def landscape(model, e_lo, e_hi, n, trunc=None, with_derivs=False, cfg=None):
     inserted when strictly inside. The samples are one :func:`ell_batch`;
     with ``with_derivs``, one :func:`_ell_function` pass, whose mask is
     ``converged`` and whose d ell/dE is NaN at a breakpoint and where a
-    panel is not certified.
+    panel is not certified. Raises the first sample's error, if any.
     """
-    e_min, e_sx = model.critical_energies()
+    e_sx = model.critical_energies()[1]
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
     if not (math.isfinite(e_lo) and math.isfinite(e_hi)):
         raise ValueError("energy range must be finite")
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValueError("need an integer count >= 2 of samples")
-    if e_lo < e_min:
-        # let the model raise its own error for a clearly bad range
-        model.domain(e_lo, trunc)
 
     energies = np.linspace(e_lo, e_hi, n)
     if math.isfinite(e_sx) and e_lo < e_sx < e_hi and not np.any(energies == e_sx):
         energies = np.sort(np.append(energies, e_sx))
     if with_derivs:
-        lengths, converged, derivs = _ell_function(model, energies, trunc, cfg, derivs=True)
-        # a domain error is never valid: the first is the one ell_batch raises
-        errors = model.domains(energies[~converged], trunc).errors
+        lengths, converged, derivs, errors = _ell_function(model, energies, trunc, cfg,
+                                                           derivs=True)
     else:
         b = ell_batch(model, energies, trunc, cfg)
         lengths, converged, derivs, errors = b.values, b.converged, None, b.errors

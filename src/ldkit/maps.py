@@ -100,7 +100,7 @@ def ell_map(model, spec, trunc=None, cfg=None, table=False, threads=None):
     accepted for compatibility and ignored.
     """
     E = _energy_grid(model, spec)
-    values, mask, _ = _ell_function(model, E, trunc, cfg)
+    values, mask = _ell_function(model, E, trunc, cfg)[:2]
     return GridMap(spec, values.reshape(E.shape), "ell", mask.reshape(E.shape))
 
 

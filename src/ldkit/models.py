@@ -4,15 +4,15 @@ Every model is H = αp² + V(q), written once as the class constant
 ``alpha``, ``potential`` V and ``potential_slope`` V'. From these
 :class:`HamiltonianModel` derives the vector field (2αp, −V'), the energy,
 the squared nonnegative momentum branch (the "radicand" p^2(q; E) =
-(E − V)/α) and its q-derivative −V'/α, on arrays and on Python floats; a
-built-in overrides one only with an accuracy form or to keep its rounding.
+(E − V)/α) and its q-derivative −V'/α, on arrays and on Python floats. A
+built-in overrides one only for accuracy: the pendulum's, Duffing's and the
+fish-tail's radicands. Duffing's and the fish-tail's slopes, no more accurate
+than −V'/α, stay only because ℓ moves at roundoff without them.
 A model also knows the radicand with its turning-point roots divided out
 (the "deflated radicand" of the quadrature), a symmetry multiplier from
 the single-branch arc length to the level-curve length, its critical
 energies (elliptic minimum and separatrix), the abscissae of its saddles
 and the energies where ell(E) is singular (``breakpoints``).
-``HamiltonianModel.kernel_code`` is the model itself (None for custom
-models); it stays only because ``ldbench/`` passes it to the kernels.
 
 The integration domain of the branch is built for a whole array of energies
 at once: :meth:`HamiltonianModel.domains` returns flat rows (owner energy,
@@ -426,14 +426,9 @@ class Pendulum(HamiltonianModel):
         # math.sin costs far less than np.sin on a float
         return math.sin(q) if isinstance(q, float) else np.sin(q)
 
-    def energy(self, q, p):
-        # kept: αp² + V rounds differently (V adds -cos q - 1 first)
-        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-        return _value(0.5 * p * p - np.cos(q) - 1.0)
-
     def radicand(self, q, E):
-        # accuracy form: 2(E + cos q + 1) == 2E + 4 cos^2(q/2), so the
-        # cancellation near a turning point is between few, small terms
+        # accuracy form: 2E + 4 cos^2(q/2) cancels between few, small terms;
+        # (E - V)/α took ℓ(-1e-6) from 5.9e-17 to 3.2e-15 relative
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * E + 4.0 * np.cos(0.5 * q) ** 2)
 
@@ -477,18 +472,14 @@ class Duffing(HamiltonianModel):
         # power and float pow differ in the last bit on some inputs
         return -(q - q * q * q)
 
-    def energy(self, q, p):
-        # kept: αp² + V rounds differently (V sums its two terms first)
-        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-        return _value(0.5 * p * p - 0.5 * q * q + 0.25 * q ** 4)
-
     def radicand(self, q, E):
-        # kept: 2E + q^2 (2 - q^2)/2 rounds differently from (E - V)/α
+        # accuracy form: beside the minima q = +-1, 2 - q^2 and the sum are
+        # exact; (E - V)/α took ℓ(-0.25 + 1e-12) from 5.5e-11 to 6.7e-9 relative
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * E + 0.5 * q * q * (2.0 - q * q))
 
     def radicand_dq(self, q):
-        # kept: 2q - 2q ** 3 rounds differently from V'/(-α)
+        # kept for its bits: V'/(-α) is as accurate, but moves ℓ at roundoff
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * q - 2.0 * q ** 3)
 
@@ -544,21 +535,17 @@ class Fishtail(HamiltonianModel):
     def potential_slope(self, q):
         return 3.0 * q * q + 12.0 * q
 
-    def energy(self, q, p):
-        # kept: αp² + V rounds differently (V sums its terms first)
-        q, p = np.asarray(q, dtype=np.float64), np.asarray(p, dtype=np.float64)
-        return _value(p * p + q ** 3 + 6.0 * q * q - 32.0)
-
     def radicand(self, q, E):
         # accuracy form about the nearer critical point, as _librational_roots:
         # below E = -16, E + 32 is exact and (E + 32) - q^2 (q + 6) does not
-        # cancel beside the minimum, where E - (q - 2)(q + 4)^2 does
+        # cancel beside the minimum, where E - (q - 2)(q + 4)^2 does; (E - V)/α
+        # took ℓ(1e-6) from 6.6e-17 to 3.0e-14 relative
         q = np.asarray(q, dtype=np.float64)
         return _value(np.where(E < -16.0, (E + 32.0) - q * q * (q + 6.0),
                                E - (q - 2.0) * (q + 4.0) ** 2))
 
     def radicand_dq(self, q):
-        # kept: -3q(q + 4) rounds differently from V'/(-α)
+        # kept for its bits: V'/(-α) is as accurate, but moves ℓ at roundoff
         q = np.asarray(q, dtype=np.float64)
         return _value(-3.0 * q * (q + 4.0))
 

@@ -99,9 +99,8 @@ def _ladder_energies(model, critical, side, eps_hi, eps_lo, pts_per_decade):
     return eps, e_c + sign * eps
 
 
-def _ladder(model, critical, side, trunc, eps, E, values, d):
-    """The :class:`RateLadder` of the energies E from their ell values and
-    derivatives d (see :func:`sample_rates`)."""
+def _ladder(model, critical, side, trunc, eps, E, values, d, errors):
+    """The :class:`RateLadder` of E from its ell values, derivatives and errors."""
     d = np.abs(d)
     kept = np.isfinite(d) & (d > 0.0)
     # a finite value without a derivative: its panel was not certified
@@ -110,11 +109,8 @@ def _ladder(model, critical, side, trunc, eps, E, values, d):
     n_unconverged = int(np.count_nonzero(unconverged))
     failed = ~kept & ~unconverged
     if not samples and failed.any():
-        cause = ""
-        try:
-            model.domain(float(E[failed.argmax()]), trunc)
-        except LdkitError as exc:
-            cause = f": {exc}"
+        exc = errors[failed.argmax()]
+        cause = "" if exc is None else f": {exc}"
         raise EmptyLadder(f"{model.name}: every {critical}/{side} sample failed{cause}")
     if not samples:
         raise EmptyLadder(f"{model.name}: none of the {n_unconverged} "
@@ -124,18 +120,16 @@ def _ladder(model, critical, side, trunc, eps, E, values, d):
 
 def sample_rates(model, critical, side, eps_hi=1e-2, eps_lo=1e-6,
                  pts_per_decade=25, trunc=None, cfg=None):
-    """|d ell/dE| on a geometric eps ladder approaching a critical energy.
-
-    The whole ladder is one :func:`geometric._ell_function` call: the
-    one-approach case of :func:`rate_report`. Only derivatives of certified
-    panels are fitted: failed samples (a breakpoint, a domain error, a zero
-    derivative) are omitted and counted in ``n_failed``, and those whose
-    panel was not certified in ``n_unconverged``. If every sample failed,
-    :class:`EmptyLadder` names the model's error at the first one, if any.
+    """|d ell/dE| on a geometric eps ladder approaching a critical energy:
+    one :func:`geometric._ell_function` call, the one-approach case of
+    :func:`rate_report`. Failed samples (a breakpoint, a domain error, a
+    zero derivative) and those of uncertified panels are left out and
+    counted (:class:`RateLadder`); if every sample failed,
+    :class:`EmptyLadder` names the error of the first one, if any.
     """
     eps, E = _ladder_energies(model, critical, side, eps_hi, eps_lo, pts_per_decade)
-    values, _, d = _ell_function(model, E, trunc, cfg, derivs=True)
-    return _ladder(model, critical, side, trunc, eps, E, values, d)
+    values, _, d, errors = _ell_function(model, E, trunc, cfg, derivs=True)
+    return _ladder(model, critical, side, trunc, eps, E, values, d, errors)
 
 
 def _r_squared(y, resid):
@@ -249,8 +243,8 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
         fits.append(entry)
     if pending:
         try:
-            values, _, d = _ell_function(model, np.concatenate([p[-1] for p in pending]),
-                                         trunc, cfg, derivs=True)
+            values, _, d, errors = _ell_function(
+                model, np.concatenate([p[-1] for p in pending]), trunc, cfg, derivs=True)
         except (LdkitError, ValueError) as exc:
             for entry, *_ in pending:
                 entry["error"] = str(exc)
@@ -259,8 +253,8 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
     for entry, critical, side, eps, E in pending:
         start, stop = stop, stop + E.size
         try:
-            ladder = _ladder(model, critical, side, trunc, eps, E,
-                             values[start:stop], d[start:stop])
+            ladder = _ladder(model, critical, side, trunc, eps, E, values[start:stop],
+                             d[start:stop], errors[start:stop])
             fit = fit_power_law(ladder.samples, critical=critical, side=side)
         except (LdkitError, ValueError) as exc:
             entry["error"] = str(exc)

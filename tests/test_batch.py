@@ -133,13 +133,14 @@ def _bits(*arrays):
 
 @_LANDSCAPES
 def test_landscape_with_derivatives_is_one_panel_pass(name):
-    # values, mask and derivatives are _ell_function's bit for bit; the
-    # values are scalar ell's to roundoff, with the same flags
+    # values, mask and derivatives are _ell_function's bit for bit, with no
+    # error; the values are scalar ell's to roundoff, with the same flags
     model, trunc, _ = _cases()[name]
     e_min, e_sx = model.critical_energies()
     ls = lk.landscape(model, e_min, 1.0, 41, trunc, with_derivs=True)
-    one_pass = geometric._ell_function(model, ls.energies, trunc, None, derivs=True)
+    *one_pass, errors = geometric._ell_function(model, ls.energies, trunc, None, derivs=True)
     assert _bits(ls.lengths, ls.converged, ls.derivs) == _bits(*one_pass)
+    assert errors == [None] * ls.energies.size
     for E, length, d, conv in zip(ls.energies, ls.lengths, ls.derivs, ls.converged):
         v, info = lk.ell(model, float(E), trunc, full_output=True)
         assert conv == info.converged
@@ -281,7 +282,8 @@ def test_breakpoints_ride_the_first_panel_round(name, cfg, monkeypatch):
     model, trunc, _ = _cases()[name]
     B = model.breakpoints(trunc)
     energies = np.r_[B, np.linspace(B[0], B[-1] + 1.0, 23), math.inf, math.nan]
-    (values, mask, d), batches, rounds = _rounds(monkeypatch, model, energies, trunc, cfg)
+    (values, mask, d, errors), batches, rounds = _rounds(monkeypatch, model, energies,
+                                                          trunc, cfg)
     assert np.isin(np.r_[B, math.inf], batches[0]).all() and np.isnan(batches[0]).any()
     plain = np.isfinite(energies) & ~np.isin(energies, B)
     uncertified = np.unique(energies[plain & np.isnan(d)])
@@ -297,6 +299,9 @@ def test_breakpoints_ride_the_first_panel_round(name, cfg, monkeypatch):
         (v.hex(), info.converged) for v, info in ref]
     assert np.isnan(values[~np.isfinite(energies)]).all()
     assert not mask[~np.isfinite(energies)].any()
+    # only the non-finite energies raised, each its own error
+    assert [type(x) for x in errors] == [
+        type(None) if np.isfinite(E) else lk.NonFiniteEnergy for E in energies]
 
 
 @pytest.mark.parametrize("name,hi,n", [("pendulum", 1.0, 31), ("duffing", 1.0, 6),

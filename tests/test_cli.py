@@ -185,6 +185,22 @@ def test_file_errors_are_usage_errors(tmp_path, capsys, argv):
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["map", "--model", "pendulum", "--bounds", "-1,1,-1,1", "--grid", "3x3"],
+    ["bmap", "--in", "{tmp}/e.csv"],
+], ids=["map", "bmap"])
+def test_a_pgm_that_fails_leaves_no_csv(tmp_path, argv):
+    # the CSV is written before the PGM; a PGM in a missing directory exits
+    # 1 and leaves neither file
+    lk.write_grid_csv(lk.energy_map(lk.pendulum(), lk.GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)),
+                      tmp_path / "e.csv")
+    out = tmp_path / "out.csv"
+    assert run([a.format(tmp=tmp_path) for a in argv]
+               + ["--out", str(out), "--pgm", str(tmp_path / "no" / "m.pgm")]) == 1
+    assert not out.exists()
+    assert not (tmp_path / "no").exists()
+
+
 def test_missing_truncation_is_usage_error(tmp_path):
     rc = run(["landscape", "--model", "fishtail", "--emin", "-32", "--emax", "1",
               "--n", "5", "--out", str(tmp_path / "f.csv")])

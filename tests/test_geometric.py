@@ -83,6 +83,49 @@ def test_dell_errors(pend):
         lk.dell_dE(pend, -2.0)
 
 
+def test_no_domain_is_built_outside_ell_batch(pend, fish, monkeypatch):
+    # an energy's domain error comes back from the ell_batch calls of its
+    # ell(E) pass, so landscapes, dell_dE and rate ladders build no domain
+    # of their own, and raise the errors they raised when they did
+    from ldkit import geometric, models
+    depth, calls = [0], {True: 0, False: 0}
+    real_batch = geometric.ell_batch
+
+    def batch(*args, **kw):
+        depth[0] += 1
+        try:
+            return real_batch(*args, **kw)
+        finally:
+            depth[0] -= 1
+
+    def counted(real):
+        def method(self, *args, **kw):
+            calls[depth[0] > 0] += 1
+            return real(self, *args, **kw)
+        return method
+
+    monkeypatch.setattr(geometric, "ell_batch", batch)
+    for name in ("domain", "domains"):
+        monkeypatch.setattr(models.HamiltonianModel, name,
+                            counted(getattr(models.HamiltonianModel, name)))
+    below = (lk.BelowMinimum, "pendulum has no level curve below E=-2.0")
+    uncut = "fishtail level curves are unbounded; pass a Truncation"
+    for call, (kind, message) in [
+            (lambda: lk.landscape(pend, -3.0, 1.0, 11, with_derivs=True), below),
+            (lambda: lk.landscape(fish, -10.0, 1.0, 11, with_derivs=True),
+             (lk.TruncationRequired, uncut)),
+            (lambda: lk.dell_dE(pend, -3.0), below),
+            (lambda: lk.dell_dE(pend, math.nan),
+             (lk.NonFiniteEnergy, "pendulum: energy E=nan is not finite")),
+            (lambda: lk.sample_rates(fish, "separatrix", "below"),
+             (lk.EmptyLadder, f"fishtail: every separatrix/below sample failed: {uncut}"))]:
+        with pytest.raises(lk.LdkitError) as info:
+            call()
+        assert (type(info.value), str(info.value)) == (kind, message)
+    assert math.isfinite(lk.dell_dE(pend, -0.5))
+    assert calls[True] > 0 and calls[False] == 0
+
+
 def test_landscape_insertion(pend):
     ls = lk.landscape(pend, -2.0, 1.0, 11)
     assert len(ls.energies) == 12  # separatrix energy inserted
