@@ -1,9 +1,11 @@
 """Phase-space grids of energy, ell(E), gradient norm B, and temporal LD.
 
 Grids are row-major with the momentum index outermost (p outer, q inner),
-matching the CSV layout. Node computations are independent, and each map is
-batched: an ell map evaluates ell(E) as a piecewise-Chebyshev function of
-energy, one ``ell_batch`` per refinement round, and a temporal map is one
+matching the CSV layout. Node energies are H = αp² + V(q) on a row of q
+nodes broadcast against a column of p nodes, so V runs once per q node.
+Node computations are independent, and each map is batched: an ell map
+evaluates ell(E) as a piecewise-Chebyshev function of energy, one
+``ell_batch`` per refinement round, and a temporal map is one
 forward stepper run over its distinct starts (q, p) and (q, -p), since
 each backward piece is the forward piece of the start mirrored in p; for a
 model with an even V, (q, p) and (-q, -p) also share a lane. A node's value
@@ -22,9 +24,10 @@ Output formats:
   breaks that rule. The writer formats, and the reader parses, each
   distinct row once and a row equal to its own reverse up to its middle
   (on exact-negative nodes, E, ell, B and temporal rows repeat in p, and
-  are their own mirror for an even V). The reader works on the byte
-  offsets of the fields, so it takes an ASCII body without NUL bytes and
-  fields of at most ``GRID_CSV_FIELD_MAX`` bytes (the writer's longest is 24);
+  are their own mirror for an even V). The writer writes bytes. The
+  reader works on the byte offsets of the fields, found in one scan for
+  separators, so it takes an ASCII body without NUL bytes and fields of
+  at most ``GRID_CSV_FIELD_MAX`` bytes (the writer's longest is 24);
 * PGM: binary ``P5``, 16-bit big-endian, nq x np, linear min-max scaling,
   masked nodes map to 0.
 """
@@ -36,7 +39,6 @@ from dataclasses import dataclass, field
 from itertools import compress, repeat
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._kernels import STATUS_OK
 from .geometric import _ell_function
@@ -45,6 +47,13 @@ from .temporal import _ld_lanes
 
 @dataclass(frozen=True)
 class GridSpec:
+    """A rectangular mesh: ``nq`` q nodes on [q_lo, q_hi] and ``np`` p nodes
+    on [p_lo, p_hi], each axis ``np.linspace`` of its bounds. The bounds must
+    be finite with lo < hi, the counts integers >= 2, and each axis's nodes
+    distinct (strictly increasing) in floats: bounds a few ulps apart give
+    equal nodes, on which a grid CSV cannot be read back and B has no step.
+    """
+
     q_lo: float
     q_hi: float
     p_lo: float
@@ -59,6 +68,9 @@ class GridSpec:
             raise ValueError("grid bounds must be finite")
         if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.nq, self.np)):
             raise ValueError("grid needs an integer count >= 2 of nodes per axis")
+        if not ((np.diff(self.q_nodes()) > 0).all() and (np.diff(self.p_nodes()) > 0).all()):
+            raise ValueError("grid bounds too close for their node counts: "
+                             "two nodes are equal in floats")
 
     def q_nodes(self):
         return np.linspace(self.q_lo, self.q_hi, self.nq)
@@ -80,10 +92,12 @@ class GridMap:
 
 
 def _energy_grid(model, spec):
-    qs = spec.q_nodes()
-    ps = spec.p_nodes()
-    Q, P = np.meshgrid(qs, ps)
-    return np.asarray(model.energy(Q, P), dtype=np.float64)
+    """Node energies, shape (np, nq): H = αp² + V(q) broadcast from a row of
+    q nodes and a column of p nodes, so V runs once per q node."""
+    E = np.asarray(model.energy(spec.q_nodes()[None, :], spec.p_nodes()[:, None]),
+                   dtype=np.float64)
+    shape = (spec.np, spec.nq)
+    return E if E.shape == shape else np.broadcast_to(E, shape).copy()
 
 
 def energy_map(model, spec):
@@ -195,45 +209,53 @@ def _row_sources(values, mask):
 
 
 def write_grid_csv(grid, path):
-    """Grid CSV, one p row per ``write``; each distinct row is formatted once.
+    """Grid CSV, one p row per ``write`` of bytes; each distinct row is
+    formatted once.
 
     Every number is written with 17 significant digits, which round-trips
     doubles. Each q node has line templates, formatted once: ``q,<p>,%.17g,1``
-    and ``q,<p>,%s,1`` for a valid node, ``q,<p>,,0`` for a masked one. A row
-    joins the templates its mask picks, formats its valid values with one
-    ``%`` and puts in its p string; a row whose value bits equal their
-    reverse formats only its first ceil(nq/2) values, into ``%s`` templates.
-    A row bitwise equal to an earlier row (values and mask) reuses that
-    row's text, which is kept only until its last reuse.
+    and ``q,<p>,%s,1`` for a valid node, ``q,<p>,,0`` for a masked one; the
+    templates of a whole valid row are joined once per call. A row fills
+    the templates its mask picks (the joined ones when no node is masked)
+    with one ``%`` and puts in its p string by ``bytes.replace``; a row
+    whose value bits equal their reverse formats only its first ceil(nq/2)
+    values, into ``%s`` templates. A row bitwise equal to an earlier row
+    (values and mask) reuses that row's bytes, which are kept only until
+    their last reuse.
     """
-    qs = grid.spec.q_nodes().tolist()
-    valid = np.array([f"{q:.17g},\0,%.17g,1\n" for q in qs], dtype=object)
-    filled = np.array([f"{q:.17g},\0,%s,1\n" for q in qs], dtype=object)
-    masked = np.array([f"{q:.17g},\0,,0\n" for q in qs], dtype=object)
+    qs = [b"%.17g" % q for q in grid.spec.q_nodes().tolist()]
+    valid = np.array([q + b",\0,%.17g,1\n" for q in qs], dtype=object)
+    filled = np.array([q + b",\0,%s,1\n" for q in qs], dtype=object)
+    masked = np.array([q + b",\0,,0\n" for q in qs], dtype=object)
+    all_valid, all_filled = b"".join(valid), b"".join(filled)
     half, rest = len(qs) - len(qs) // 2, len(qs) // 2
-    half_fmt = "\0".join(["%.17g"] * half)
+    half_fmt = b"\0".join([b"%.17g"] * half)
     values = np.asarray(grid.values, dtype=np.float64)
     mask = np.asarray(grid.mask, dtype=bool)
+    full = mask.all(axis=1)
     mirrors = (values.view(np.int64) == values[:, ::-1].view(np.int64)).all(axis=1)
     source, last = _row_sources(values, mask)
     kept = {}
-    with open(path, "w", newline="\n") as fh:
-        fh.write("q,p,value,mask\n")
+    with open(path, "wb") as fh:
+        fh.write(b"q,p,value,mask\n")
         for j, p in enumerate(grid.spec.p_nodes().tolist()):
             s = source[j]
             if s != j:
                 text = kept.pop(s)
-            elif mirrors[j]:
-                strs = (half_fmt % tuple(values[j, :half].tolist())).split("\0")
-                strs += strs[:rest][::-1]
-                text = "".join(np.where(mask[j], filled, masked).tolist())
-                text %= tuple(compress(strs, mask[j].tolist()))
             else:
-                text = "".join(np.where(mask[j], valid, masked).tolist())
-                text %= tuple(values[j][mask[j]].tolist())
+                if mirrors[j]:
+                    strs = (half_fmt % tuple(values[j, :half].tolist())).split(b"\0")
+                    args, lines, joined = strs + strs[:rest][::-1], filled, all_filled
+                else:
+                    args, lines, joined = values[j].tolist(), valid, all_valid
+                if full[j]:
+                    text = joined % tuple(args)
+                else:
+                    text = b"".join(np.where(mask[j], lines, masked).tolist())
+                    text %= tuple(compress(args, mask[j].tolist()))
             if last[s] > j:
                 kept[s] = text
-            fh.write(text.replace("\0", f"{p:.17g}"))
+            fh.write(text.replace(b"\0", b"%.17g" % p))
 
 
 # the longest q, p or value field the grid CSV reader accepts, in bytes;
@@ -241,14 +263,39 @@ def write_grid_csv(grid, path):
 GRID_CSV_FIELD_MAX = 64
 
 
+def _windows(b, starts, width):
+    """A copy of the ``width`` bytes from each start, shape
+    ``starts.shape + (width,)``; ``b`` is a uint8 array holding ``width``
+    bytes after every start. One gather of ``V<width>`` items (numpy copies
+    each item whole, where rows of a sliding window go a byte at a time)."""
+    items = np.ndarray((b.size - width + 1,), f"V{width}", b, 0, (1,))
+    return items[starts].view(np.uint8).reshape(starts.shape + (width,))
+
+
 def _field_bytes(b, starts, lengths):
     """Each field's bytes as one row of an ``(n, width)`` array, zero past
     its length; ``b`` holds at least ``width`` bytes after every start.
     Fields without NUL bytes are equal exactly where their rows are."""
     width = max(int(lengths.max(initial=0)), 1)
-    w = sliding_window_view(b, width)[starts]
-    w *= np.tri(width + 1, width, -1, dtype=np.uint8)[lengths]
+    w = _windows(b, starts, width)
+    # row k of the lower-triangular ones: k ones, then zeros
+    tri = np.tri(width + 1, width, -1, dtype=np.uint8).ravel()
+    w *= _windows(tri, lengths * width, width)
     return w
+
+
+def _fields_differ(b, starts, lengths, ref):
+    """Whether a field's bytes differ from its reference field's. ``starts``
+    and ``lengths`` are (npts, nq); ``ref`` picks the reference fields,
+    row 0 (``np.s_[:1]``) or column 0 (``np.s_[:, :1]``), whose lengths
+    every field must already have. The byte windows are compared under one
+    mask per column or row."""
+    lengths = lengths[ref]
+    width = max(int(lengths.max()), 1)
+    w = _windows(b, starts, width)
+    ne = w != w[ref]
+    ne &= np.arange(width) < lengths[..., None]
+    return bool(ne.any())
 
 
 def read_grid_csv(path, quantity="ell"):
@@ -264,11 +311,15 @@ def read_grid_csv(path, quantity="ell"):
     ``GridSpec`` they span, bit for bit. A valid node has a value and mask
     ``1``, a masked node no value and mask ``0``; masked nodes read as NaN.
 
-    The checks run on the byte offsets of the fields: strings are compared
-    as byte windows gathered at their starts, and the values are parsed by
+    The checks run on the byte offsets of the fields, found by one scan for
+    the separators (``,`` and ``\\n``, in file order, so a line's comma count
+    is the gap between its newline and the one before). The q and p
+    strings are checked first by length (equal down each column, constant
+    along each row), then as byte windows gathered at their starts, under
+    one byte mask per column (q) or per row (p). The values are parsed by
     one cast of their windows to float64, which parses as ``float`` does:
-    once per distinct row of windows (a digest key, checked against the row
-    it names), and only up to its middle for a row that reads the same
+    once per distinct row of windows (a digest key, checked against the
+    row it names), and only up to its middle for a row that reads the same
     reversed. Only the first row's q and each row's p are parsed one by one.
     """
     # read into one buffer (the rest, for a pipe); the spaces after the
@@ -287,10 +338,14 @@ def read_grid_csv(path, quantity="ell"):
     if not raw.isascii() or b"\0" in raw:
         raise ValueError(f"{path}: a grid CSV must be ASCII without NUL bytes")
     b = np.frombuffer(raw, np.uint8)
-    ends = np.flatnonzero(b == ord("\n"))
+    hit = b == ord(",")
+    hit |= b == ord("\n")
+    seps = np.flatnonzero(hit)
+    del hit
+    nl = np.flatnonzero(b[seps] == ord("\n"))
+    per_line = np.diff(nl, prepend=-1) - 1
+    ends = seps[nl]
     starts = np.r_[0, ends[:-1] + 1]
-    commas = np.flatnonzero(b == ord(","))
-    per_line = np.diff(np.searchsorted(commas, ends), prepend=0)
     blank = per_line == 0
     # blank as str.strip has it: \x1c-\x1f are whitespace too
     if (any(raw[a:e].decode().strip() for a, e in zip(starts[blank].tolist(), ends[blank].tolist()))
@@ -298,28 +353,28 @@ def read_grid_csv(path, quantity="ell"):
         raise ValueError(f"{path}: every grid CSV line needs 4 fields")
     if blank.all():
         raise ValueError(f"{path}: grid CSV has no rows")
-    q_at, ends = starts[~blank], ends[~blank]
-    c1, c2, c3 = commas.reshape(-1, 3).T
-    p_at, v_at = c1 + 1, c2 + 1
+    nodes = int(np.count_nonzero(~blank))
+    if blank[:nodes].any():  # blank lines before the last node
+        seps = np.delete(seps, nl[blank])
+    c1, c2, c3, ends = seps[:4 * nodes].reshape(-1, 4).T
+    q_at, p_at, v_at = starts[~blank], c1 + 1, c2 + 1
     q_len, p_len, v_len = c1 - q_at, c2 - p_at, c3 - v_at
     if max(q_len.max(), p_len.max(), v_len.max()) > GRID_CSV_FIELD_MAX:
         raise ValueError(f"{path}: a grid CSV field is longer than {GRID_CSV_FIELD_MAX} bytes")
 
-    nodes = len(q_at)
     row = raw.find(b"\n" + raw[q_at[0]:c1[0]] + b",", int(q_at[0]))
     nq = int(np.searchsorted(q_at, row + 1)) if row >= 0 else nodes
     if nodes % nq:
         raise ValueError(f"{path}: ragged grid ({nodes} rows, row length {nq})")
     npts = nodes // nq
-    q_w = _field_bytes(b, q_at, q_len).reshape(npts, nq, -1)
-    if (q_w != q_w[0]).any():
+    q_at, p_at = q_at.reshape(npts, nq), p_at.reshape(npts, nq)
+    q_len, p_len = q_len.reshape(npts, nq), p_len.reshape(npts, nq)
+    if (q_len != q_len[0]).any() or _fields_differ(b, q_at, q_len, np.s_[:1]):
         raise ValueError(f"{path}: q nodes differ between rows")
-    p_w = _field_bytes(b, p_at, p_len).reshape(npts, nq, -1)
-    if (p_w != p_w[:, :1]).any():
+    if (p_len != p_len[:, :1]).any() or _fields_differ(b, p_at, p_len, np.s_[:, :1]):
         raise ValueError(f"{path}: p changes inside a row")
-    del q_w, p_w
-    qs = [float(raw[a:e]) for a, e in zip(q_at[:nq].tolist(), c1[:nq].tolist())]
-    ps = [float(raw[a:e]) for a, e in zip(p_at[::nq].tolist(), c2[::nq].tolist())]
+    qs = [float(raw[a:a + k]) for a, k in zip(q_at[0].tolist(), q_len[0].tolist())]
+    ps = [float(raw[a:a + k]) for a, k in zip(p_at[:, 0].tolist(), p_len[:, 0].tolist())]
     spec = GridSpec(qs[0], qs[-1], ps[0], ps[-1], nq, npts)
     if qs != spec.q_nodes().tolist() or ps != spec.p_nodes().tolist():
         raise ValueError(f"{path}: the q and p nodes are not those of {spec}")
@@ -352,17 +407,20 @@ def write_pgm(grid, path, scale=None):
     valid = grid.mask & np.isfinite(grid.values)
     if scale is None:
         if valid.any():
-            vmin = float(grid.values[valid].min())
-            vmax = float(grid.values[valid].max())
+            vmin = float(np.min(grid.values, where=valid, initial=math.inf))
+            vmax = float(np.max(grid.values, where=valid, initial=-math.inf))
         else:
             vmin, vmax = 0.0, 1.0
     else:
         vmin, vmax = map(float, scale)
         if not (vmin < vmax and math.isfinite(vmax - vmin)):
             raise ValueError("PGM scale needs finite vmin < vmax")
-    span = vmax - vmin if vmax > vmin else 1.0
-    norm = np.clip((grid.values - vmin) / span, 0.0, 1.0)
-    pix = np.where(valid, np.round(norm * 65535.0), 0.0).astype(">u2")
+    pix = grid.values - vmin
+    pix /= vmax - vmin if vmax > vmin else 1.0
+    np.clip(pix, 0.0, 1.0, out=pix)
+    pix *= 65535.0
+    np.round(pix, out=pix)
+    pix[~valid] = 0.0
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.spec.nq} {grid.spec.np}\n65535\n".encode("ascii"))
-        fh.write(pix.tobytes())
+        fh.write(pix.astype(">u2").tobytes())

@@ -201,6 +201,18 @@ def test_a_pgm_that_fails_leaves_no_csv(tmp_path, argv):
     assert not (tmp_path / "no").exists()
 
 
+@pytest.mark.parametrize("quantity", ["ell", "energy", "temporal"])
+def test_map_on_nodes_that_collapse_is_a_usage_error(tmp_path, capsys, quantity):
+    # bounds four ulps apart hold three q floats, not five nodes: the map
+    # once exited 0, and bmap on its CSV exited 1 with "q nodes differ
+    # between rows"
+    out = tmp_path / "m.csv"
+    assert run(["map", "--model", "pendulum", "--bounds", "1,1.0000000000000004,-1,1",
+                "--grid", "5x3", "--quantity", quantity, "--t", "1", "--out", str(out)]) == 1
+    assert "nodes are equal" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_truncation_is_usage_error(tmp_path):
     rc = run(["landscape", "--model", "fishtail", "--emin", "-32", "--emax", "1",
               "--n", "5", "--out", str(tmp_path / "f.csv")])

@@ -26,6 +26,18 @@ def test_grid_spec_rejects_non_integer_counts():
     assert lk.GridSpec(0.0, 1.0, 0.0, 1.0, np.int64(3), 4).q_nodes().size == 3
 
 
+def test_grid_spec_rejects_nodes_that_collapse():
+    # bounds four ulps apart hold three floats, not five nodes: linspace
+    # repeats two of them, on which a grid CSV did not read back ("q nodes
+    # differ between rows") and B divided by a step the nodes do not have
+    hi = 1.0000000000000004
+    assert np.linspace(1.0, hi, 5).tolist() == [1.0, 1.0, 1.0000000000000002, hi, hi]
+    for bounds in ((1.0, hi, -1.0, 1.0), (-1.0, 1.0, 1.0, hi)):
+        with pytest.raises(ValueError, match="nodes are equal"):
+            lk.GridSpec(*bounds, 5, 5)
+    assert lk.GridSpec(1.0, hi, 1.0, hi, 3, 3).p_nodes().tolist() == [1.0, 1.0000000000000002, hi]
+
+
 def _within_tolerance(got, want, cfg=lk.QuadratureConfig()):
     return np.abs(got - want) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(want))
 
@@ -200,6 +212,35 @@ def test_energy_map(pend):
     g = lk.energy_map(pend, spec)
     assert g.values[1, 1] == pend.energy(0.0, 0.0)
     assert g.quantity == "energy"
+
+
+@pytest.mark.parametrize("window", ["contract", "linspace"])
+@pytest.mark.parametrize("case", list(CONTRACT_CASES))
+def test_node_energies_are_the_meshgrid_energies(monkeypatch, case, window):
+    # the maps broadcast a row of q nodes against a column of p nodes, so V
+    # runs once per q node; every node energy must be H on the meshgrid,
+    # bit for bit, in an energy map and in what an ell map evaluates, on
+    # the case's exact-node window and on a linspace one
+    make, cut, bounds = CONTRACT_CASES[case]
+    if window == "linspace":
+        bounds = (-math.pi, math.pi, -2.5, 2.5, 37, 41)
+    model, spec = make(), lk.GridSpec(*bounds)
+    Q, P = np.meshgrid(spec.q_nodes(), spec.p_nodes())
+    want = np.asarray(model.energy(Q, P), dtype=np.float64)
+    got = lk.energy_map(model, spec).values
+    assert got.shape == want.shape == (spec.np, spec.nq)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    seen = []
+    real = lk.maps._ell_function
+
+    def spy(model, energies, *args):
+        seen.append(np.array(energies, dtype=np.float64))
+        return real(model, energies, *args)
+
+    monkeypatch.setattr(lk.maps, "_ell_function", spy)
+    lk.ell_map(model, spec, cut and lk.Truncation(cut))
+    assert len(seen) == 1 and seen[0].shape == want.shape
+    assert np.array_equal(seen[0].view(np.int64), want.view(np.int64))
 
 
 # -- B map -----------------------------------------------------------------
@@ -630,6 +671,35 @@ def test_grid_csv_reader_rejects_non_grids(tmp_path, edit):
     _assert_reads_like_oracle(path)
 
 
+@pytest.mark.parametrize("line, k, old, new", [
+    (21, 0, "-0.5", "-0.6"),
+    (13, 0, "0.5", "0.50"),
+    (17, 1, "0.22499999999999998", "0.22499999999999997"),
+    (17, 1, "0.22499999999999998", "0.2249999999999999"),
+], ids=["widest-q-last-byte", "q-one-byte-longer", "p-last-byte", "p-one-byte-shorter"])
+def test_grid_csv_reader_checks_q_and_p_to_their_last_byte(tmp_path, line, k, old, new):
+    # q strings of widths 2, 4, 1, 3, 1 and p strings of widths 1, 20, 19,
+    # 19, 19: the reader compares q and p by length first, then their bytes
+    # under one mask per q column and per p row, each as wide as its own
+    # strings; a file edited in one field's last byte or length is no grid
+    spec = lk.GridSpec(-1.0, 1.0, 0.0, 0.3, 5, 5)
+    path = tmp_path / "w.csv"
+    lk.write_grid_csv(lk.GridMap(spec, np.arange(25.0).reshape(5, 5), "ell"), path)
+    header, *body = path.read_text().splitlines()
+    assert [line.split(",")[0] for line in body[:5]] == ["-1", "-0.5", "0", "0.5", "1"]
+    assert [line.split(",")[1] for line in body[::5]] == [
+        "0", "0.074999999999999997", "0.14999999999999999", "0.22499999999999998",
+        "0.29999999999999999"]
+    fields = body[line].split(",")
+    assert fields[k] == old
+    fields[k] = new
+    body[line] = ",".join(fields)
+    path.write_text("\n".join([header] + body) + "\n")
+    with pytest.raises(ValueError):
+        lk.read_grid_csv(path)
+    _assert_reads_like_oracle(path)
+
+
 def test_grid_csv_reader_skips_blank_lines(tmp_path):
     path = _edited_grid_csv(tmp_path, lambda body: body[:3] + ["", " "] + body[3:])
     back = lk.read_grid_csv(path)
@@ -767,6 +837,43 @@ def test_pgm_output(tmp_path):
     assert pix[0, 0] == 0  # masked
     assert pix[1, 2] == 65535  # max value
     assert pix.shape == (2, 3)
+
+
+def _former_pgm(grid, scale=None):
+    """The PGM as the writer once built it: min and max of a gathered copy
+    of the valid values, and one expression for the pixels."""
+    valid = grid.mask & np.isfinite(grid.values)
+    if scale is not None:
+        vmin, vmax = map(float, scale)
+    elif valid.any():
+        vmin, vmax = float(grid.values[valid].min()), float(grid.values[valid].max())
+    else:
+        vmin, vmax = 0.0, 1.0
+    span = vmax - vmin if vmax > vmin else 1.0
+    norm = np.clip((grid.values - vmin) / span, 0.0, 1.0)
+    pix = np.where(valid, np.round(norm * 65535.0), 0.0).astype(">u2")
+    return f"P5\n{grid.spec.nq} {grid.spec.np}\n65535\n".encode("ascii") + pix.tobytes()
+
+
+@pytest.mark.parametrize("case", ["masked", "non-finite", "all-masked", "constant", "scale"])
+def test_pgm_bytes(tmp_path, case):
+    g = _flat_grid(np.random.default_rng(7).standard_normal((6, 5)) * 3.0)
+    scale = None
+    if case == "masked":  # the extremes sit at masked nodes
+        g.values[0, 1], g.values[5, 4] = 1e3, -1e3
+        g.mask[[0, 2, 5], [1, 3, 4]] = False
+    elif case == "non-finite":  # valid nodes that hold no number
+        g.values[[1, 2, 4], [1, 3, 0]] = math.nan, math.inf, -math.inf
+        g.mask[3, 3] = False
+    elif case == "all-masked":
+        g.mask[:] = False
+    elif case == "constant":
+        g.values[:] = 2.5
+    else:  # values on both sides of the pinned scale are clipped
+        scale = (-1.0, 2.0)
+    path = tmp_path / "x.pgm"
+    lk.write_pgm(g, path, scale=scale)
+    assert path.read_bytes() == _former_pgm(g, scale)
 
 
 @pytest.mark.parametrize("scale", [(math.nan, 1.0), (0.0, math.nan), (2.0, 1.0),
