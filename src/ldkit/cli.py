@@ -249,11 +249,13 @@ def _cmd_temporal(args):
 def _cmd_rates(args):
     model = _get_model(args)
     report = rate_report(model, trunc=_trunc(args))
-    fits = report["fits"]
-    if args.critical is not None:
-        fits = [f for f in fits if f["critical"] == args.critical]
-    if args.side != "both":
-        fits = [f for f in fits if f["side"] == args.side]
+    fits = [f for f in report["fits"]
+            if args.critical in (None, f["critical"]) and args.side in ("both", f["side"])]
+    if not fits:
+        have = ", ".join(f"{f['critical']} {f['side']}" for f in report["fits"])
+        side = "" if args.side == "both" else f" from {args.side}"
+        raise ValueError(f"{model.name} has no {args.critical or 'critical'} approach"
+                         f"{side} (its approaches: {have})")
     report["fits"] = fits
     text = json.dumps(report, indent=2)
     if args.out:

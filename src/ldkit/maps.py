@@ -49,9 +49,10 @@ from .temporal import _ld_lanes
 class GridSpec:
     """A rectangular mesh: ``nq`` q nodes on [q_lo, q_hi] and ``np`` p nodes
     on [p_lo, p_hi], each axis ``np.linspace`` of its bounds. The bounds must
-    be finite with lo < hi, the counts integers >= 2, and each axis's nodes
-    distinct (strictly increasing) in floats: bounds a few ulps apart give
-    equal nodes, on which a grid CSV cannot be read back and B has no step.
+    be finite with lo < hi and a finite width hi - lo, the counts integers
+    >= 2, and each axis's nodes distinct (strictly increasing) in floats:
+    bounds a few ulps apart give equal nodes, on which a grid CSV cannot be
+    read back and B has no step.
     """
 
     q_lo: float
@@ -66,6 +67,9 @@ class GridSpec:
             raise ValueError("grid bounds must satisfy lo < hi")
         if not np.isfinite([self.q_lo, self.q_hi, self.p_lo, self.p_hi]).all():
             raise ValueError("grid bounds must be finite")
+        if not all(math.isfinite(float(b) - float(a))
+                   for a, b in ((self.q_lo, self.q_hi), (self.p_lo, self.p_hi))):
+            raise ValueError("grid bounds too far apart: hi - lo overflows")
         if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (self.nq, self.np)):
             raise ValueError("grid needs an integer count >= 2 of nodes per axis")
         if not ((np.diff(self.q_nodes()) > 0).all() and (np.diff(self.p_nodes()) > 0).all()):

@@ -6,8 +6,8 @@ Every model is H = αp² + V(q), written once as the class constant
 the squared nonnegative momentum branch (the "radicand" p^2(q; E) =
 (E − V)/α) and its q-derivative −V'/α, on arrays and on Python floats. A
 built-in overrides one only for accuracy: the pendulum's, Duffing's and the
-fish-tail's radicands. Duffing's and the fish-tail's slopes, no more accurate
-than −V'/α, stay only because ℓ moves at roundoff without them.
+fish-tail's radicands, and Duffing's slope, which keeps ldbench's worst
+Duffing ℓ error at 5.370e-14 (5.869e-14 with −V'/α).
 A model also knows the radicand with its turning-point roots divided out
 (the "deflated radicand" of the quadrature), a symmetry multiplier from
 the single-branch arc length to the level-curve length, its critical
@@ -20,8 +20,8 @@ lo, hi, endpoint flag codes) in each energy's panel order, already split at
 the saddles inside them, plus each energy's error. Built-in domains are
 closed forms in E evaluated on arrays (the fish-tail's from one
 trigonometric form of its cubic in q + 2); custom models find their
-sign-change cells with one ``searchsorted`` per monotone run of the scan
-grid and bisect all their roots at once. :meth:`HamiltonianModel.domain` is
+sign-change cells with one sorted search of each scan cell's V range and
+bisect all their roots at once. :meth:`HamiltonianModel.domain` is
 a batch of one that returns the unsplit intervals as an :class:`EnergyDomain`.
 
 Built-ins, named in :data:`MODEL_NAMES` and built by :func:`get_model`
@@ -175,6 +175,16 @@ def _columns_to_rows(n, columns):
     r, j = np.nonzero(stacked[4])
     return (r, stacked[0][r, j], stacked[1][r, j],
             stacked[2][r, j].astype(np.int8), stacked[3][r, j].astype(np.int8))
+
+
+def _edge_rows(owner, x, f):
+    """Rows between consecutive edges of one owner.
+
+    The edges (positions x, flag codes f) are grouped by owner and in q order
+    within one. Returns (owner, lo, hi, f_lo, f_hi) of the rows.
+    """
+    same = owner[1:] == owner[:-1]
+    return owner[:-1][same], x[:-1][same], x[1:][same], f[:-1][same], f[1:][same]
 
 
 class HamiltonianModel:
@@ -368,10 +378,8 @@ class HamiltonianModel:
         flags = np.column_stack([rows.f_lo, f_cut, rows.f_hi])
         live = np.column_stack([np.ones(n, dtype=bool), cut, np.ones(n, dtype=bool)])
         r, j = np.nonzero(live)
-        x, f = edges[r, j], flags[r, j]
-        same = r[1:] == r[:-1]  # consecutive edges of one row bound a panel
-        return DomainRows(rows.owner[r[:-1][same]], x[:-1][same], x[1:][same],
-                          f[:-1][same], f[1:][same], rows.errors)
+        r, lo, hi, f_lo, f_hi = _edge_rows(r, edges[r, j], flags[r, j])
+        return DomainRows(rows.owner[r], lo, hi, f_lo, f_hi, rows.errors)
 
     # -- helpers ---------------------------------------------------------
 
@@ -479,7 +487,8 @@ class Duffing(HamiltonianModel):
         return _value(2.0 * E + 0.5 * q * q * (2.0 - q * q))
 
     def radicand_dq(self, q):
-        # kept for its bits: V'/(-α) is as accurate, but moves ℓ at roundoff
+        # V'/(-α) is as accurate against references, but it took ldbench's
+        # ell_rel_err_max.duffing from 5.370e-14 to 5.869e-14
         q = np.asarray(q, dtype=np.float64)
         return _value(2.0 * q - 2.0 * q ** 3)
 
@@ -543,11 +552,6 @@ class Fishtail(HamiltonianModel):
         q = np.asarray(q, dtype=np.float64)
         return _value(np.where(E < -16.0, (E + 32.0) - q * q * (q + 6.0),
                                E - (q - 2.0) * (q + 4.0) ** 2))
-
-    def radicand_dq(self, q):
-        # kept for its bits: V'/(-α) is as accurate, but moves ℓ at roundoff
-        q = np.asarray(q, dtype=np.float64)
-        return _value(-3.0 * q * (q + 4.0))
 
     def deflated_radicand(self, q, E, lo, hi, d_lo, d_hi, t_lo, t_hi):
         # p^2 = -(q - x2)(q - x3)(q - x4) with x2 + x3 + x4 = -6 and
@@ -756,34 +760,6 @@ def _bisect(f, y, a, b):
         b[live[g >= 0.0]] = m[g >= 0.0]  # g == 0 closes the bracket on m
 
 
-def _monotone_runs(vs):
-    """Maximal runs of scan cells over which ``vs`` is monotone.
-
-    A flat cell joins the run it follows; a cell with a NaN difference
-    belongs to no run (no sign change can be found across it). Returns
-    (first cell, sign * vs over the run's nodes, sign) per run, the sign
-    making the values nondecreasing.
-    """
-    d = np.diff(vs).tolist()
-    runs = []
-    i = 0
-    while i < len(d):
-        if d[i] != d[i]:
-            i += 1
-            continue
-        j, sign = i, 0.0
-        while j < len(d) and d[j] == d[j]:
-            s = (d[j] > 0.0) - (d[j] < 0.0)
-            if s and sign and s != sign:
-                break
-            sign = sign or s
-            j += 1
-        sign = float(sign or 1.0)
-        runs.append((i, np.ascontiguousarray(sign * vs[i:j + 1]), sign))
-        i = j
-    return runs
-
-
 # cells of a custom model's scan grid, before its extrema are inserted
 _SCAN_CELLS = 4096
 
@@ -803,14 +779,14 @@ class MechanicalModel(HamiltonianModel):
     and inserted as a node, so a cell holds at most one turning point of an
     energy (unless V has extrema that the scan misses). The polished maxima
     are the model's saddles, whose energies are breakpoints and which split
-    the quadrature panels, and ``e_min`` is the least scan value. The
-    scan's values are split into monotone runs once; a batch of energies
-    then finds every energy's sign-change cells with one ``searchsorted``
-    per run and bisects all their roots with one :func:`_bisect` call. A
-    root has radicand <= 0: it is an exact root of the computed radicand,
-    or the float just outside the level curve beside one where it is > 0.
-    V may be infinite (a hard wall) but not NaN on the scan grid, which
-    raises ``ValueError``.
+    the quadrature panels, and ``e_min`` is the least scan value. A batch
+    of energies finds every energy's sign-change cells by searching each
+    cell's V range in the sorted energies and bisects all their roots with
+    one :func:`_bisect` call; the search ends and the roots, in q order,
+    bound the candidate intervals. A root has radicand <= 0: it is an exact
+    root of the computed radicand, or the float just outside the level
+    curve beside one where it is > 0. V may be infinite (a hard wall) but
+    not NaN on the scan grid, which raises ``ValueError``.
     """
 
     kernel_code = None
@@ -845,7 +821,6 @@ class MechanicalModel(HamiltonianModel):
         self._qs = np.union1d(qs, x)
         self._vs = np.asarray(potential(self._qs), dtype=np.float64)
         self.scan_points = self._qs.size - 1  # cells of the scan grid
-        self._runs = _monotone_runs(self._vs)
         self.e_min = float(np.min(self._vs))
         self.e_sx = math.nan if e_sx is None else float(e_sx)
 
@@ -861,34 +836,25 @@ class MechanicalModel(HamiltonianModel):
         ``g0 == 0 | sign(g0) * sign(g1) < 0`` on g = E - V over the scan grid
         (a root on the cell's left node, or a sign change across the cell);
         cell ``scan_points`` stands for a root on the last node.
+
+        Each cell's candidates are the energies in its range of V, [min,
+        max] of its two node values (the last node's range is its one
+        value): two ``searchsorted`` calls of the range ends into the sorted
+        batch bound them. The dense test then keeps exactly its cells.
         """
         vs, last = self._vs, self.scan_points
-        es, cs = [], []
-        for start, w, sign in self._runs:
-            x = sign * E
-            n = w.size - 1
-            k = np.searchsorted(w, x, side="left")
-            # w[k - 1] < x <= w[k]: a sign change inside cell k - 1 unless x == w[k]
-            inside = (k >= 1) & (k <= n)
-            inside[inside] = w[k[inside]] != x[inside]
-            es.append(np.flatnonzero(inside))
-            cs.append(start + k[inside] - 1)
-            # cells k ... kr - 1 start on a node equal to x
-            count = np.maximum(np.minimum(np.searchsorted(w, x, side="right"), n) - k, 0)
-            if count.any():
-                e = np.repeat(np.arange(E.size), count)
-                first = np.cumsum(count) - count
-                es.append(e)
-                cs.append(start + k[e] + np.arange(e.size) - first[e])
-        on_last = np.flatnonzero(E - vs[-1] == 0.0)
-        es.append(on_last)
-        cs.append(np.full(on_last.size, last))
-        e, c = np.concatenate(es), np.concatenate(cs)
-        # the candidates hold the dense test's cells; keep exactly those (the
-        # sign change is tested on signs: g0 * g1 can underflow to -0.0)
+        order = np.argsort(E, kind="stable")
+        sorted_e = E[order]
+        first = np.searchsorted(sorted_e, np.append(np.minimum(vs[:-1], vs[1:]), vs[-1]))
+        count = np.searchsorted(sorted_e, np.append(np.maximum(vs[:-1], vs[1:]), vs[-1]),
+                                side="right") - first
+        c = np.repeat(np.arange(last + 1), count)
+        e = order[np.repeat(first - (np.cumsum(count) - count), count) + np.arange(c.size)]
+        # the sign change is tested on signs (g0 * g1 can underflow to -0.0);
+        # at the last node g1 is g0, so only a root on it is kept
         g0 = E[e] - vs[c]
         g1 = E[e] - vs[np.minimum(c + 1, last)]
-        keep = (g0 == 0.0) | ((np.sign(g0) * np.sign(g1) < 0.0) & (c < last))
+        keep = (g0 == 0.0) | (np.sign(g0) * np.sign(g1) < 0.0)
         e, c = e[keep], c[keep]
         order = np.lexsort((c, e))
         return e[order], c[order]
@@ -907,35 +873,22 @@ class MechanicalModel(HamiltonianModel):
         roots = _bisect(self.potential, E[owner], np.where(g0 > 0.0, right, left),
                         np.where(g0 < 0.0, right, left))
 
-        # edges of an energy: search_lo, its roots, search_hi; consecutive
-        # edges bound its candidate intervals. ``is_root`` marks the roots,
-        # which may coincide with a search end.
-        width = np.zeros(E.size, dtype=np.intp)
-        width[ok] = 2
-        width += np.bincount(owner, minlength=E.size)
-        start = np.cumsum(width) - width
-        x = np.empty(int(width.sum()))
-        is_root = np.zeros(x.size, dtype=bool)
-        x[start[ok]] = self.search_lo
-        x[start[ok] + width[ok] - 1] = self.search_hi
-        rank = np.arange(owner.size) - np.searchsorted(owner, owner)
-        x[start[owner] + 1 + rank] = roots
-        is_root[start[owner] + 1 + rank] = True
-        edge_owner = np.repeat(np.arange(E.size), width)
-        same = edge_owner[1:] == edge_owner[:-1]
-        lo, hi, owner = x[:-1][same], x[1:][same], edge_owner[:-1][same]
-        lo_root, hi_root = is_root[:-1][same], is_root[1:][same]
-
+        # edges of an energy: search_lo (a cut), its roots in q order (turning
+        # points), search_hi (a cut); a root may coincide with a search end.
+        # Listed by kind, one stable sort by owner puts them in q order.
+        n = ok.size
+        edge_owner = np.concatenate([ok, owner, ok])
+        edges = np.concatenate([np.full(n, self.search_lo), roots, np.full(n, self.search_hi)])
+        flags = np.repeat(np.array([F_TRUNCATION, F_TURNING, F_TRUNCATION], dtype=np.int8),
+                          [n, roots.size, n])
+        by_owner = np.argsort(edge_owner, kind="stable")
+        owner, lo, hi, f_lo, f_hi = _edge_rows(edge_owner[by_owner], edges[by_owner],
+                                               flags[by_owner])
         # an interval is kept where it is wider than _MERGE_TOL and the
         # branch is real at its midpoint
         wide = np.flatnonzero(hi - lo > _MERGE_TOL)
-        mids = 0.5 * (lo[wide] + hi[wide])
-        keep = wide[self.radicand(mids, E[owner[wide]]) > 0.0]
-        lo, hi, owner = lo[keep], hi[keep], owner[keep]
-        lo_root, hi_root = lo_root[keep], hi_root[keep]
-        f_lo = np.where(lo_root, F_TURNING, F_TRUNCATION).astype(np.int8)
-        f_hi = np.where(hi_root, F_TURNING, F_TRUNCATION).astype(np.int8)
-        return owner, lo, hi, f_lo, f_hi, errors
+        keep = wide[self.radicand(0.5 * (lo[wide] + hi[wide]), E[owner[wide]]) > 0.0]
+        return owner[keep], lo[keep], hi[keep], f_lo[keep], f_hi[keep], errors
 
 
 # the built-ins by name, in catalogue order

@@ -114,6 +114,33 @@ def test_rates_exit_codes(tmp_path):
     assert json.loads(out.read_text())["model"] == "harmonic-oscillator"
 
 
+@pytest.mark.parametrize("argv, approach", [
+    (["--model", "pendulum", "--critical", "elliptic", "--side", "below"],
+     "pendulum has no elliptic approach from below"),
+    (["--model", "harmonic-oscillator", "--critical", "separatrix"],
+     "harmonic-oscillator has no separatrix approach"),
+], ids=["pendulum-elliptic-below", "oscillator-separatrix"])
+def test_rates_filters_that_select_nothing_are_usage_errors(tmp_path, capsys, argv, approach):
+    # both once exited 0 with "fits": []
+    out = tmp_path / "r.json"
+    assert run(["rates", *argv, "--out", str(out)]) == 1
+    assert approach in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bounds", ["-1e308,1e308,-1,1", "-1,1,-1e308,1e308"])
+def test_map_on_bounds_whose_width_overflows_is_a_usage_error(tmp_path, capsys, bounds):
+    # 1e308 - (-1e308) overflows: linspace once warned three times, and the
+    # map exited 1 with "two nodes are equal in floats"
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["map", "--model", "pendulum", "--bounds", bounds,
+                    "--grid", "5x5", "--out", str(out)]) == 1
+    assert "hi - lo overflows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_temporal_line(tmp_path):
     out = tmp_path / "t.csv"
     rc = run(["temporal", "--model", "pendulum", "--t", "5",

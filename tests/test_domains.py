@@ -2,12 +2,14 @@
 rows of a whole batch of energies at once.
 
 A batch equals its parts row for row and error for error; ``domain`` and
-``geometric._panels`` are its batch of one; a custom model's run scan
-finds exactly the cells of the dense sign-change test; and NaN or infinite energies raise, are flagged
-or are masked on every path.
+``geometric._panels`` are its batch of one; a custom model's sorted search
+of each scan cell's V range finds exactly the cells of the dense
+sign-change test, hard walls included, without a numpy warning; and NaN or
+infinite energies raise, are flagged or are masked on every path.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,16 @@ def double_well():
     return lk.mechanical(lambda q: -0.5 * q * q + 0.25 * q ** 4,
                          lambda q: -q + q ** 3, (-2.0, 2.0),
                          name="double-well", e_sx=0.0)
+
+
+def hard_wall():
+    """V = q^2/2 for |q| <= 1, infinite outside, on (-2, 2)."""
+    def potential(q):
+        q = np.asarray(q, dtype=np.float64)
+        return np.where(np.abs(q) <= 1.0, 0.5 * q * q, np.inf)
+
+    return lk.mechanical(potential, lambda q: np.asarray(q, dtype=np.float64),
+                         (-2.0, 2.0), name="hard-wall")
 
 
 def _cases():
@@ -163,7 +175,7 @@ def test_no_model_class_defines_a_scalar_domain():
 def _dense_cells(model, E):
     g = E - model._vs
     g0, g1 = g[:-1], g[1:]
-    cells = np.flatnonzero((g0 == 0.0) | (g0 * g1 < 0.0)).tolist()
+    cells = np.flatnonzero((g0 == 0.0) | (np.sign(g0) * np.sign(g1) < 0.0)).tolist()
     if g[-1] == 0.0:
         cells.append(model.scan_points)
     return cells
@@ -175,12 +187,10 @@ def _scan_cells(model, energies):
 
 
 def test_run_scan_finds_the_dense_cells():
-    # V = cos 5q + q^2/10 on [-3, 3] has nine extrema, so the scan values
-    # split into ten monotone runs
+    # V = cos 5q + q^2/10 on [-3, 3] has nine extrema
     many = lk.mechanical(lambda q: np.cos(5.0 * np.asarray(q)) + 0.1 * np.asarray(q) ** 2,
                          lambda q: -5.0 * np.sin(5.0 * np.asarray(q)) + 0.2 * np.asarray(q),
                          (-3.0, 3.0))
-    assert len(many._runs) == 10
     vs = many._vs
     rng = np.random.default_rng(5)
     energies = np.concatenate([
@@ -199,6 +209,42 @@ def test_run_scan_finds_the_dense_cells():
     cells = _scan_cells(flat, energies)
     assert len(cells[0]) == 2049  # the nodes on [-1, 1]
     assert cells == [_dense_cells(flat, E) for E in energies]
+
+    # hard walls: V is infinite at both search ends and beyond |q| = 1
+    wall = hard_wall()
+    vs = wall._vs
+    finite = vs[np.isfinite(vs)]
+    assert np.isinf(vs[[0, -1]]).all() and finite[[0, -1]].tolist() == [0.5, 0.5]
+    energies = np.concatenate([
+        rng.uniform(-0.1, 1.0, 100),
+        finite[rng.integers(0, finite.size, 40)],  # roots on scan nodes
+        # V at the walls' finite neighbours and beside it
+        np.nextafter(0.5, [-math.inf, math.inf]), [0.5],
+        # up to the infinite V of both search ends, and the minimum
+        [1e300, np.finfo(float).max, 0.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = _scan_cells(wall, energies)
+    assert cells == [_dense_cells(wall, E) for E in energies]
+    assert cells[-1] == [int(np.flatnonzero(vs == 0.0)[0])]
+    # E = 0.5: roots on the walls' finite nodes q = -1 and 1, none beyond them
+    assert cells[-4] == np.flatnonzero(vs == 0.5).tolist() == [1024, 3072]
+
+
+def test_a_hard_wall_builds_and_runs_without_warnings():
+    # np.diff over the infinite nodes once warned when the model was built
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = hard_wall()
+        E = np.array([1e-3, 0.01, 0.1, 0.25, 0.3, 0.45])
+        want = 2.0 * math.pi * np.sqrt(2.0 * E)  # circles of radius sqrt(2E) inside the walls
+        assert np.all(np.abs(lk.ell_batch(m, E).values - want) <= 1e-12 * want)
+        assert all(abs(lk.ell(m, float(e)) - w) <= 1e-12 * w for e, w in zip(E, want))
+        ls = lk.landscape(m, 0.0, 0.45, 46, with_derivs=True)
+    assert ls.converged.all()
+    want = 2.0 * math.pi * np.sqrt(2.0 * ls.energies)
+    assert np.all(np.abs(ls.lengths - want) <= 1e-12 * want)
 
 
 @pytest.mark.parametrize("case", ["pendulum", "duffing", "fishtail", "fishtail-bounded",
