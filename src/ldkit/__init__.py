@@ -39,7 +39,7 @@ from .models import (
     REGULAR,
     TRUNCATION,
     TURNING,
-    EnergyDomain,
+    DomainRows,
     HamiltonianModel,
     Truncation,
     duffing,

@@ -22,7 +22,7 @@ from .errors import LdkitError
 from .geometric import landscape
 from .models import Truncation, get_model, MODEL_NAMES
 from .quadrature import QuadratureConfig
-from .rates import rate_report
+from .rates import approaches, rate_report
 from .temporal import IntegratorConfig, LineSpec, ld_landscape_line
 
 
@@ -248,15 +248,17 @@ def _cmd_temporal(args):
 
 def _cmd_rates(args):
     model = _get_model(args)
-    report = rate_report(model, trunc=_trunc(args))
-    fits = [f for f in report["fits"]
-            if args.critical in (None, f["critical"]) and args.side in ("both", f["side"])]
-    if not fits:
-        have = ", ".join(f"{f['critical']} {f['side']}" for f in report["fits"])
+    have = approaches(model)
+    picked = [(c, s) for c, s in have
+              if args.critical in (None, c) and args.side in ("both", s)]
+    # a filter that selects no approach is a usage error before any ladder
+    if not picked:
+        names = ", ".join(" ".join(a) for a in have)
         side = "" if args.side == "both" else f" from {args.side}"
         raise ValueError(f"{model.name} has no {args.critical or 'critical'} approach"
-                         f"{side} (its approaches: {have})")
-    report["fits"] = fits
+                         f"{side} (its approaches: {names})")
+    report = rate_report(model, trunc=_trunc(args))
+    report["fits"] = [f for f in report["fits"] if (f["critical"], f["side"]) in picked]
     text = json.dumps(report, indent=2)
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidInterval, StraddlesCritical
-from .models import FLAG_NAMES, DomainRows
 from .quadrature import QuadratureConfig, arclength_rows
 
 
@@ -67,19 +66,9 @@ class Landscape:
     converged: Optional[np.ndarray] = None
 
 
-def _panels(model, E, dom):
-    """Quadrature panels of one energy's :class:`EnergyDomain`: its
-    intervals split at the saddles inside them, as ``((lo, hi), (lo_flag,
-    hi_flag))`` with flag names; the rows of :meth:`HamiltonianModel.domains`
-    for a batch of one."""
-    lo, hi = (np.array([iv[k] for iv in dom.intervals], dtype=np.float64) for k in (0, 1))
-    f_lo, f_hi = (np.array([FLAG_NAMES.index(f[k]) for f in dom.flags], dtype=np.int8)
-                  for k in (0, 1))
-    rows = DomainRows(np.zeros(lo.size, dtype=np.intp), lo, hi, f_lo, f_hi, [None])
-    rows = model._split_at_saddles(np.array([E], dtype=np.float64), rows)
-    for a, b, fa, fb in zip(rows.lo.tolist(), rows.hi.tolist(),
-                            rows.f_lo.tolist(), rows.f_hi.tolist()):
-        yield (a, b), (FLAG_NAMES[fa], FLAG_NAMES[fb])
+def _panels(model, E, rows):
+    """``rows.pairs()`` of one energy's :meth:`HamiltonianModel.domain` rows."""
+    return rows.pairs()
 
 
 def ell_batch(model, energies, trunc=None, cfg=None):

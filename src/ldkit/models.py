@@ -16,13 +16,14 @@ and the energies where ell(E) is singular (``breakpoints``).
 
 The integration domain of the branch is built for a whole array of energies
 at once: :meth:`HamiltonianModel.domains` returns flat rows (owner energy,
-lo, hi, endpoint flag codes) in each energy's panel order, already split at
-the saddles inside them, plus each energy's error. Built-in domains are
+lo, hi, endpoint flags) in each energy's panel order, already split at
+the saddles inside them, plus each energy's error. The flags are the integer
+codes REGULAR, TURNING and TRUNCATION (0, 1, 2). Built-in domains are
 closed forms in E evaluated on arrays (the fish-tail's from one
 trigonometric form of its cubic in q + 2); custom models find their
 sign-change cells with one sorted search of each scan cell's V range and
-bisect all their roots at once. :meth:`HamiltonianModel.domain` is
-a batch of one that returns the unsplit intervals as an :class:`EnergyDomain`.
+bisect all their roots at once. :meth:`HamiltonianModel.domain` is the
+batch of one energy: its rows, owner 0, or its error raised.
 
 Built-ins, named in :data:`MODEL_NAMES` and built by :func:`get_model`
 (``pendulum``, ``fishtail`` and the other lower-case names are the classes):
@@ -55,14 +56,9 @@ from .errors import (
     TurningPoint,
 )
 
-TURNING = "turning-point"
-REGULAR = "regular"
-TRUNCATION = "truncation"
-
-# endpoint flags travel through the domain rows and the quadrature as these
-# integer codes; FLAG_NAMES maps a code back to its name
-F_REGULAR, F_TURNING, F_TRUNCATION = 0, 1, 2
-FLAG_NAMES = (REGULAR, TURNING, TRUNCATION)
+# endpoint flag codes of the domain rows: a regular end, a turning point
+# (the branch vanishes there) and an artificial cut
+REGULAR, TURNING, TRUNCATION = 0, 1, 2
 
 # branch < 1e-9 at an endpoint marks it as a turning point (radicand < 1e-18)
 _TURNING_RAD = 1e-18
@@ -84,46 +80,13 @@ class Truncation:
 
 
 @dataclass(frozen=True)
-class EnergyDomain:
-    """Ordered disjoint closed intervals of the curve parameter, with flags.
-
-    ``flags[i]`` is a ``(lo_flag, hi_flag)`` pair; each flag is one of
-    TURNING (branch vanishes there), REGULAR, or TRUNCATION (artificial cut).
-    """
-
-    intervals: tuple
-    flags: tuple
-
-    def __post_init__(self):
-        prev_hi = -math.inf
-        for (lo, hi) in self.intervals:
-            if lo > hi:
-                raise ValueError(f"interval [{lo}, {hi}] is inverted")
-            if lo < prev_hi:
-                raise ValueError("intervals overlap or are unsorted")
-            prev_hi = hi
-        if len(self.intervals) != len(self.flags):
-            raise ValueError("one flag pair per interval required")
-
-    def pairs(self):
-        return zip(self.intervals, self.flags)
-
-    @property
-    def support(self):
-        """(lowest, highest) coordinate covered, or None if empty."""
-        if not self.intervals:
-            return None
-        return self.intervals[0][0], self.intervals[-1][1]
-
-
-@dataclass(frozen=True)
 class DomainRows:
     """Domain rows of a batch of energies.
 
     Row i is the interval [lo[i], hi[i]] of energy ``owner[i]`` (its index
-    in the batch) with the endpoint flag codes ``f_lo[i]`` and ``f_hi[i]``
-    (indices into :data:`FLAG_NAMES`). Rows are grouped by energy in batch
-    order and ordered by q within an energy. ``errors[k]`` is the
+    in the batch) with the endpoint flags ``f_lo[i]`` and ``f_hi[i]``, each
+    the code REGULAR, TURNING or TRUNCATION. Rows are grouped by energy in
+    batch order and ordered by q within an energy. ``errors[k]`` is the
     :class:`LdkitError` energy k raised, else None; an energy with an error
     has no rows.
     """
@@ -139,12 +102,10 @@ class DomainRows:
         return DomainRows(self.owner[sel], self.lo[sel], self.hi[sel],
                           self.f_lo[sel], self.f_hi[sel], self.errors)
 
-    def energy_domain(self):
-        """The rows as an :class:`EnergyDomain` (rows of one energy)."""
-        return EnergyDomain(
-            tuple(zip(self.lo.tolist(), self.hi.tolist())),
-            tuple((FLAG_NAMES[a], FLAG_NAMES[b])
-                  for a, b in zip(self.f_lo.tolist(), self.f_hi.tolist())))
+    def pairs(self):
+        """``((lo, hi), (f_lo, f_hi))`` of each row, as Python floats and ints."""
+        return zip(zip(self.lo.tolist(), self.hi.tolist()),
+                   zip(self.f_lo.tolist(), self.f_hi.tolist()))
 
 
 def _value(x):
@@ -331,18 +292,6 @@ class HamiltonianModel:
         missing or misplaced truncation) is returned, not raised.
         """
         E = np.asarray(energies, dtype=np.float64).reshape(-1)
-        return self._split_at_saddles(E, self._interval_rows(E, trunc))
-
-    def domain(self, E, trunc=None):
-        """Domain intervals of the level curve H = E as an
-        :class:`EnergyDomain`, unsplit; a batch of one of :meth:`domains`
-        that raises the energy's error."""
-        rows = self._interval_rows(np.array([E], dtype=np.float64), trunc)
-        if rows.errors[0] is not None:
-            raise rows.errors[0]
-        return rows.energy_domain()
-
-    def _interval_rows(self, E, trunc):
         errors = [None] * E.size
         finite = np.isfinite(E)
         for i in np.flatnonzero(~finite).tolist():
@@ -354,7 +303,16 @@ class HamiltonianModel:
             errors[idx[i]] = exc
             failed[idx[i]] = True
         owner = idx[owner]
-        return DomainRows(owner, lo, hi, f_lo, f_hi, errors).take(~failed[owner])
+        rows = DomainRows(owner, lo, hi, f_lo, f_hi, errors).take(~failed[owner])
+        return self._split_at_saddles(E, rows)
+
+    def domain(self, E, trunc=None):
+        """The rows of the level curve H = E: ``domains([E], trunc)``, all
+        with owner 0. Raises the energy's error."""
+        rows = self.domains([E], trunc)
+        if rows.errors[0] is not None:
+            raise rows.errors[0]
+        return rows
 
     def _intervals(self, E, trunc):
         """Domain intervals of finite energies E: flat (owner, lo, hi, f_lo,
@@ -371,7 +329,7 @@ class HamiltonianModel:
         split = np.flatnonzero(cut.any(axis=1))
         if not split.size:
             return rows
-        f_cut = np.full(cut.shape, F_REGULAR, dtype=np.int8)
+        f_cut = np.full(cut.shape, REGULAR, dtype=np.int8)
         f_cut[split] = self._turning_flag(S, E[rows.owner[split], None])
         n = rows.owner.size
         edges = np.column_stack([rows.lo, np.broadcast_to(S, cut.shape), rows.hi])
@@ -405,7 +363,7 @@ class HamiltonianModel:
     def _turning_flag(self, q, E):
         """Flag code of endpoints q at energies E: TURNING where the
         radicand is <= 1e-18, else REGULAR."""
-        return np.where(self.radicand(q, E) <= _TURNING_RAD, F_TURNING, F_REGULAR)
+        return np.where(self.radicand(q, E) <= _TURNING_RAD, TURNING, REGULAR)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name!r}>"
@@ -457,7 +415,7 @@ class Pendulum(HamiltonianModel):
         lo = np.full(E.size, -math.pi)
         hi = np.full(E.size, math.pi)
         lo[lib], hi[lib] = -theta, theta
-        flag = np.where(lib, F_TURNING, self._turning_flag(math.pi, E))
+        flag = np.where(lib, TURNING, self._turning_flag(math.pi, E))
         rows = _columns_to_rows(E.size, [(lo, hi, flag, flag, hi > 0.0)])
         return (*rows, self._below_minimum(E))
 
@@ -510,9 +468,9 @@ class Duffing(HamiltonianModel):
         lo = np.zeros(E.size)
         hi = np.zeros(E.size)
         lo[lib], hi[ok] = x1, x2
-        f_lo = np.where(lib, F_TURNING, self._turning_flag(0.0, E))
+        f_lo = np.where(lib, TURNING, self._turning_flag(0.0, E))
         keep = ok & ~(lib & (hi - lo <= _MERGE_TOL))
-        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, F_TURNING, keep)])
+        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, TURNING, keep)])
         return (*rows, self._below_minimum(E))
 
 
@@ -605,7 +563,7 @@ class Fishtail(HamiltonianModel):
             oval = lib & (x4 - x3 > _MERGE_TOL)
             x3[oval] = self._polish_turning(x3[oval], E[oval], -1)
             x4[oval] = self._polish_turning(x4[oval], E[oval], +1)
-            rows = _columns_to_rows(E.size, [(x3, x4, F_TURNING, F_TURNING, oval)])
+            rows = _columns_to_rows(E.size, [(x3, x4, TURNING, TURNING, oval)])
             return (*rows, errors)
 
         if trunc is None:
@@ -638,10 +596,10 @@ class Fishtail(HamiltonianModel):
         errors.update(_errors_at(oval_exists & ~left & ~oval, lambda e: TruncationInsideDomain(
             f"truncation a={a} lies right of the whole level curve"), E))
         rows = _columns_to_rows(E.size, [
-            (a, np.where(circ, x2c, x2p), F_TRUNCATION, F_TURNING,
+            (a, np.where(circ, x2c, x2p), TRUNCATION, TURNING,
              (circ & (a < x2c)) | (left & ~merge)),
             (np.where(from_cut, a, x3p), x4p,
-             np.where(from_cut, F_TRUNCATION, F_TURNING), F_TURNING, oval)])
+             np.where(from_cut, TRUNCATION, TURNING), TURNING, oval)])
         return (*rows, errors)
 
 
@@ -669,7 +627,7 @@ class HarmonicOscillator(HamiltonianModel):
         pos = E > 0.0
         r = np.zeros(E.size)
         r[pos] = self._polish_turning(np.sqrt(2.0 * E[pos]), E[pos], +1)
-        rows = _columns_to_rows(E.size, [(-r, r, F_TURNING, F_TURNING, pos)])
+        rows = _columns_to_rows(E.size, [(-r, r, TURNING, TURNING, pos)])
         return (*rows, errors)
 
 
@@ -718,8 +676,8 @@ class HarmonicRepulsor(HamiltonianModel):
         hi = r * np.where(pos, self._cut_pos, self._cut_neg)
         lo = np.zeros(E.size)
         lo[neg] = self._polish_turning(r[neg], E[neg], -1)
-        f_lo = np.where(pos, F_REGULAR, F_TURNING)
-        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, F_TRUNCATION, pos | neg)])
+        f_lo = np.where(pos, REGULAR, TURNING)
+        rows = _columns_to_rows(E.size, [(lo, hi, f_lo, TRUNCATION, pos | neg)])
         return (*rows, {})
 
 
@@ -785,8 +743,9 @@ class MechanicalModel(HamiltonianModel):
     one :func:`_bisect` call; the search ends and the roots, in q order,
     bound the candidate intervals. A root has radicand <= 0: it is an exact
     root of the computed radicand, or the float just outside the level
-    curve beside one where it is > 0. V may be infinite (a hard wall) but
-    not NaN on the scan grid, which raises ``ValueError``.
+    curve beside one where it is > 0. V may be infinite (a hard wall),
+    where no maximum is taken, but not NaN on the scan grid, which raises
+    ``ValueError``.
     """
 
     kernel_code = None
@@ -808,8 +767,11 @@ class MechanicalModel(HamiltonianModel):
             # a NaN minimum would leave no energy below it and no rows: every
             # ell would read 0 (an infinite V is a hard wall and stays)
             raise ValueError(f"{name}: potential is NaN at q={float(qs[nan[0]])!r} of the scan grid")
-        tops = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] > v[2:])) + 1
-        pits = np.flatnonzero((v[1:-1] <= v[:-2]) & (v[1:-1] < v[2:])) + 1
+        # a maximum only at a finite node: inf >= inf > V beside a hard wall
+        # is no saddle
+        mid = v[1:-1]
+        tops = np.flatnonzero(np.isfinite(mid) & (mid >= v[:-2]) & (mid > v[2:])) + 1
+        pits = np.flatnonzero((mid <= v[:-2]) & (mid < v[2:])) + 1
         j = np.concatenate([tops, pits])
         step = np.repeat([1, -1], [tops.size, pits.size])
         # -V' <= 0 left of a maximum and right of a minimum
@@ -879,7 +841,7 @@ class MechanicalModel(HamiltonianModel):
         n = ok.size
         edge_owner = np.concatenate([ok, owner, ok])
         edges = np.concatenate([np.full(n, self.search_lo), roots, np.full(n, self.search_hi)])
-        flags = np.repeat(np.array([F_TRUNCATION, F_TURNING, F_TRUNCATION], dtype=np.int8),
+        flags = np.repeat(np.array([TRUNCATION, TURNING, TRUNCATION], dtype=np.int8),
                           [n, roots.size, n])
         by_owner = np.argsort(edge_owner, kind="stable")
         owner, lo, hi, f_lo, f_hi = _edge_rows(edge_owner[by_owner], edges[by_owner],

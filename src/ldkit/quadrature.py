@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _kernels as K
 from .errors import InvalidInterval
-from .models import F_TRUNCATION, F_TURNING, FLAG_NAMES, REGULAR
+from .models import REGULAR, TRUNCATION, TURNING
 
 # panel slots (rows x panels) of one chunk, and nodes of one evaluation call
 _CHUNK_ELEMS = 1 << 16
@@ -176,7 +176,7 @@ def _seed_counts(model, E, lo, hi, f_lo, f_hi):
             with np.errstate(divide="ignore"):
                 c = np.floor(2.0 * np.log10((hi - lo) / floor))
             n = np.clip(np.nan_to_num(c, posinf=_MAX_SEEDS), 0, _MAX_SEEDS).astype(np.intp)
-            n[flag == F_TRUNCATION] = 0
+            n[flag == TRUNCATION] = 0
         counts.append(n)
     return counts
 
@@ -286,17 +286,17 @@ def arclength_rows(model, E, lo, hi, f_lo, f_hi, cfg=None):
     """Arc lengths of the nonnegative branch over many intervals at once.
 
     Row i is the interval [lo[i], hi[i]] at energy E[i] with the endpoint
-    flag codes ``f_lo[i]``, ``f_hi[i]`` (``models.F_*``) from the model's
-    domain rows; turning-point endpoints put a row in the cosine variable.
-    Intervals must have lo < hi. The integrand is only evaluated at
-    interior nodes of [lo, hi]. Returns per-row arrays (value, est_error,
-    evaluations, converged).
+    flags ``f_lo[i]``, ``f_hi[i]`` (REGULAR, TURNING or TRUNCATION) from
+    the model's domain rows; turning-point endpoints put a row in the
+    cosine variable. Intervals must have lo < hi. The integrand is only
+    evaluated at interior nodes of [lo, hi]. Returns per-row arrays (value,
+    est_error, evaluations, converged).
     """
     if cfg is None:
         cfg = QuadratureConfig()
     E, lo, hi = (np.asarray(x, dtype=np.float64).reshape(-1) for x in (E, lo, hi))
     f_lo, f_hi = (np.asarray(f).reshape(-1) for f in (f_lo, f_hi))
-    t_lo, t_hi = f_lo == F_TURNING, f_hi == F_TURNING
+    t_lo, t_hi = f_lo == TURNING, f_hi == TURNING
     out = (np.empty(E.size), np.empty(E.size), np.zeros(E.size, dtype=np.int64),
            np.zeros(E.size, dtype=bool))
     if not E.size:
@@ -333,15 +333,15 @@ def arclength_rows(model, E, lo, hi, f_lo, f_hi, cfg=None):
 def arclength_interval(model, E, interval, flags=(REGULAR, REGULAR), cfg=None):
     """Arc length of the nonnegative branch over one interval.
 
-    ``flags`` are the endpoint flag names from the model's domain;
-    turning-point endpoints put the integral in the cosine variable. A
-    batch of one row of :func:`arclength_rows`.
+    ``flags`` are the row's endpoint flags, the codes REGULAR, TURNING
+    and TRUNCATION of :meth:`HamiltonianModel.domain`'s rows (as
+    ``rows.pairs()`` gives them); turning-point endpoints put the integral
+    in the cosine variable. A batch of one row of :func:`arclength_rows`.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if lo >= hi:
         raise InvalidInterval(f"interval [{lo}, {hi}] has lo >= hi")
-    f_lo, f_hi = (FLAG_NAMES.index(f) for f in flags)
-    value, est, evals, conv = arclength_rows(model, [E], [lo], [hi], [f_lo], [f_hi], cfg)
+    value, est, evals, conv = arclength_rows(model, [E], [lo], [hi], flags[:1], flags[1:], cfg)
     return IntervalLength(float(value[0]), float(est[0]), int(evals[0]),
                           bool(conv[0]))
 

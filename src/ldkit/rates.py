@@ -214,6 +214,15 @@ def local_slopes(samples):
     return slopes
 
 
+def approaches(model):
+    """The (critical, side) approaches of :func:`rate_report`, in its order:
+    the separatrix from below and above, and the elliptic minimum from
+    above, where the model has that critical energy."""
+    e_min, e_sx = model.critical_energies()
+    out = [("separatrix", "below"), ("separatrix", "above")] if math.isfinite(e_sx) else []
+    return out + ([("elliptic", "above")] if math.isfinite(e_min) else [])
+
+
 def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
                 pts_per_decade=25):
     """Fits for every critical-energy approach the model supports.
@@ -224,16 +233,8 @@ def rate_report(model, trunc=None, cfg=None, eps_hi=1e-2, eps_lo=1e-6,
     JSON-ready dict; entries that fail carry an ``error`` field instead of
     fit numbers (partial reports are allowed).
     """
-    e_min, e_sx = model.critical_energies()
-    wanted = []
-    if math.isfinite(e_sx):
-        wanted.append(("separatrix", "below"))
-        wanted.append(("separatrix", "above"))
-    if math.isfinite(e_min):
-        wanted.append(("elliptic", "above"))
-
     fits, pending = [], []
-    for critical, side in wanted:
+    for critical, side in approaches(model):
         entry = {"critical": critical, "side": side}
         try:
             pending.append((entry, critical, side, *_ladder_energies(

@@ -116,15 +116,23 @@ def test_rates_exit_codes(tmp_path):
 
 @pytest.mark.parametrize("argv, approach", [
     (["--model", "pendulum", "--critical", "elliptic", "--side", "below"],
-     "pendulum has no elliptic approach from below"),
+     "error: pendulum has no elliptic approach from below (its approaches: "
+     "separatrix below, separatrix above, elliptic above)\n"),
     (["--model", "harmonic-oscillator", "--critical", "separatrix"],
-     "harmonic-oscillator has no separatrix approach"),
+     "error: harmonic-oscillator has no separatrix approach (its approaches: "
+     "elliptic above)\n"),
 ], ids=["pendulum-elliptic-below", "oscillator-separatrix"])
-def test_rates_filters_that_select_nothing_are_usage_errors(tmp_path, capsys, argv, approach):
-    # both once exited 0 with "fits": []
+def test_rates_filters_that_select_nothing_are_usage_errors(tmp_path, capsys, monkeypatch,
+                                                            argv, approach):
+    # both once exited 0 with "fits": [], and later computed every ladder
+    # before rejecting the filter
+    def no_ladder(*args, **kw):
+        raise AssertionError("a ladder was computed")
+
+    monkeypatch.setattr(lk.rates, "_ell_function", no_ladder)
     out = tmp_path / "r.json"
     assert run(["rates", *argv, "--out", str(out)]) == 1
-    assert approach in capsys.readouterr().err
+    assert capsys.readouterr().err == approach
     assert not out.exists()
 
 

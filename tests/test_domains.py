@@ -1,11 +1,12 @@
 """Array-native domains: ``HamiltonianModel.domains`` builds the quadrature
 rows of a whole batch of energies at once.
 
-A batch equals its parts row for row and error for error; ``domain`` and
-``geometric._panels`` are its batch of one; a custom model's sorted search
-of each scan cell's V range finds exactly the cells of the dense
-sign-change test, hard walls included, without a numpy warning; and NaN or
-infinite energies raise, are flagged or are masked on every path.
+A batch equals its parts row for row and error for error; every batch
+keeps the rows' invariants, and ``domain`` is its batch of one; a custom
+model's sorted search of each scan cell's V range finds exactly the cells
+of the dense sign-change test, hard walls included, without a numpy
+warning and without a saddle at a wall; and NaN or infinite energies
+raise, are flagged or are masked on every path.
 """
 
 import math
@@ -125,9 +126,65 @@ def test_domain_and_panels_are_batches_of_one(case):
             assert str(info.value) == str(rows.errors[0])
             continue
         panels = list(geometric._panels(model, E, model.domain(E, trunc)))
-        assert panels == [((lo, hi), (models.FLAG_NAMES[a], models.FLAG_NAMES[b]))
-                          for lo, hi, a, b in zip(rows.lo.tolist(), rows.hi.tolist(),
-                                                  rows.f_lo.tolist(), rows.f_hi.tolist())]
+        assert panels == list(rows.pairs())
+
+
+def periodic_well():
+    """V = -cos q - 1 on (-pi, pi): the pendulum's potential as a custom model."""
+    return lk.mechanical(lambda q: -np.cos(q) - 1.0, lambda q: np.sin(q),
+                         (-math.pi, math.pi), name="periodic")
+
+
+# model, truncation and the range of the uniform energies
+INVARIANT_MODELS = {
+    "pendulum": (lk.pendulum(), None, (-3.0, 3.0)),
+    "duffing": (lk.duffing(), None, (-0.5, 1.5)),
+    "fishtail": (lk.fishtail(), lk.Truncation(-5.0), (-40.0, 10.0)),
+    "fishtail-bounded": (lk.fishtail(bounded_librations=True), None, (-40.0, 5.0)),
+    "harmonic-oscillator": (lk.harmonic_oscillator(), None, (-1.0, 3.0)),
+    "harmonic-repulsor": (lk.harmonic_repulsor(), None, (-3.0, 3.0)),
+    "double-well": (double_well(), None, (-0.5, 2.5)),
+    "periodic": (periodic_well(), None, (-3.0, 1.0)),
+    "hard-wall": (hard_wall(), None, (-0.1, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANT_MODELS))
+def test_domain_rows_keep_their_invariants(case):
+    model, trunc, (e_lo, e_hi) = INVARIANT_MODELS[case]
+    rng = np.random.default_rng(32)
+    B = model.breakpoints(trunc)
+    energies = rng.permutation(np.concatenate([
+        rng.uniform(e_lo, e_hi, 2000), B, B - 1e-12, B + 1e-12, NON_FINITE]))
+    rows = model.domains(energies, trunc)
+    owner = rows.owner
+    assert owner.size == rows.lo.size == rows.hi.size == rows.f_lo.size == rows.f_hi.size
+    assert len(rows.errors) == energies.size
+    # grouped by owner in batch order, each row nonempty
+    assert np.all(np.diff(owner) >= 0) and np.all((owner >= 0) & (owner < energies.size))
+    assert np.all(rows.lo < rows.hi)
+    # within an energy, in q order and disjoint
+    same = owner[1:] == owner[:-1]
+    assert np.all(rows.hi[:-1][same] <= rows.lo[1:][same])
+    codes = [lk.REGULAR, lk.TURNING, lk.TRUNCATION]
+    assert np.isin(rows.f_lo, codes).all() and np.isin(rows.f_hi, codes).all()
+    failed = np.array([e is not None for e in rows.errors])
+    assert not failed[owner].any()
+    assert failed[~np.isfinite(energies)].all()
+    # domain(E) is the energy's rows of the batch, bit for bit, or its error
+    start = np.searchsorted(owner, np.arange(energies.size + 1))
+    for i, E in enumerate(energies.tolist()):
+        if failed[i]:
+            with pytest.raises(type(rows.errors[i])) as info:
+                model.domain(E, trunc)
+            assert str(info.value) == str(rows.errors[i])
+            continue
+        one = model.domain(E, trunc)
+        sl = slice(start[i], start[i + 1])
+        assert one.errors == [None] and not one.owner.any()
+        for a, b in ((one.lo, rows.lo[sl]), (one.hi, rows.hi[sl]),
+                     (one.f_lo, rows.f_lo[sl]), (one.f_hi, rows.f_hi[sl])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_errors_keep_their_types():
@@ -149,18 +206,19 @@ def test_errors_keep_their_types():
         model, _, _ = CASES[case]
         rows = model.domains([0.0])
         assert rows.errors == [None] and rows.owner.size == 0
-        assert model.domain(0.0).intervals == ()
+        assert model.domain(0.0).lo.size == 0
 
 
 def test_fishtail_branch_and_oval_merge_at_the_saddle(fish, trunc):
     # the left branch ends at -4 - u and the oval starts at -4 + u with
     # u ~ sqrt(-E/6): 8e-9 apart at E = -1e-16, merged within 1e-9 at -1e-20
-    (lo1, hi1), (lo2, hi2) = fish.domain(-1e-16, trunc).intervals
+    ((lo1, hi1), _), ((lo2, hi2), _) = fish.domain(-1e-16, trunc).pairs()
     assert lo1 == -5.0 and hi1 < -4.0 < lo2
-    dom = fish.domain(-1e-20, trunc)
-    assert dom.flags == ((lk.TRUNCATION, lk.TURNING),)
-    assert dom.intervals[0][0] == -5.0
-    assert dom.intervals[0][1] == pytest.approx(2.0, abs=1e-12)
+    # merged, the interval from the cut is split at the saddle again
+    (iv1, fl1), ((lo, hi), fl2) = fish.domain(-1e-20, trunc).pairs()
+    assert iv1 == (-5.0, -4.0) and lo == -4.0
+    assert hi == pytest.approx(2.0, abs=1e-12)
+    assert fl1 == (lk.TRUNCATION, lk.TURNING) and fl2 == (lk.TURNING, lk.TURNING)
 
 
 def test_no_model_class_defines_a_scalar_domain():
@@ -245,6 +303,15 @@ def test_a_hard_wall_builds_and_runs_without_warnings():
     assert ls.converged.all()
     want = 2.0 * math.pi * np.sqrt(2.0 * ls.energies)
     assert np.all(np.abs(ls.lengths - want) <= 1e-12 * want)
+
+
+def test_a_hard_wall_has_no_saddle():
+    # the last infinite node before a finite one was once taken for a
+    # maximum (inf >= inf > V): a saddle at q = -1.001953125, where V = inf
+    m = hard_wall()
+    assert m.saddles == ()
+    assert m.breakpoints().tolist() == [0.0]
+    assert lk.ell(m, 0.3).hex() == "0x1.377bda77efb1bp+2"
 
 
 @pytest.mark.parametrize("case", ["pendulum", "duffing", "fishtail", "fishtail-bounded",

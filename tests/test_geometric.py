@@ -38,7 +38,7 @@ def test_ell_full_output(pend):
 
 def test_symmetry_half_interval(pend):
     E = -0.7
-    theta = pend.domain(E).intervals[0][1]
+    theta = pend.domain(E).hi[0]
     full = lk.arclength_interval(pend, E, (-theta, theta), (TURNING, TURNING))
     half = lk.arclength_interval(pend, E, (0.0, theta), (REGULAR, TURNING))
     assert 2.0 * half.value == pytest.approx(full.value, rel=1e-10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ldkit as lk
-from ldkit import TRUNCATION, TURNING, models
+from ldkit import REGULAR, TRUNCATION, TURNING, models
 from conftest import interior_points, random_energies
 
 ALL_BUILTINS = ("pendulum", "duffing", "fishtail", "harmonic-oscillator",
@@ -93,7 +93,7 @@ def test_slope_derived_value_pendulum(pend):
 
 
 def test_slope_raises_at_turning_point(pend):
-    theta = pend.domain(-1.0).intervals[0][1]
+    theta = pend.domain(-1.0).hi[0]
     with pytest.raises(lk.TurningPoint):
         pend.branch_slope(theta, -1.0)
 
@@ -110,10 +110,9 @@ def test_pendulum_domain_libration(pend):
 
 def test_pendulum_domain_circulation(pend):
     dom = pend.domain(0.5)
-    assert dom.intervals == ((-math.pi, math.pi),)
-    assert dom.flags[0] == ("regular", "regular")
+    assert list(dom.pairs()) == [((-math.pi, math.pi), (REGULAR, REGULAR))]
     dom0 = pend.domain(0.0)
-    assert dom0.flags[0] == (TURNING, TURNING)
+    assert [fl for _, fl in dom0.pairs()] == [(TURNING, TURNING)]
 
 
 def test_duffing_domain(duff):
@@ -128,40 +127,37 @@ def test_duffing_domain(duff):
     assert hi == pytest.approx(math.sqrt(1.0 + math.sqrt(0.6)), rel=1e-12)
     assert flags == (TURNING, TURNING)
     dom = duff.domain(0.3)
-    assert dom.flags[0] == ("regular", TURNING)
+    assert next(iter(dom.pairs()))[1] == (REGULAR, TURNING)
 
 
 def test_fishtail_domain_separatrix(fish, trunc):
     dom = fish.domain(0.0, trunc)
-    sup = dom.support
-    assert sup[0] == -5.0
+    assert dom.lo[0] == -5.0
     # Cardano oracle: substitute the endpoint back into the level cubic
-    x2 = sup[1]
+    x2 = dom.hi[-1]
     assert x2 == pytest.approx(2.0, abs=1e-9)
     assert abs(-(x2 ** 3) - 6 * x2 * x2 + 32.0) <= 1e-9 * max(1.0, abs(x2) ** 3)
-    assert dom.flags[0][0] == TRUNCATION
-    assert dom.flags[-1][1] == TURNING
+    assert dom.f_lo[0] == TRUNCATION
+    assert dom.f_hi[-1] == TURNING
 
 
 def test_fishtail_domain_libration(fish, trunc):
     E = -4.0  # cut at -5 keeps part of the unbounded branch and the oval
     dom = fish.domain(E, trunc)
-    assert len(dom.intervals) == 2
-    (a, x2), (x3, x4) = dom.intervals
+    ((a, x2), fl1), ((x3, x4), fl2) = dom.pairs()
     assert a == -5.0
     assert x2 < x3 < x4
     for r in (x2, x3, x4):
         assert abs(-(r ** 3) - 6.0 * r * r + E + 32.0) <= 1e-9 * max(1.0, abs(r) ** 3)
-    assert dom.flags[0] == (TRUNCATION, TURNING)
-    assert dom.flags[1] == (TURNING, TURNING)
+    assert fl1 == (TRUNCATION, TURNING)
+    assert fl2 == (TURNING, TURNING)
 
 
 def test_fishtail_domain_deep_libration_drops_left_branch(fish, trunc):
     # below E = -7 the unbounded branch ends left of the a = -5 cut
-    dom = fish.domain(-16.0, trunc)
-    assert len(dom.intervals) == 1
-    assert dom.intervals[0][0] == pytest.approx(-2.0, abs=1e-9)
-    assert dom.flags[0] == (TURNING, TURNING)
+    ((lo, _), flags), = fish.domain(-16.0, trunc).pairs()
+    assert lo == pytest.approx(-2.0, abs=1e-9)
+    assert flags == (TURNING, TURNING)
 
 
 def test_fishtail_truncation_errors(fish):
@@ -173,12 +169,10 @@ def test_fishtail_truncation_errors(fish):
 
 def test_fishtail_unbounded_branch_outside_window(fish):
     # the cut can fall right of the unbounded branch; only the oval remains
-    dom = fish.domain(-16.0, lk.Truncation(-4.5))
-    assert len(dom.intervals) == 1
-    assert dom.intervals[0][0] == pytest.approx(-2.0, abs=1e-9)
+    ((lo, _), _), = fish.domain(-16.0, lk.Truncation(-4.5)).pairs()
+    assert lo == pytest.approx(-2.0, abs=1e-9)
     # at the bottom energy the oval is a point: empty domain, zero length
-    dom = fish.domain(-32.0, lk.Truncation(-4.5))
-    assert dom.intervals == ()
+    assert fish.domain(-32.0, lk.Truncation(-4.5)).lo.size == 0
 
 
 def test_below_minimum_raises():
@@ -202,24 +196,16 @@ def test_turning_endpoints_have_vanishing_branch(rng):
 
 def test_pendulum_aperture_monotone(pend):
     es = np.linspace(-1.999, -1e-4, 200)
-    thetas = np.array([pend.domain(float(e)).intervals[0][1] for e in es])
+    thetas = np.array([pend.domain(float(e)).hi[0] for e in es])
     assert np.all(np.diff(thetas) > 0)
-    assert pend.domain(-1e-9).intervals[0][1] == pytest.approx(math.pi, abs=1e-4)
-    assert pend.domain(-2.0 + 1e-9).intervals[0][1] == pytest.approx(0.0, abs=1e-4)
+    assert pend.domain(-1e-9).hi[0] == pytest.approx(math.pi, abs=1e-4)
+    assert pend.domain(-2.0 + 1e-9).hi[0] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_critical_energies():
     assert lk.pendulum().critical_energies() == (-2.0, 0.0)
     assert lk.duffing().critical_energies() == (-0.25, 0.0)
     assert lk.fishtail().critical_energies() == (-32.0, 0.0)
-
-
-def test_energy_domain_validation():
-    with pytest.raises(ValueError):
-        lk.EnergyDomain(((1.0, 0.0),), (("regular", "regular"),))
-    with pytest.raises(ValueError):
-        lk.EnergyDomain(((0.0, 2.0), (1.0, 3.0)),
-                        (("regular", "regular"), ("regular", "regular")))
 
 
 def test_get_model_unknown():
@@ -269,7 +255,7 @@ def test_mechanical_positional_and_keyword_forms():
         assert (m.potential, m.potential_slope) == (V, dV)
         assert m.critical_energies() == (a.e_min, 0.0)
     assert a.breakpoints().tolist() == b.breakpoints().tolist()
-    assert a.domain(-0.1) == b.domain(-0.1)
+    assert list(a.domain(-0.1).pairs()) == list(b.domain(-0.1).pairs())
     assert lk.mechanical(V, dV, (-2.0, 2.0)).name == "custom-mechanical"
 
 
@@ -301,12 +287,12 @@ def test_repulsor_domains(rep):
     (lo, hi), flags = next(iter(dom.pairs()))
     assert lo == 0.0
     assert hi == pytest.approx(math.sinh(1.0), rel=1e-12)
-    assert flags == ("regular", TRUNCATION)
+    assert flags == (REGULAR, TRUNCATION)
     dom = rep.domain(-0.5)
     (lo, hi), flags = next(iter(dom.pairs()))
     assert lo == pytest.approx(1.0, rel=1e-12)
     assert flags == (TURNING, TRUNCATION)
-    assert rep.domain(0.0).intervals == ()
+    assert rep.domain(0.0).lo.size == 0
 
 
 def test_repulsor_rejects_bad_cut():
@@ -329,7 +315,7 @@ def test_repulsor_rejects_cut_whose_cosh_overflows():
     with pytest.raises(ValueError, match="overflows"):
         lk.rate_report(lk.harmonic_repulsor(t_star=800.0))
     rep = lk.harmonic_repulsor(t_star=700.0)
-    assert rep.domain(0.5).intervals[0][1] == math.sinh(700.0)
+    assert rep.domain(0.5).hi[0] == math.sinh(700.0)
 
 
 def _smallest_accepted_t_star():
@@ -368,10 +354,10 @@ def test_bounded_librations_mode(fish, trunc):
     assert fb.bounded
     dom = fb.domain(-4.0)
     full = fish.domain(-4.0, trunc)
-    assert dom.intervals == (full.intervals[1],)
+    assert list(dom.pairs()) == list(full.pairs())[1:]
     with pytest.raises(lk.OutsideDomain):
         fb.domain(0.5)
-    assert dom.intervals[0][0] >= -4.0
+    assert dom.lo[0] >= -4.0
 
 
 _FISH_ENERGIES = [e for k in range(1, 15)
@@ -455,10 +441,10 @@ def test_mechanical_matches_builtin_pendulum(mech_pendulum, pend):
 
 
 def test_mechanical_domain_flags(mech_pendulum):
-    dom = mech_pendulum.domain(-1.0)
-    assert dom.flags[0] == (TURNING, TURNING)
-    dom = mech_pendulum.domain(0.5)
-    assert dom.flags[0] == (TRUNCATION, TRUNCATION)
+    (_, flags), = mech_pendulum.domain(-1.0).pairs()
+    assert flags == (TURNING, TURNING)
+    (_, flags), = mech_pendulum.domain(0.5).pairs()
+    assert flags == (TRUNCATION, TRUNCATION)
 
 
 def test_mechanical_domain_roots_on_scan_nodes():
@@ -467,15 +453,12 @@ def test_mechanical_domain_roots_on_scan_nodes():
     # there) while E = 0.3 brackets its roots inside cells
     m = lk.mechanical(lambda q: np.asarray(q) ** 2, lambda q: 2.0 * np.asarray(q),
                       (-2.0, 2.0))
-    dom = m.domain(0.25)
-    assert dom.intervals == ((-0.5, 0.5),)
-    assert dom.flags == ((TURNING, TURNING),)
-    (lo, hi), = m.domain(0.3).intervals
+    assert list(m.domain(0.25).pairs()) == [((-0.5, 0.5), (TURNING, TURNING))]
+    ((lo, hi), _), = m.domain(0.3).pairs()
     assert lo == pytest.approx(-math.sqrt(0.3), abs=1e-12)
     assert hi == pytest.approx(math.sqrt(0.3), abs=1e-12)
-    dom = m.domain(5.0)  # no root inside the scan: cut at the search interval
-    assert dom.intervals == ((-2.0, 2.0),)
-    assert dom.flags == ((TRUNCATION, TRUNCATION),)
+    # no root inside the scan: cut at the search interval
+    assert list(m.domain(5.0).pairs()) == [((-2.0, 2.0), (TRUNCATION, TRUNCATION))]
 
 
 def test_mechanical_tiny_scale_keeps_its_turning_points():
@@ -483,20 +466,17 @@ def test_mechanical_tiny_scale_keeps_its_turning_points():
     # two neighbours underflows; the sign change must still be found
     m = lk.mechanical(lambda q: 1e-200 * np.asarray(q) ** 2,
                       lambda q: 2e-200 * np.asarray(q), (-2.0, 2.0))
-    dom = m.domain(0.3e-200)
-    (lo, hi), = dom.intervals
+    ((lo, hi), flags), = m.domain(0.3e-200).pairs()
     assert lo == pytest.approx(-math.sqrt(0.3), abs=1e-12)
     assert hi == pytest.approx(math.sqrt(0.3), abs=1e-12)
-    assert dom.flags == ((TURNING, TURNING),)
+    assert flags == (TURNING, TURNING)
 
 
 def test_mechanical_root_on_the_search_end_is_a_turning_point():
     # at E = 1/2 the right root of q^2/2 is q = 1, the search interval's end
     m = lk.mechanical(lambda q: 0.5 * np.asarray(q) ** 2, lambda q: np.asarray(q),
                       (-1.5, 1.0))
-    dom = m.domain(0.5)
-    assert dom.intervals == ((-1.0, 1.0),)
-    assert dom.flags == ((TURNING, TURNING),)
+    assert list(m.domain(0.5).pairs()) == [((-1.0, 1.0), (TURNING, TURNING))]
     length, info = lk.ell(m, 0.5, full_output=True)
     assert info.converged
     assert length == pytest.approx(2.0 * math.pi, rel=0, abs=1e-12)
@@ -588,7 +568,7 @@ def test_mechanical_extrema_inside_a_scan_cell_keep_their_roots():
     (qs,) = tilted.saddles
     e_s = tilted.energy(qs, 0.0)
     for gap in (1e-6, 1e-8, 1e-10, 1e-12):
-        (a, b), (c, d) = tilted.domain(e_s - gap).intervals
+        ((a, b), _), ((c, d), _) = tilted.domain(e_s - gap).pairs()
         assert a < b < qs < c < d
         assert lk.ell(tilted, e_s - gap, full_output=True)[1].converged
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ldkit as lk
-from ldkit.models import F_TURNING, _bisect
+from ldkit.models import TURNING, _bisect
 
 
 def test_turning_ends_are_outside_and_tight(double_well):
@@ -28,7 +28,7 @@ def test_turning_ends_are_outside_and_tight(double_well):
     n = 0
     for ends, flags, inward in ((rows.lo, rows.f_lo, np.inf),
                                 (rows.hi, rows.f_hi, -np.inf)):
-        turning = flags == F_TURNING
+        turning = flags == TURNING
         q, E = ends[turning], energies[rows.owner[turning]]
         rad = m.radicand(q, E)
         assert np.all(rad <= 0.0)
@@ -44,7 +44,7 @@ def test_slope_returning_a_scalar():
     m = lk.mechanical(lambda q: (np.asarray(q) - 0.3) ** 2,
                       lambda q: 2.0 * (float(np.ravel(q)[0]) - 0.3), (-1.0, 1.5))
     assert m.e_min <= 1e-30
-    (lo, hi), = m.domain(0.01).intervals
+    ((lo, hi), _), = m.domain(0.01).pairs()
     assert lo == pytest.approx(0.2, abs=1e-12) and hi == pytest.approx(0.4, abs=1e-12)
     # on arrays, a scalar f broadcasts to every bracket: where y - f <= 0
     # throughout, the end a moves up to b; where it is > 0, a stays

@@ -52,7 +52,7 @@ def test_circulation_matches_curve_length(pend):
     assert q_end > q0
     n_rev = math.floor((q_end - q0) / (2.0 * math.pi))
     branch_len = lk.arclength_interval(pend, E, (-math.pi, math.pi),
-                                       ("regular", "regular")).value
+                                       (lk.REGULAR, lk.REGULAR)).value
     e = q_end - q0 - n_rev * 2.0 * math.pi  # leftover angle in [0, 2 pi)
     partial = lk.polyline_oracle(pend, E, (0.0, min(e, math.pi)), 200_000)
     if e > math.pi:
